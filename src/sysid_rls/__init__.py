@@ -31,6 +31,7 @@ from .equivalence import (
     trivial_embed,
 )
 from .rls import (
+    FoldRecord,
     RegressorSample,
     RlsState,
     batch_solve,
@@ -39,6 +40,7 @@ from .rls import (
     initial_state,
     regressor_matrix,
     residual,
+    rls_fold,
     rls_step,
     run_rls,
 )

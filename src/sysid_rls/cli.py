@@ -9,36 +9,34 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .convergence import run_tracked_identification
+from .convergence import run_tracked_identification, write_convergence_trace
 from .equivalence import is_equivalent, reduce_once, reducibility_check
 from .errors import NumericalError, ValidationError
 from .excitation import reduced_regressor_matrix
 from .experiment import load_config, run_experiment
-from .fileio import load_model, load_trajectory, save_model, write_csv, write_json
+from .fileio import (
+    load_model,
+    load_theta0,
+    load_trajectory,
+    save_model,
+    write_csv,
+    write_json,
+)
 from .inputs import generate_input, parse_input_spec
 from .rls import (
-    RegressorSample,
     initial_state,
+    regressor_dim,
     regressor_matrix,
-    rls_step,
+    rls_fold,
     valid_regressor_indices,
 )
-
-
-def _load_theta0_arg(value: str, p: int, d: int):
-    if value == "zeros":
-        return None
-    theta = np.asarray(json.loads(Path(value).read_text()), dtype=float)
-    if theta.shape != (p, d):
-        raise ValidationError(f"theta0 file has shape {theta.shape}, expected {(p, d)}")
-    return theta
 
 
 def cmd_fit(args) -> int:
@@ -52,7 +50,7 @@ def cmd_fit(args) -> int:
     p, m = traj.p, traj.m
     d = Phi.shape[1]
     state = initial_state(order, p, m,
-                          theta0=_load_theta0_arg(args.theta0, p, d),
+                          theta0=load_theta0(args.theta0, p, d),
                           p0_scale=args.p0_scale)
     ref = None
     if args.ref_model:
@@ -61,22 +59,18 @@ def cmd_fit(args) -> int:
             raise ValidationError("reference model does not match the fit order/dimensions")
         ref = ref_model.theta
 
-    rows = []
-    states = []
-    for i in range(Phi.shape[0]):
-        resid = float(np.linalg.norm(Y[i] - state.theta @ Phi[i]))
-        state = rls_step(state, RegressorSample(phi=Phi[i], y=Y[i]))
-        states.append((int(ks[i]), state.theta.copy(), resid,
-                       float(np.linalg.eigvalsh(state.P)[0])))
-    target = ref if ref is not None else state.theta
-    for k, theta_k, resid, pmin in states:
-        err = float(np.linalg.norm(theta_k - target))
-        rows.append([k] + [float(v) for v in theta_k.ravel()] + [err, resid, pmin])
-
-    if args.emit_trace:
+    emit = bool(args.emit_trace)
+    state, record = rls_fold(state, Phi, Y, keep_history=emit)
+    if emit:
+        target = (ref if ref is not None else state.theta).ravel()
+        thetas = record.theta.reshape(len(ks), p * d)
+        # per row the dot np.linalg.norm takes; a row-wise reduction would
+        # sum in another order and change the last bits of the trace
+        err = np.array([math.sqrt(e.dot(e)) for e in thetas - target])
         header = ["k"] + [f"theta_{i}" for i in range(p * d)]
         header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
-        write_csv(args.emit_trace, header, rows)
+        write_csv(args.emit_trace, header,
+                  [ks, thetas, err, record.residual_norm, record.pmin_eig])
         print(f"trace written to {args.emit_trace}")
     np.set_printoptions(precision=6, suppress=True)
     print(f"final estimate after {Phi.shape[0]} samples (order {order}):")
@@ -97,18 +91,19 @@ def cmd_excite(args) -> int:
         Phi, _, ks = regressor_matrix(traj, order, ks)
         label = f"full regressor (order {order})"
     d = Phi.shape[1]
+    K = Phi.shape[0]
     gram = np.zeros((d, d))
-    rows = []
-    for i in range(Phi.shape[0]):
+    lmin = np.empty(K)
+    for i in range(K):
         gram += np.outer(Phi[i], Phi[i])
-        lmin = float(np.linalg.eigvalsh(gram)[0])
-        rows.append([int(ks[i]), lmin, lmin / (i + 1)])
+        lmin[i] = np.linalg.eigvalsh(gram)[0]
     if args.emit:
-        write_csv(args.emit, ["k", "lambda_min_partial", "lambda_min_avg"], rows)
+        write_csv(args.emit, ["k", "lambda_min_partial", "lambda_min_avg"],
+                  [ks, lmin, lmin / np.arange(1, K + 1)])
         print(f"excitation curve written to {args.emit}")
-    final_avg = gram / Phi.shape[0]
-    print(f"{label}: {Phi.shape[0]} samples")
-    print(f"  lambda_min of Gram partial sum: {rows[-1][1]:.6e}")
+    final_avg = gram / K
+    print(f"{label}: {K} samples")
+    print(f"  lambda_min of Gram partial sum: {lmin[-1]:.6e}")
     print(f"  lambda_min of average Gram:     {float(np.linalg.eigvalsh(final_avg)[0]):.6e}")
     return 0
 
@@ -155,15 +150,12 @@ def cmd_converge(args) -> int:
     spec = parse_input_spec(args.input)
     total = args.horizon + args.fit_order
     u = generate_input(spec, total, model.m)
-    d = model.p * args.fit_order + model.m * (args.fit_order + 1)
-    theta0 = _load_theta0_arg(args.theta0, model.p, d)
+    theta0 = load_theta0(args.theta0, model.p,
+                         regressor_dim(args.fit_order, model.p, model.m))
     trace = run_tracked_identification(model, args.fit_order, u, args.horizon,
                                        theta0=theta0, p0_scale=args.p0_scale)
     if args.emit:
-        write_csv(args.emit,
-                  ["k", "frob_err_to_ref", "scaled_err_norm", "residual_norm"],
-                  zip(trace.ks.tolist(), trace.dist_to_ref, trace.scaled_err,
-                      trace.residual_norm))
+        write_convergence_trace(args.emit, trace)
         print(f"trace written to {args.emit}")
     summary = trace.summary_dict()
     summary["seed"] = spec.seed

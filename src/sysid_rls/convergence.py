@@ -25,7 +25,8 @@ from .equivalence import build_lift_matrix, trivial_embed
 from .errors import NumericalError, ValidationError
 from .excitation import GramLimit, estimate_gram_limit, reduced_regressor_matrix
 from .model_core import IOModel, simulate
-from .rls import DEFAULT_P0_SCALE, initial_state, regressor_matrix, rls_step
+from .fileio import write_csv
+from .rls import DEFAULT_P0_SCALE, initial_state, regressor_matrix, rls_fold
 
 
 def lift_true(model: IOModel, n_hat: int) -> np.ndarray:
@@ -229,18 +230,8 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
         ref_kind = "projected"
         theta_ref = projected_limit(model, n_hat, theta_start, P_start).theta_star
 
+    state, record = rls_fold(state, Phi, Y, theta_ref=theta_ref)
     K = Phi.shape[0]
-    dist = np.empty(K)
-    scaled = np.empty(K)
-    resid = np.empty(K)
-    from .rls import RegressorSample
-
-    for i in range(K):
-        err = state.theta - theta_ref
-        dist[i] = np.linalg.norm(err)
-        scaled[i] = i * dist[i]
-        resid[i] = np.linalg.norm(Y[i] - state.theta @ Phi[i])
-        state = rls_step(state, RegressorSample(phi=Phi[i], y=Y[i]))
 
     if ref_kind == "true":
         gram = estimate_gram_limit(Phi)
@@ -263,8 +254,16 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
         if np.isfinite(denom) and denom > 0 else float("nan")
     return ConvergenceTrace(
         fit_order=n_hat, true_order=model.n, ref_kind=ref_kind,
-        ks=np.arange(K), dist_to_ref=dist, scaled_err=scaled, residual_norm=resid,
+        ks=np.arange(K), dist_to_ref=record.dist_to_ref,
+        scaled_err=np.arange(K) * record.dist_to_ref, residual_norm=record.residual_norm,
         theta_final=state.theta, theta_ref=theta_ref, gram=gram,
         predicted_asymptote=predicted, empirical_scaled_final=empirical,
         asymptote_rel_error=rel,
     )
+
+
+def write_convergence_trace(path, trace: ConvergenceTrace) -> None:
+    """Trace CSV with columns ``k, frob_err_to_ref, scaled_err_norm,
+    residual_norm``, one row per update."""
+    write_csv(path, ["k", "frob_err_to_ref", "scaled_err_norm", "residual_norm"],
+              [trace.ks, trace.dist_to_ref, trace.scaled_err, trace.residual_norm])

@@ -9,19 +9,25 @@ output-file digests (wall-clock time is recorded but excluded).
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .convergence import run_tracked_identification
+from .convergence import run_tracked_identification, write_convergence_trace
 from .errors import ValidationError
-from .fileio import canonical_json, load_model, sha256_file, sha256_text, write_csv, write_json
+from .fileio import (
+    canonical_json,
+    load_model,
+    load_theta0,
+    sha256_file,
+    sha256_text,
+    write_json,
+)
 from .inputs import InputSpec, generate_input, spec_from_dict
 from .model_core import IOModel
-from .rls import DEFAULT_P0_SCALE
+from .rls import DEFAULT_P0_SCALE, regressor_dim
 
 _ALLOWED_KEYS = {"true_model", "fit_orders", "input", "horizon", "theta0",
                  "p0_scale", "tolerances", "out_dir"}
@@ -38,6 +44,8 @@ class ExperimentConfig:
     p0_scale: float = DEFAULT_P0_SCALE
     tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
+    # directory relative file paths in the config are taken from; not hashed
+    base_dir: Path | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -114,13 +122,11 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         true_model=model, fit_orders=tuple(orders), input=spec, horizon=horizon,
         theta0=theta0, p0_scale=p0_scale, tolerances=dict(tolerances),
-        out_dir=out_dir,
+        out_dir=out_dir, base_dir=base_dir,
     )
 
 
 def load_config(path) -> ExperimentConfig:
-    import json
-
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file {path} does not exist")
@@ -129,26 +135,6 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return config_from_dict(raw, base_dir=path.parent)
-
-
-def _load_theta0(config: ExperimentConfig, order: int, p: int, m: int):
-    if config.theta0 == "zeros":
-        return None
-    import json
-
-    path = Path(config.theta0)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"theta0 file {path}: {exc}") from exc
-    theta = np.asarray(raw, dtype=float)
-    width = p * order + m * (order + 1)
-    if theta.shape != (p, width):
-        raise ValidationError(
-            f"theta0 file {path}: shape {theta.shape} does not fit order {order} "
-            f"(expected {(p, width)})"
-        )
-    return theta
 
 
 @dataclass(frozen=True)
@@ -189,18 +175,14 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
         entry = {"fit_order": order, "seed": config.input.seed, "status": "ok",
                  "outputs": {}}
         try:
-            theta0 = _load_theta0(config, order, model.p, model.m)
+            theta0 = load_theta0(config.theta0, model.p, regressor_dim(order, model.p, model.m),
+                                 base_dir=config.base_dir)
             trace = run_tracked_identification(
                 model, order, u_full[max_order - order:], config.horizon,
                 theta0=theta0, p0_scale=config.p0_scale,
             )
             trace_path = out_dir / f"trace_order{order}.csv"
-            write_csv(
-                trace_path,
-                ["k", "frob_err_to_ref", "scaled_err_norm", "residual_norm"],
-                zip(trace.ks.tolist(), trace.dist_to_ref, trace.scaled_err,
-                    trace.residual_norm),
-            )
+            write_convergence_trace(trace_path, trace)
             summary = trace.summary_dict()
             summary["seed"] = config.input.seed
             summary["config_hash"] = config.config_hash

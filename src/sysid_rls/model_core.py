@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # Transition recursions cost O(j * n) block products; offsets beyond this cap
 # are treated as caller error.
@@ -302,7 +302,8 @@ def simulate(model: IOModel, initial_outputs, inputs, horizon: int | None = None
 
     Returns a trajectory whose outputs satisfy the recursion exactly for
     every index past the initial window.  Deterministic: identical inputs
-    give bit-identical outputs.
+    give bit-identical outputs.  Raises :class:`NumericalError` when the
+    outputs overflow (an unstable model run long enough).
     """
     n, p, m = model.n, model.p, model.m
     u = np.asarray(inputs, dtype=float)
@@ -326,15 +327,24 @@ def simulate(model: IOModel, initial_outputs, inputs, horizon: int | None = None
         raise ValidationError(f"initial outputs have shape {ics.shape}, expected {(n, p)}")
     if not np.all(np.isfinite(u[:horizon])):
         raise ValidationError("inputs contain non-finite values")
+    if not np.all(np.isfinite(ics)):
+        raise ValidationError("initial outputs contain non-finite values")
 
     u = u[:horizon]
     y = np.zeros((horizon, p))
     y[:n] = ics
     F_stack, G_stack = model.F_stack, model.G_stack
-    for k in range(n, horizon):
-        Yw = y[k - n:k][::-1].reshape(-1)
-        Uw = u[k - n:k + 1][::-1].reshape(-1)
-        y[k] = -F_stack @ Yw + G_stack @ Uw
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
+        for k in range(n, horizon):
+            Yw = y[k - n:k][::-1].reshape(-1)
+            Uw = u[k - n:k + 1][::-1].reshape(-1)
+            y[k] = -F_stack @ Yw + G_stack @ Uw
+    if not np.all(np.isfinite(y)):
+        first = k0 + int(np.flatnonzero(~np.all(np.isfinite(y), axis=1))[0])
+        raise NumericalError(
+            f"simulation diverged: outputs are not finite from k={first} "
+            f"(companion spectral radius {model.companion_spectral_radius():.3g})"
+        )
     return Trajectory(k0=k0, u=u, y=y)
 
 

@@ -16,6 +16,7 @@ whose unique minimizer is tracked recursively via the covariance downdate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,11 +159,23 @@ def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(samples, tuple) and len(samples) == 2:
         Phi, Y = samples
         return np.asarray(Phi, dtype=float), np.asarray(Y, dtype=float)
-    phis = [np.asarray(s.phi, dtype=float) for s in samples]
-    ys = [np.asarray(s.y, dtype=float) for s in samples]
-    if not phis:
+    return _stack_samples(samples)
+
+
+def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a :class:`RegressorSample` sequence as ``(Phi, Y)``; samples
+    of unequal regressor or output length are a validation error."""
+    samples = list(samples)
+    if not samples:
         return np.zeros((0, 0)), np.zeros((0, 0))
-    return np.vstack(phis), np.vstack(ys)
+    phi_lens = {s.phi.shape[0] for s in samples}
+    y_lens = {s.y.shape[0] for s in samples}
+    if len(phi_lens) > 1 or len(y_lens) > 1:
+        raise ValidationError(
+            f"samples have regressor lengths {sorted(phi_lens)} and output lengths "
+            f"{sorted(y_lens)}; all must agree"
+        )
+    return np.vstack([s.phi for s in samples]), np.vstack([s.y for s in samples])
 
 
 def residual(theta: np.ndarray, sample: RegressorSample) -> np.ndarray:
@@ -215,34 +228,94 @@ def batch_solve(samples, theta0: np.ndarray, P0: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve(A, B.T, assume_a="pos").T
 
 
-def rls_step(state: RlsState, sample: RegressorSample) -> RlsState:
-    """One covariance downdate and coefficient update.
+@dataclass(frozen=True, eq=False)
+class FoldRecord:
+    """Per-row figures of one :func:`rls_fold`; those not asked for are None.
 
-    The downdated covariance is re-symmetrized each step; with the
-    information matrix tracked, ``P_inv`` accumulates ``phi phi^T``.
+    Row i holds ``residual_norm[i] = ||y_i - theta phi_i||`` with the estimate
+    that has not yet seen row i and, with a reference, the same pre-update
+    ``dist_to_ref[i] = ||theta - theta_ref||_F``.  With ``keep_history`` it
+    also holds the post-update ``theta[i]`` (p x d) and smallest eigenvalue
+    ``pmin_eig[i]`` of the covariance.
     """
-    phi, y = sample.phi, sample.y
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
-        raise ValidationError("sample contains non-finite values")
-    if phi.shape[0] != state.dim:
+
+    residual_norm: np.ndarray
+    dist_to_ref: np.ndarray | None = None
+    theta: np.ndarray | None = None
+    pmin_eig: np.ndarray | None = None
+
+
+def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
+             keep_history: bool = False) -> tuple[RlsState, FoldRecord]:
+    """Fold the covariance downdate and coefficient update over the rows of
+    ``Phi`` (K x d) and ``Y`` (K x p); returns the final state and a record.
+
+    This is the package's one RLS recursion (the form of Ljung & Soderstrom,
+    *Theory and Practice of Recursive Identification*, 1983); :func:`rls_step`
+    is its one-row case.  Shapes and finiteness are checked once, before any
+    update.  Each row runs a fixed sequence of numpy operations, so the fold
+    agrees bit for bit with a chain of one-row folds.  The downdated
+    covariance is re-symmetrized each row; with the information matrix
+    tracked, ``P_inv`` accumulates ``phi phi^T``.  Norms are ``sqrt(e @ e)``,
+    the dot product ``np.linalg.norm`` takes.
+    """
+    Phi = np.asarray(Phi, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if Phi.ndim != 2 or Y.ndim != 2:
         raise ValidationError(
-            f"regressor length {phi.shape[0]} does not match state dimension {state.dim}"
+            f"expected 2-D regressors and outputs, got {Phi.ndim}-D and {Y.ndim}-D"
         )
-    P = state.P
-    Pphi = P @ phi
-    denom = 1.0 + float(phi @ Pphi)
-    P_new = P - np.outer(Pphi, Pphi) / denom
-    P_new = 0.5 * (P_new + P_new.T)
-    z = y - state.theta @ phi
-    theta_new = state.theta + np.outer(z, P_new @ phi)
-    P_inv_new = None
-    if state.P_inv is not None:
-        P_inv_new = state.P_inv + np.outer(phi, phi)
-    return RlsState(theta=theta_new, P=P_new, k=state.k + 1, P_inv=P_inv_new)
+    K = Phi.shape[0]
+    if K == 0:
+        return state, FoldRecord(residual_norm=np.empty(0))
+    theta, P, P_inv = state.theta, state.P, state.P_inv
+    if Phi.shape[1] != state.dim:
+        raise ValidationError(
+            f"regressor length {Phi.shape[1]} does not match state dimension {state.dim}"
+        )
+    if Y.shape != (K, theta.shape[0]):
+        raise ValidationError(f"outputs have shape {Y.shape}, expected {(K, theta.shape[0])}")
+    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(Y))):
+        raise ValidationError("samples contain non-finite values")
+    if theta_ref is not None:
+        theta_ref = np.asarray(theta_ref, dtype=float)
+        if theta_ref.shape != theta.shape:
+            raise ValidationError(
+                f"reference has shape {theta_ref.shape}, expected {theta.shape}"
+            )
+
+    resid = np.empty(K)
+    dist = np.empty(K) if theta_ref is not None else None
+    thetas = np.empty((K,) + theta.shape) if keep_history else None
+    pmin = np.empty(K) if keep_history else None
+    sqrt, eigvalsh = math.sqrt, np.linalg.eigvalsh
+    for i in range(K):
+        phi = Phi[i]
+        if dist is not None:
+            e = (theta - theta_ref).ravel()
+            dist[i] = sqrt(e.dot(e))
+        Pphi = P @ phi
+        denom = 1.0 + float(phi @ Pphi)
+        P = P - Pphi[:, None] * Pphi / denom
+        P = 0.5 * (P + P.T)
+        z = Y[i] - theta @ phi
+        resid[i] = sqrt(z.dot(z))
+        theta = theta + z[:, None] * (P @ phi)
+        if P_inv is not None:
+            P_inv = P_inv + phi[:, None] * phi
+        if keep_history:
+            thetas[i] = theta
+            pmin[i] = eigvalsh(P)[0]
+    new = RlsState(theta=theta, P=P, k=state.k + K, P_inv=P_inv)
+    return new, FoldRecord(residual_norm=resid, dist_to_ref=dist, theta=thetas, pmin_eig=pmin)
+
+
+def rls_step(state: RlsState, sample: RegressorSample) -> RlsState:
+    """One covariance downdate and coefficient update: the one-row
+    :func:`rls_fold`."""
+    return rls_fold(state, sample.phi[None, :], sample.y[None, :])[0]
 
 
 def run_rls(state: RlsState, samples) -> RlsState:
-    """Fold :func:`rls_step` over a sample sequence."""
-    for s in samples:
-        state = rls_step(state, s)
-    return state
+    """Fold a :class:`RegressorSample` sequence through :func:`rls_fold`."""
+    return rls_fold(state, *_stack_samples(samples))[0]

@@ -95,3 +95,28 @@ def random_spd(rng: np.random.Generator, d: int, eig_lo: float = 0.5,
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     eigs = rng.uniform(eig_lo, eig_hi, d)
     return (Q * eigs) @ Q.T
+
+
+def reference_rls(theta, P, P_inv, Phi, Y, theta_ref):
+    """Per-sample RLS written out with ``np.outer`` and ``np.linalg.norm``,
+    as the recursion reads in the textbook (Ljung & Soderstrom 1983).
+
+    Returns the final (theta, P, P_inv), the pre-update innovation norms and
+    distances to ``theta_ref``, and the post-update estimates.
+    """
+    K = Phi.shape[0]
+    resid, dist, thetas = np.empty(K), np.empty(K), []
+    for i in range(K):
+        phi, y = Phi[i], Y[i]
+        dist[i] = np.linalg.norm(theta - theta_ref)
+        resid[i] = np.linalg.norm(y - theta @ phi)
+        Pphi = P @ phi
+        denom = 1.0 + float(phi @ Pphi)
+        P = P - np.outer(Pphi, Pphi) / denom
+        P = 0.5 * (P + P.T)
+        z = y - theta @ phi
+        theta = theta + np.outer(z, P @ phi)
+        if P_inv is not None:
+            P_inv = P_inv + np.outer(phi, phi)
+        thetas.append(theta)
+    return theta, P, P_inv, resid, dist, np.array(thetas)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sysid_rls import IOModel, InputSpec, generate_input, lift_once, simulate
+from sysid_rls import IOModel, InputSpec, generate_input, lift_once, load_config, simulate
 from sysid_rls.cli import main
 from sysid_rls.fileio import load_model, save_model, save_trajectory
 
@@ -105,6 +105,22 @@ class TestConvergeCommand:
         assert data["asymptote_rel_error"] < 0.2
         assert data["seed"] == 7
 
+    def test_missing_theta0_file(self, workdir, capsys):
+        rc = main(["converge", "--model", str(workdir / "model.json"),
+                   "--fit-order", "1", "--horizon", "100",
+                   "--theta0", str(workdir / "missing.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "missing.json" in err and "Traceback" not in err
+
+    def test_diverging_model_is_numerical_failure(self, workdir, capsys):
+        save_model(IOModel.scalar([1.5], [0.0, 1.0]), workdir / "unstable.json")
+        rc = main(["converge", "--model", str(workdir / "unstable.json"),
+                   "--fit-order", "1", "--horizon", "3000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "missing input" not in err
+
     def test_bad_input_spec(self, workdir):
         rc = main(["converge", "--model", str(workdir / "model.json"),
                    "--fit-order", "1", "--input", "noise:seed=1",
@@ -126,6 +142,26 @@ class TestExperimentCommand:
         assert rc == 0
         assert (workdir / "out" / "manifest.json").exists()
         assert "2/2 orders succeeded" in capsys.readouterr().out
+
+    def test_relative_theta0_resolved_from_config_dir(self, workdir, monkeypatch, capsys):
+        cfg_dir = workdir / "cfg"
+        cfg_dir.mkdir()
+        (cfg_dir / "theta0.json").write_text(json.dumps([[0.4, 0.1, 0.9]]))
+        cfg = {"true_model": "../model.json", "fit_orders": [1], "horizon": 200,
+               "input": {"kind": "white", "seed": 3}, "theta0": "theta0.json"}
+        (cfg_dir / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(workdir)  # theta0.json is not in the working directory
+        rc = main(["experiment", str(cfg_dir / "cfg.json"), "--out-dir", str(workdir / "out")])
+        assert rc == 0
+        assert "1/1 orders succeeded" in capsys.readouterr().out
+        # the hashed config keeps the path as written
+        assert load_config(cfg_dir / "cfg.json").to_dict()["theta0"] == "theta0.json"
+        zeros = dict(cfg, theta0="zeros")
+        (cfg_dir / "zeros.json").write_text(json.dumps(zeros))
+        assert main(["experiment", str(cfg_dir / "zeros.json"),
+                     "--out-dir", str(workdir / "out0")]) == 0
+        assert ((workdir / "out" / "trace_order1.csv").read_bytes()
+                != (workdir / "out0" / "trace_order1.csv").read_bytes())
 
     def test_no_out_dir(self, workdir):
         cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 100,

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -18,10 +19,14 @@ from sysid_rls import (
 )
 from sysid_rls.experiment import config_from_dict
 from sysid_rls.fileio import (
+    CSV_CHUNK_ROWS,
+    fmt_float,
     load_model,
+    load_theta0,
     load_trajectory,
     save_model,
     save_trajectory,
+    write_csv,
 )
 from support import random_stable_model
 
@@ -126,6 +131,69 @@ class TestFileFormats:
         path.write_text("k,u_1,y_1\n0,1,1\n2,1,1\n")
         with pytest.raises(ValidationError):
             load_trajectory(path)
+
+
+def csv_writer_reference(path, header, rows):
+    """Rows of Python/numpy scalars through ``csv.writer``: ints via ``str``,
+    floats via :func:`fmt_float`."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([str(c) if isinstance(c, (int, np.integer)) else fmt_float(c)
+                             for c in row])
+
+
+class TestWriteCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        n = 2 * CSV_CHUNK_ROWS + 3  # two full blocks and a partial one
+        rng = np.random.default_rng(6)
+        ints = np.arange(-5, n - 5, dtype=np.int64)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324,
+                             1e300, 0.1, -2.5, 1.0 / 3.0])
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:specials.size] = specials
+        block = rng.standard_normal((n, 3))
+        block[-1] = [-0.0, np.nan, 1e-300]
+        small_ints = np.arange(n, dtype=np.int32)[:, None] * [1, -1]
+        header = ["k", "value", "a,b", 'quoted "c"', "d", "i", "j"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, header, [ints, floats, block, small_ints])
+        rows = [[int(ints[i]), float(floats[i]), *block[i].tolist(),
+                 *small_ints[i]] for i in range(n)]
+        csv_writer_reference(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_python_list_columns_and_empty(self, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, ["k", "x"], [[1, 2, 3], [0.5, -0.0, 1e-300]])
+        csv_writer_reference(want, ["k", "x"], [[1, 0.5], [2, -0.0], [3, 1e-300]])
+        assert got.read_bytes() == want.read_bytes()
+        write_csv(got, ["k"], [np.zeros(0, dtype=int)])
+        assert got.read_text() == "k\n"
+
+    def test_length_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValidationError):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+class TestLoadTheta0:
+    def test_zeros_is_default(self):
+        assert load_theta0("zeros", 1, 3) is None
+
+    def test_relative_path_from_base_dir(self, tmp_path):
+        (tmp_path / "t.json").write_text("[[1.0, 2.0, 3.0]]")
+        np.testing.assert_array_equal(load_theta0("t.json", 1, 3, base_dir=tmp_path),
+                                      [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("text", [None, "not json", '[["a", 1, 2]]', "[[1.0, 2.0]]",
+                                      '{"a": 1}'])
+    def test_bad_files_name_the_file(self, tmp_path, text):
+        path = tmp_path / "t.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ValidationError, match="t.json"):
+            load_theta0(str(path), 1, 3)
 
 
 def minimal_config(**overrides):

@@ -3,6 +3,7 @@ import pytest
 
 from sysid_rls import (
     IOModel,
+    NumericalError,
     Trajectory,
     ValidationError,
     output_transition,
@@ -88,6 +89,14 @@ class TestSimulate:
             simulate(SCALAR, [1.0, 2.0], np.zeros(5))  # wrong ic count
         with pytest.raises(ValidationError):
             simulate(SCALAR, [1.0], np.zeros(5), horizon=0)  # below order
+        with pytest.raises(ValidationError):
+            simulate(SCALAR, [np.nan], np.zeros(5))  # non-finite initial output
+
+    def test_divergence_is_numerical_error(self):
+        unstable = IOModel.scalar([1.5], [0.0, 1.0])
+        assert np.all(np.isfinite(simulate(unstable, [1.0], np.zeros(1000)).y))
+        with pytest.raises(NumericalError, match="diverged"):
+            simulate(unstable, [1.0], np.zeros(3000))
 
 
 class TestTransitionPair:

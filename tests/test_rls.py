@@ -12,12 +12,13 @@ from sysid_rls import (
     initial_state,
     regressor_matrix,
     residual,
+    rls_fold,
     rls_step,
     run_rls,
     simulate,
 )
 
-from support import random_spd, random_stable_model
+from support import random_spd, random_stable_model, reference_rls
 
 
 def make_traj():
@@ -235,3 +236,96 @@ class TestRlsStep:
         state = run_rls(state, samples)
         assert np.max(np.abs(state.P - state.P.T)) == 0.0
         state.check()
+
+
+def _fold_case(order, p, m, K, seed):
+    rng = np.random.default_rng(seed)
+    state = initial_state(order, p, m, p0_scale=1e3, track_information=True)
+    Phi = rng.standard_normal((K, state.dim))
+    Y = rng.standard_normal((K, p))
+    theta_ref = rng.standard_normal((p, state.dim))
+    return state, Phi, Y, theta_ref
+
+
+class TestRlsFold:
+    @pytest.mark.parametrize("order,p,m", [(1, 1, 1), (3, 2, 2)])  # d = 3, d = 14
+    def test_bit_identical_to_step_chain(self, order, p, m):
+        state, Phi, Y, theta_ref = _fold_case(order, p, m, 300, seed=10 + p)
+        folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
+        chained = state
+        for i in range(Phi.shape[0]):
+            chained = rls_step(chained, RegressorSample(phi=Phi[i], y=Y[i]))
+            np.testing.assert_array_equal(record.theta[i], chained.theta)
+            assert record.pmin_eig[i] == np.linalg.eigvalsh(chained.P)[0]
+        assert np.array_equal(folded.theta, chained.theta)
+        assert np.array_equal(folded.P, chained.P)
+        assert np.array_equal(folded.P_inv, chained.P_inv)
+        assert folded.k == chained.k == Phi.shape[0]
+
+    @pytest.mark.parametrize("order,p,m", [(1, 1, 1), (3, 2, 2)])
+    def test_bit_identical_to_reference_recursion(self, order, p, m):
+        state, Phi, Y, theta_ref = _fold_case(order, p, m, 300, seed=20 + p)
+        folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
+        theta, P, P_inv, resid, dist, thetas = reference_rls(
+            state.theta, state.P, state.P_inv, Phi, Y, theta_ref)
+        for got, want in [(folded.theta, theta), (folded.P, P), (folded.P_inv, P_inv),
+                          (record.residual_norm, resid), (record.dist_to_ref, dist),
+                          (record.theta, thetas)]:
+            assert np.array_equal(got, want)
+
+    def test_records_only_what_was_asked(self):
+        state, Phi, Y, _ = _fold_case(1, 1, 1, 5, seed=3)
+        _, record = rls_fold(state, Phi, Y)
+        assert record.residual_norm.shape == (5,)
+        assert record.dist_to_ref is None and record.theta is None and record.pmin_eig is None
+        _, record = rls_fold(state, Phi, Y, keep_history=True)
+        assert record.dist_to_ref is None
+        assert record.theta.shape == (5, 1, state.dim) and record.pmin_eig.shape == (5,)
+
+    @pytest.mark.parametrize("where", ["Phi", "Y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_rejected_before_any_update(self, where, value):
+        state, Phi, Y, _ = _fold_case(2, 1, 1, 50, seed=4)
+        theta_before, P_before = state.theta.copy(), state.P.copy()
+        (Phi if where == "Phi" else Y)[-1, 0] = value
+        with pytest.raises(ValidationError):
+            rls_fold(state, Phi, Y)
+        np.testing.assert_array_equal(state.theta, theta_before)
+        np.testing.assert_array_equal(state.P, P_before)
+
+    def test_shape_mismatches_rejected(self):
+        state, Phi, Y, theta_ref = _fold_case(2, 1, 1, 10, seed=5)
+        with pytest.raises(ValidationError):
+            rls_fold(state, Phi[:, :-1], Y)  # regressor width
+        with pytest.raises(ValidationError):
+            rls_fold(state, Phi, np.hstack([Y, Y]))  # output width
+        with pytest.raises(ValidationError):
+            rls_fold(state, Phi, Y[:-1])  # row counts
+        with pytest.raises(ValidationError):
+            rls_fold(state, Phi[0], Y[0])  # one sample needs a row axis
+        with pytest.raises(ValidationError):
+            rls_fold(state, Phi, Y, theta_ref=theta_ref[:, :-1])
+
+    def test_empty_returns_state_unchanged(self):
+        state = initial_state(2, 2, 1)
+        new, record = rls_fold(state, np.zeros((0, state.dim)), np.zeros((0, 2)))
+        assert new is state
+        assert record.residual_norm.shape == (0,)
+        assert run_rls(state, []) is state
+
+    def test_run_rls_rejects_unequal_sample_lengths(self):
+        state = initial_state(1, 1, 1)
+        samples = [RegressorSample(phi=[1.0, 0.0, 2.0], y=[1.0]),
+                   RegressorSample(phi=[1.0, 0.0], y=[1.0])]
+        with pytest.raises(ValidationError):
+            run_rls(state, samples)
+        with pytest.raises(ValidationError):
+            run_rls(state, [samples[0], RegressorSample(phi=[1.0, 0.0, 2.0], y=[1.0, 2.0])])
+
+    def test_run_rls_takes_a_generator_and_a_two_sample_tuple(self):
+        state, Phi, Y, _ = _fold_case(1, 1, 1, 2, seed=6)
+        samples = tuple(RegressorSample(phi=Phi[i], y=Y[i]) for i in range(2))
+        want = rls_fold(state, Phi, Y)[0]
+        for given in (samples, (s for s in samples)):
+            got = run_rls(state, given)
+            assert np.array_equal(got.theta, want.theta) and np.array_equal(got.P, want.P)
