@@ -51,6 +51,7 @@ from .excitation import (
     estimate_gram_limit,
     excitation_report,
     lift_identity_check,
+    partial_gram_min_eigs,
     reduced_regressor_matrix,
 )
 from .convergence import (
@@ -67,4 +68,21 @@ from .convergence import (
 from .inputs import InputSpec, generate_input, parse_input_spec
 from .experiment import ExperimentConfig, RunManifest, load_config, run_experiment
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "NumericalError", "ValidationError",
+    "IOModel", "Trajectory", "TransitionPair", "output_transition", "simulate",
+    "transition_pair", "verify_trajectory",
+    "ConsolidatedCoeffs", "EquivalenceCertificate", "LiftMatrix", "ReducibilityReport",
+    "ReductionResult", "build_lift_matrix", "consolidate", "is_equivalent", "lift_once",
+    "reduce_once", "reducibility_check", "trivial_embed",
+    "FoldRecord", "RegressorSample", "RlsState", "batch_solve", "build_regressor", "cost",
+    "initial_state", "regressor_matrix", "residual", "rls_fold", "rls_step", "run_rls",
+    "ExcitationReport", "GramLimit", "build_reduced_regressor", "estimate_gram_limit",
+    "excitation_report", "lift_identity_check", "partial_gram_min_eigs",
+    "reduced_regressor_matrix",
+    "ConvergenceTrace", "ProjectedLimit", "equivalence_via_theta", "lift_true",
+    "predict_correct_order_asymptote", "predict_overparam_asymptote", "projected_limit",
+    "run_tracked_identification", "theta_equivalence_residual",
+    "InputSpec", "generate_input", "parse_input_spec",
+    "ExperimentConfig", "RunManifest", "load_config", "run_experiment",
+]

@@ -9,7 +9,6 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from . import __version__
 from .convergence import run_tracked_identification, write_convergence_trace
 from .equivalence import is_equivalent, reduce_once, reducibility_check
 from .errors import NumericalError, ValidationError
-from .excitation import reduced_regressor_matrix
+from .excitation import partial_gram_min_eigs, reduced_regressor_matrix
 from .experiment import load_config, run_experiment
 from .fileio import (
     load_model,
@@ -64,9 +63,10 @@ def cmd_fit(args) -> int:
     if emit:
         target = (ref if ref is not None else state.theta).ravel()
         thetas = record.theta.reshape(len(ks), p * d)
-        # per row the dot np.linalg.norm takes; a row-wise reduction would
-        # sum in another order and change the last bits of the trace
-        err = np.array([math.sqrt(e.dot(e)) for e in thetas - target])
+        # vecdot takes per row the dot np.linalg.norm takes; a sum over
+        # E * E would add in another order and change the trace's last bits
+        E = thetas - target
+        err = np.sqrt(np.vecdot(E, E))
         header = ["k"] + [f"theta_{i}" for i in range(p * d)]
         header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
         write_csv(args.emit_trace, header,
@@ -90,13 +90,8 @@ def cmd_excite(args) -> int:
     else:
         Phi, _, ks = regressor_matrix(traj, order, ks)
         label = f"full regressor (order {order})"
-    d = Phi.shape[1]
     K = Phi.shape[0]
-    gram = np.zeros((d, d))
-    lmin = np.empty(K)
-    for i in range(K):
-        gram += np.outer(Phi[i], Phi[i])
-        lmin[i] = np.linalg.eigvalsh(gram)[0]
+    lmin, gram = partial_gram_min_eigs(Phi, np.arange(K))
     if args.emit:
         write_csv(args.emit, ["k", "lambda_min_partial", "lambda_min_avg"],
                   [ks, lmin, lmin / np.arange(1, K + 1)])

@@ -26,9 +26,12 @@ import numpy as np
 from .equivalence import build_lift_matrix
 from .errors import ValidationError
 from .model_core import IOModel, Trajectory
+from .rls import missing_window_value, regressor_matrix
 
 DEFAULT_PE_SLOPE_TOL = 1e-2
 DEFAULT_GROWTH_RATIO = 1.2
+# rows of outer products summed per cumsum in partial_gram_min_eigs
+_GRAM_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +86,7 @@ def reduced_regressor_matrix(traj: Trajectory, n: int, n_hat: int,
     cols += [traj.u[idx - lag] for lag in range(0, n_hat + 1)]
     Phi = np.hstack(cols)
     if not np.all(np.isfinite(Phi)):
-        raise ValidationError("regressor windows contain missing input values")
+        raise missing_window_value(traj, idx, range(n_hat - n + 1, n_hat + 1))
     return Phi, ks
 
 
@@ -94,8 +97,6 @@ def lift_identity_check(traj: Trajectory, model: IOModel, n_hat: int,
     On data simulated exactly by ``model`` the defect is zero up to
     roundoff; a corrupted sample shows up in every window containing it.
     """
-    from .rls import regressor_matrix
-
     lift = build_lift_matrix(model, n_hat)
     Phi_full, _, ks = regressor_matrix(traj, n_hat, k_range)
     Phi_red, _ = reduced_regressor_matrix(traj, model.n, n_hat, ks)
@@ -117,6 +118,34 @@ def _as_matrix(regressors) -> np.ndarray:
     return Phi
 
 
+def partial_gram_min_eigs(Phi: np.ndarray, rows, gram: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of the Gram partial sum after each of ``rows``.
+
+    The partial sum after row i is ``gram + sum_{j <= i} phi_j phi_j^T``
+    (``gram`` defaults to zeros); ``rows`` are sorted 0-based row indices of
+    ``Phi``.  Returns the eigenvalues at ``rows`` and the final partial sum.
+    The sums are a ``cumsum`` of outer products over ``_GRAM_CHUNK`` rows at
+    a time, the running sum carried into each chunk's first row, so they
+    equal a per-row ``gram += np.outer(phi, phi)`` bit for bit; the chosen
+    rows of a chunk go through one batched ``eigvalsh``.
+    """
+    K, d = Phi.shape
+    gram = np.zeros((d, d)) if gram is None else np.array(gram, dtype=float)
+    rows = np.asarray(rows, dtype=int)
+    min_eigs = np.empty(rows.size)
+    for start in range(0, K, _GRAM_CHUNK):
+        block = Phi[start:start + _GRAM_CHUNK]
+        sums = block[:, :, None] * block[:, None, :]
+        sums[0] += gram
+        np.cumsum(sums, axis=0, out=sums)
+        lo, hi = np.searchsorted(rows, [start, start + len(block)])
+        if hi > lo:
+            min_eigs[lo:hi] = np.linalg.eigvalsh(sums[rows[lo:hi] - start])[:, 0]
+        gram = sums[-1].copy()
+    return min_eigs, gram
+
+
 def excitation_report(regressors, pe_slope_tol: float = DEFAULT_PE_SLOPE_TOL,
                       weak_pe_threshold: float | None = None, stride: int = 1,
                       growth_ratio: float = DEFAULT_GROWTH_RATIO) -> ExcitationReport:
@@ -129,20 +158,20 @@ def excitation_report(regressors, pe_slope_tol: float = DEFAULT_PE_SLOPE_TOL,
     Cauchy-stabilizing within ``pe_slope_tol`` relative Frobenius distance.
     """
     Phi = _as_matrix(regressors)
-    K, d = Phi.shape
-    gram = np.zeros((d, d))
-    curve = []
+    if stride < 1:
+        raise ValidationError(f"stride must be at least 1, got {stride}")
+    K = Phi.shape[0]
     half_idx = max(1, K // 2)
-    gram_half = None
-    min_eig_half = 0.0
-    for i in range(K):
-        gram += np.outer(Phi[i], Phi[i])
-        if (i + 1) % stride == 0 or i == K - 1:
-            curve.append(float(np.linalg.eigvalsh(gram)[0]))
-        if i + 1 == half_idx:
-            gram_half = gram / half_idx
-            min_eig_half = float(np.linalg.eigvalsh(gram)[0])
-    min_eig_curve = np.asarray(curve)
+    # the curve after every stride-th sample and the last; the sum is split
+    # at the half-way point, whose Gram is the first part's final one
+    rows = np.union1d(np.arange(stride - 1, K, stride), [K - 1])
+    picks = np.union1d(rows, [half_idx - 1])
+    cut = np.searchsorted(picks, half_idx)
+    head, gram_half_sum = partial_gram_min_eigs(Phi[:half_idx], picks[:cut])
+    tail, gram = partial_gram_min_eigs(Phi[half_idx:], picks[cut:] - half_idx,
+                                       gram_half_sum)
+    min_eig_half = float(head[-1])
+    min_eig_curve = np.concatenate([head, tail])[np.isin(picks, rows)]
     final_min_eig = float(min_eig_curve[-1])
     trace = float(np.trace(gram))
     if weak_pe_threshold is None:
@@ -152,8 +181,7 @@ def excitation_report(regressors, pe_slope_tol: float = DEFAULT_PE_SLOPE_TOL,
 
     gram_avg = gram / K
     gram_avg_min_eig = float(np.linalg.eigvalsh(gram_avg)[0])
-    if gram_half is None:
-        gram_half = gram_avg
+    gram_half = gram_half_sum / half_idx
     stabilization = float(
         np.linalg.norm(gram_avg - gram_half) / (1.0 + np.linalg.norm(gram_avg))
     )

@@ -62,6 +62,13 @@ def _parse_floats(text: str) -> tuple:
         raise ValidationError(f"bad number list {text!r}") from exc
 
 
+def _parse_number(where: str, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {value!r} is not a valid {cast.__name__}") from exc
+
+
 def parse_input_spec(text: str) -> InputSpec:
     """Parse CLI syntax like ``white:seed=7:scale=1.0`` or
     ``sine-mix:freqs=0.01,0.05:amps=1,0.5``."""
@@ -73,9 +80,9 @@ def parse_input_spec(text: str) -> InputSpec:
             raise ValidationError(f"bad input-spec fragment {part!r} (expected key=value)")
         key, value = part.split("=", 1)
         if key == "seed":
-            kwargs["seed"] = int(value)
+            kwargs["seed"] = _parse_number("input-spec seed", value, int)
         elif key == "scale":
-            kwargs["scale"] = float(value)
+            kwargs["scale"] = _parse_number("input-spec scale", value, float)
         elif key in ("freqs", "amps", "phases"):
             kwargs[key] = _parse_floats(value)
         elif key == "path":
@@ -97,9 +104,9 @@ def spec_from_dict(d: dict, where: str = "input") -> InputSpec:
         raise ValidationError(f"{where}.kind: required")
     kwargs = {"kind": d["kind"]}
     if "scale" in d:
-        kwargs["scale"] = float(d["scale"])
+        kwargs["scale"] = _parse_number(f"{where}.scale", d["scale"], float)
     if "seed" in d:
-        kwargs["seed"] = int(d["seed"])
+        kwargs["seed"] = _parse_number(f"{where}.seed", d["seed"], int)
     for key in ("freqs", "amps", "phases"):
         if key in d:
             kwargs[key] = tuple(float(x) for x in d[key])

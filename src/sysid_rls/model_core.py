@@ -31,9 +31,16 @@ _CACHE_LOCK = threading.Lock()
 
 
 def _as_blocks(blocks, count: int, shape: tuple[int, int], what: str) -> tuple[np.ndarray, ...]:
+    if isinstance(blocks, (str, bytes, dict)) or not hasattr(blocks, "__iter__"):
+        raise ValidationError(
+            f"{what} must be a list of {count} blocks, got {type(blocks).__name__}"
+        )
     out = []
     for i, b in enumerate(blocks):
-        arr = np.atleast_2d(np.asarray(b, dtype=float))
+        try:
+            arr = np.atleast_2d(np.asarray(b, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what}[{i}] is not a numeric matrix ({exc})") from exc
         if arr.shape != shape:
             raise ValidationError(f"{what}[{i}] has shape {arr.shape}, expected {shape}")
         arr = arr.copy()
@@ -131,9 +138,13 @@ class IOModel:
     @classmethod
     def from_dict(cls, d: dict) -> "IOModel":
         try:
-            return cls(n=int(d["n"]), p=int(d["p"]), m=int(d["m"]), F=d["F"], G=d["G"])
+            dims = {key: int(d[key]) for key in ("n", "p", "m")}
+            blocks = {key: d[key] for key in ("F", "G")}
         except KeyError as exc:
             raise ValidationError(f"model dict is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"model dimensions n, p, m must be integers ({exc})") from exc
+        return cls(**dims, **blocks)
 
     def companion_spectral_radius(self) -> float:
         """Spectral radius of the output dynamics (1.0 is the stability edge)."""

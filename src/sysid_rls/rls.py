@@ -16,7 +16,6 @@ whose unique minimizer is tracked recursively via the covariance downdate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,8 @@ from .errors import NumericalError, ValidationError
 from .model_core import Trajectory
 
 DEFAULT_P0_SCALE = 1e3
+# covariances per batched eigvalsh of a fold's pmin_eig history
+_PMIN_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +137,23 @@ def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray,
     cols += [traj.u[idx - lag] for lag in range(0, order + 1)]
     Phi = np.hstack(cols)
     if not np.all(np.isfinite(Phi)):
-        raise ValidationError("regressor windows contain missing input values")
+        raise missing_window_value(traj, idx, range(1, order + 1))
     return Phi, traj.y[idx], ks
+
+
+def missing_window_value(traj: Trajectory, idx: np.ndarray, y_lags) -> ValidationError:
+    """The error for regressor windows (ending at rows ``idx``, reading
+    outputs at ``y_lags``) that hold a missing cell: the first missing
+    output cell is named by column and time index, else the inputs are."""
+    rows = np.unique((idx[:, None] - np.asarray(y_lags, dtype=int)).ravel())
+    bad = np.argwhere(~np.isfinite(traj.y[rows]))
+    if bad.size:
+        row, col = bad[0]
+        return ValidationError(
+            f"output column y_{col + 1} is missing at k={traj.k0 + rows[row]}, "
+            f"inside a regressor window"
+        )
+    return ValidationError("regressor windows contain missing input values")
 
 
 def valid_regressor_indices(traj: Trajectory, order: int) -> np.ndarray:
@@ -254,10 +270,21 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     *Theory and Practice of Recursive Identification*, 1983); :func:`rls_step`
     is its one-row case.  Shapes and finiteness are checked once, before any
     update.  Each row runs a fixed sequence of numpy operations, so the fold
-    agrees bit for bit with a chain of one-row folds.  The downdated
-    covariance is re-symmetrized each row; with the information matrix
-    tracked, ``P_inv`` accumulates ``phi phi^T``.  Norms are ``sqrt(e @ e)``,
-    the dot product ``np.linalg.norm`` takes.
+    agrees bit for bit with a chain of one-row folds.  With the information
+    matrix tracked, ``P_inv`` accumulates ``phi phi^T``.
+
+    The downdated covariance is re-symmetrized, ``0.5 * (P + P.T)``, only
+    while ``P`` is not exactly symmetric: in practice after the first row of
+    a fold from a non-symmetric ``P``.  Once ``P`` is symmetric the downdate
+    ``P - Pphi Pphi^T / denom`` keeps it so, since IEEE multiplication is
+    commutative, and re-symmetrizing would return it bit for bit (``x + x``
+    and ``0.5 * 2x`` are exact barring overflow of entries above about
+    9e307).  Only the loop-carried recursion runs per row: the innovations
+    and, when a reference or the history is asked for, the estimates are
+    stored, and their norms are taken after the loop as ``sqrt(e @ e)`` per
+    row with ``np.vecdot``, the same dot ``np.linalg.norm`` takes.  The
+    history's ``pmin_eig`` comes from one batched ``eigvalsh`` per
+    ``_PMIN_CHUNK`` covariances.
     """
     Phi = np.asarray(Phi, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -284,30 +311,43 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
                 f"reference has shape {theta_ref.shape}, expected {theta.shape}"
             )
 
-    resid = np.empty(K)
-    dist = np.empty(K) if theta_ref is not None else None
-    thetas = np.empty((K,) + theta.shape) if keep_history else None
+    Z = np.empty(Y.shape)
+    # hist[i] is the estimate before row i, hist[K] the final one
+    hist = None
+    if theta_ref is not None or keep_history:
+        hist = np.empty((K + 1,) + theta.shape)
+        hist[0] = theta
     pmin = np.empty(K) if keep_history else None
-    sqrt, eigvalsh = math.sqrt, np.linalg.eigvalsh
-    for i in range(K):
-        phi = Phi[i]
-        if dist is not None:
-            e = (theta - theta_ref).ravel()
-            dist[i] = sqrt(e.dot(e))
+    pbuf = np.empty((min(K, _PMIN_CHUNK),) + P.shape) if keep_history else None
+    symmetrize = not np.array_equal(P, P.T)
+    for i, (phi, y, z) in enumerate(zip(Phi, Y, Z)):
         Pphi = P @ phi
         denom = 1.0 + float(phi @ Pphi)
         P = P - Pphi[:, None] * Pphi / denom
-        P = 0.5 * (P + P.T)
-        z = Y[i] - theta @ phi
-        resid[i] = sqrt(z.dot(z))
+        if symmetrize:
+            P = 0.5 * (P + P.T)
+            symmetrize = not np.array_equal(P, P.T)
+        np.subtract(y, theta @ phi, out=z)
         theta = theta + z[:, None] * (P @ phi)
         if P_inv is not None:
             P_inv = P_inv + phi[:, None] * phi
-        if keep_history:
-            thetas[i] = theta
-            pmin[i] = eigvalsh(P)[0]
+        if hist is not None:
+            hist[i + 1] = theta
+        if pbuf is not None:
+            j = i % _PMIN_CHUNK
+            pbuf[j] = P
+            if j == _PMIN_CHUNK - 1 or i == K - 1:
+                pmin[i - j:i + 1] = np.linalg.eigvalsh(pbuf[:j + 1])[:, 0]
+    dist = thetas = None
+    if theta_ref is not None:
+        E = (hist[:K] - theta_ref).reshape(K, -1)
+        dist = np.sqrt(np.vecdot(E, E))
+    if keep_history:
+        thetas = hist[1:]
     new = RlsState(theta=theta, P=P, k=state.k + K, P_inv=P_inv)
-    return new, FoldRecord(residual_norm=resid, dist_to_ref=dist, theta=thetas, pmin_eig=pmin)
+    record = FoldRecord(residual_norm=np.sqrt(np.vecdot(Z, Z)), dist_to_ref=dist,
+                        theta=thetas, pmin_eig=pmin)
+    return new, record
 
 
 def rls_step(state: RlsState, sample: RegressorSample) -> RlsState:

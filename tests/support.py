@@ -120,3 +120,24 @@ def reference_rls(theta, P, P_inv, Phi, Y, theta_ref):
             P_inv = P_inv + np.outer(phi, phi)
         thetas.append(theta)
     return theta, P, P_inv, resid, dist, np.array(thetas)
+
+
+def reference_gram_curve(Phi, stride=1):
+    """Per-row Gram partial sum written out with ``np.outer`` and one
+    ``eigvalsh`` per row, as :func:`excitation_report` reads it.
+
+    Returns the minimum eigenvalue after every ``stride``-th row and the
+    last, the partial sum after the half-way row ``max(1, K // 2)`` and its
+    minimum eigenvalue, and the final partial sum.
+    """
+    K, d = Phi.shape
+    half = max(1, K // 2)
+    gram = np.zeros((d, d))
+    curve = []
+    for i in range(K):
+        gram += np.outer(Phi[i], Phi[i])
+        if (i + 1) % stride == 0 or i == K - 1:
+            curve.append(np.linalg.eigvalsh(gram)[0])
+        if i + 1 == half:
+            gram_half, min_eig_half = gram.copy(), np.linalg.eigvalsh(gram)[0]
+    return np.array(curve), gram_half, min_eig_half, gram

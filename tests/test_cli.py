@@ -5,7 +5,11 @@ import pytest
 
 from sysid_rls import IOModel, InputSpec, generate_input, lift_once, load_config, simulate
 from sysid_rls.cli import main
-from sysid_rls.fileio import load_model, save_model, save_trajectory
+from sysid_rls.excitation import reduced_regressor_matrix
+from sysid_rls.fileio import load_model, load_trajectory, save_model, save_trajectory
+from sysid_rls.rls import valid_regressor_indices
+
+from support import reference_gram_curve
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
@@ -33,6 +37,20 @@ class TestEquivCommand:
         rc = main(["equiv", str(workdir / "model.json"), str(workdir / "bad.json")])
         assert rc == 0
         assert "NOT EQUIVALENT" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("change,message", [
+        ({"F": 5}, "F must be a list of 1 blocks"),
+        ({"F": ["a"]}, "F[0] is not a numeric matrix"),
+        ({"n": "x"}, "n, p, m must be integers"),
+    ])
+    def test_malformed_model_is_validation_error(self, workdir, capsys, change, message):
+        bad = workdir / "bad.json"
+        model = {"n": 1, "p": 1, "m": 1, "F": [[[0.5]]], "G": [[[0.0]], [[1.0]]]}
+        bad.write_text(json.dumps(dict(model, **change)))
+        rc = main(["equiv", str(bad), str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_missing_file_is_validation_error(self, workdir, capsys):
         rc = main(["equiv", str(workdir / "model.json"), str(workdir / "nope.json")])
@@ -86,6 +104,23 @@ class TestExciteCommand:
         final = lines[-1].split(",")
         assert float(final[1]) > 1.0  # reduced regressor is exciting
 
+    def test_emitted_curve_matches_per_row_reference(self, tmp_path):
+        # more rows than one 1024-row cumsum chunk of the curve
+        u = generate_input(InputSpec(kind="white", seed=5), 2100, 1)
+        save_trajectory(simulate(SCALAR, [0.1], u), tmp_path / "long.csv")
+        out = tmp_path / "exc.csv"
+        rc = main(["excite", "--data", str(tmp_path / "long.csv"), "--order", "3",
+                   "--true-order", "1", "--emit", str(out)])
+        assert rc == 0
+        traj = load_trajectory(tmp_path / "long.csv")
+        Phi, ks = reduced_regressor_matrix(traj, 1, 3, valid_regressor_indices(traj, 3))
+        curve = reference_gram_curve(Phi)[0]
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        assert np.array_equal(rows[:, 0], ks)
+        assert np.array_equal(rows[:, 1], curve)
+        assert np.array_equal(rows[:, 2], curve / np.arange(1, len(ks) + 1))
+
     def test_true_order_validation(self, workdir):
         rc = main(["excite", "--data", str(workdir / "traj.csv"), "--order", "2",
                    "--true-order", "2"])
@@ -120,6 +155,15 @@ class TestConvergeCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "diverged" in err and "missing input" not in err
+
+    @pytest.mark.parametrize("spec,key", [("white:seed=x", "seed"),
+                                          ("white:seed=1:scale=abc", "scale")])
+    def test_bad_number_in_input_spec(self, workdir, capsys, spec, key):
+        rc = main(["converge", "--model", str(workdir / "model.json"),
+                   "--fit-order", "1", "--input", spec, "--horizon", "100"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     def test_bad_input_spec(self, workdir):
         rc = main(["converge", "--model", str(workdir / "model.json"),
@@ -169,6 +213,14 @@ class TestExperimentCommand:
         (workdir / "cfg.json").write_text(json.dumps(cfg))
         assert main(["experiment", str(workdir / "cfg.json")]) == 2
 
+    def test_bad_number_in_config_input(self, workdir, capsys):
+        cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 100,
+               "input": {"kind": "white", "seed": "x"}}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(workdir / "cfg.json"),
+                     "--out-dir", str(workdir / "out")]) == 2
+        assert "config.input.seed" in capsys.readouterr().err
+
     def test_invalid_config(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"fit_orders": [1]}))
         assert main(["experiment", str(workdir / "cfg.json"),
@@ -196,3 +248,15 @@ class TestMissingInputCells:
         path = tmp_path / "empty.csv"
         path.write_text("k,u_1,y_1\n0,,1.0\n1,,2.0\n2,,3.0\n")
         assert main(["fit", "--data", str(path), "--order", "1"]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--true-order", "1"]])
+    def test_missing_output_cell_is_named(self, tmp_path, capsys, extra):
+        path = tmp_path / "gap_y.csv"
+        path.write_text("k,u_1,y_1\n0,1.0,0.5\n1,-1.0,0.3\n2,0.5,nan\n3,2.0,0.1\n4,1.0,0.2\n")
+        command = "excite" if extra else "fit"
+        order = "2" if extra else "1"
+        rc = main([command, "--data", str(path), "--order", order] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "output column y_1 is missing at k=2" in err
+        assert "input" not in err

@@ -9,12 +9,13 @@ from sysid_rls import (
     estimate_gram_limit,
     excitation_report,
     lift_identity_check,
+    partial_gram_min_eigs,
     reduced_regressor_matrix,
     regressor_matrix,
     simulate,
 )
 
-from support import random_stable_model
+from support import random_stable_model, reference_gram_curve
 
 
 class TestReducedRegressor:
@@ -131,6 +132,49 @@ class TestExcitationReport:
     def test_empty(self):
         with pytest.raises(ValidationError):
             excitation_report(np.zeros((0, 2)))
+
+
+class TestPartialGramCurve:
+    # 1024 rows per cumsum chunk: these counts put the report's half-way split
+    # and both of its parts on either side of a chunk boundary
+    @pytest.mark.parametrize("K", [1, 2, 3, 1024, 2049, 2051, 2600])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_report_matches_per_row_reference(self, K, stride):
+        Phi = np.random.default_rng(K + stride).standard_normal((K, 4))
+        curve, gram_half, min_eig_half, gram = reference_gram_curve(Phi, stride)
+        rep = excitation_report(Phi, stride=stride)
+        assert np.array_equal(rep.min_eig_curve, curve)
+        assert np.array_equal(rep.gram_avg, gram / K)
+        assert rep.gram_avg_min_eig == np.linalg.eigvalsh(gram / K)[0]
+        half = max(1, K // 2)
+        gram_avg = gram / K
+        assert rep.stabilization == float(
+            np.linalg.norm(gram_avg - gram_half / half) / (1.0 + np.linalg.norm(gram_avg)))
+        threshold = 10.0 * np.finfo(float).eps * max(float(np.trace(gram)), 1.0)
+        assert rep.weak_pe_threshold == threshold
+        growing = curve[-1] >= 1.2 * min_eig_half or min_eig_half <= 0.0
+        assert rep.weak_pe == bool(curve[-1] > threshold and growing)
+
+    @pytest.mark.parametrize("K", [1, 1024, 1025, 2049])
+    def test_helper_matches_per_row_reference_with_carried_gram(self, K):
+        Phi = np.random.default_rng(K).standard_normal((K, 3))
+        curve, gram_half, min_eig_half, gram = reference_gram_curve(Phi)
+        half = max(1, K // 2)
+        head, carried = partial_gram_min_eigs(Phi[:half], [half - 1])
+        assert head[0] == min_eig_half and np.array_equal(carried, gram_half)
+        tail, final = partial_gram_min_eigs(Phi[half:], np.arange(K - half), carried)
+        assert np.array_equal(tail, curve[half:]) and np.array_equal(final, gram)
+
+    def test_picks_only_the_requested_rows(self):
+        Phi = np.random.default_rng(1).standard_normal((2100, 2))
+        curve = reference_gram_curve(Phi)[0]
+        rows = [0, 1023, 1024, 2047, 2099]
+        got, _ = partial_gram_min_eigs(Phi, rows)
+        assert np.array_equal(got, curve[rows])
+
+    def test_bad_stride(self):
+        with pytest.raises(ValidationError):
+            excitation_report(np.ones((5, 2)), stride=0)
 
 
 class TestGramLimit:

@@ -329,3 +329,35 @@ class TestRlsFold:
         for given in (samples, (s for s in samples)):
             got = run_rls(state, given)
             assert np.array_equal(got.theta, want.theta) and np.array_equal(got.P, want.P)
+
+    @pytest.mark.parametrize("K", [1, 2, 300])
+    def test_nonsymmetric_p0_matches_reference_recursion(self, K):
+        # the reference re-symmetrizes every row; the fold only until P is
+        # exactly symmetric
+        rng = np.random.default_rng(30 + K)
+        P0 = random_spd(rng, 7, 0.5, 50.0) + 1e-3 * np.triu(rng.standard_normal((7, 7)), 1)
+        assert not np.array_equal(P0, P0.T)
+        state = initial_state(2, 2, 1, P0=P0, track_information=True)
+        Phi = rng.standard_normal((K, state.dim))
+        Y = rng.standard_normal((K, 2))
+        theta_ref = rng.standard_normal((2, state.dim))
+        folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
+        theta, P, P_inv, resid, dist, thetas = reference_rls(
+            state.theta, state.P, state.P_inv, Phi, Y, theta_ref)
+        for got, want in [(folded.theta, theta), (folded.P, P), (folded.P_inv, P_inv),
+                          (record.residual_norm, resid), (record.dist_to_ref, dist),
+                          (record.theta, thetas)]:
+            assert np.array_equal(got, want)
+        assert np.array_equal(folded.P, folded.P.T)
+
+    @pytest.mark.parametrize("order,p,m,K", [(1, 1, 1, 1), (1, 1, 1, 1024), (1, 1, 1, 1025),
+                                             (1, 1, 1, 2049), (3, 2, 2, 1025)])
+    def test_pmin_eig_matches_per_row_eigvalsh(self, order, p, m, K):
+        state, Phi, Y, _ = _fold_case(order, p, m, K, seed=40 + K)
+        _, record = rls_fold(state, Phi, Y, keep_history=True)
+        want, P = np.empty(K), state.P
+        for i in range(K):
+            Pphi = P @ Phi[i]
+            P = P - np.outer(Pphi, Pphi) / (1.0 + float(Phi[i] @ Pphi))
+            want[i] = np.linalg.eigvalsh(P)[0]
+        assert np.array_equal(record.pmin_eig, want)
