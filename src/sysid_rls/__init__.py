@@ -2,7 +2,11 @@
 input/output models: exact simulation, cross-order equivalence testing and
 order reduction, regularized recursive least squares, excitation
 diagnostics, and closed-form convergence targets for overparameterized
-fits."""
+fits.
+
+scipy is imported inside the functions that solve with it, so importing the
+package, and the commands that never call them (``fit``, ``excite``,
+``equiv``, a SISO ``reduce``), load none of it."""
 
 __version__ = "0.1.0"
 
@@ -17,13 +21,11 @@ from .model_core import (
     verify_trajectory,
 )
 from .equivalence import (
-    ConsolidatedCoeffs,
     EquivalenceCertificate,
     LiftMatrix,
     ReducibilityReport,
     ReductionResult,
     build_lift_matrix,
-    consolidate,
     is_equivalent,
     lift_once,
     reduce_once,
@@ -72,9 +74,9 @@ __all__ = [
     "NumericalError", "ValidationError",
     "IOModel", "Trajectory", "TransitionPair", "output_transition", "simulate",
     "transition_pair", "verify_trajectory",
-    "ConsolidatedCoeffs", "EquivalenceCertificate", "LiftMatrix", "ReducibilityReport",
-    "ReductionResult", "build_lift_matrix", "consolidate", "is_equivalent", "lift_once",
-    "reduce_once", "reducibility_check", "trivial_embed",
+    "EquivalenceCertificate", "LiftMatrix", "ReducibilityReport", "ReductionResult",
+    "build_lift_matrix", "is_equivalent", "lift_once", "reduce_once", "reducibility_check",
+    "trivial_embed",
     "FoldRecord", "RegressorSample", "RlsState", "batch_solve", "build_regressor", "cost",
     "initial_state", "regressor_matrix", "residual", "rls_fold", "rls_step", "run_rls",
     "ExcitationReport", "GramLimit", "build_reduced_regressor", "estimate_gram_limit",

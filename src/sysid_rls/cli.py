@@ -9,6 +9,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,28 @@ from .rls import (
     rls_fold,
     valid_regressor_indices,
 )
+
+
+def _nonneg_int(text: str) -> int:
+    """argparse type of orders and seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of the prior covariance scale."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def cmd_fit(args) -> int:
@@ -190,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="recursive least-squares fit on a trajectory CSV")
     p.add_argument("--data", required=True, help="trajectory CSV (k,u_1..,y_1..)")
-    p.add_argument("--order", type=int, required=True, help="fit order")
-    p.add_argument("--p0-scale", type=float, default=1e3, help="prior covariance scale")
+    p.add_argument("--order", type=_nonneg_int, required=True, help="fit order")
+    p.add_argument("--p0-scale", type=_positive_float, default=1e3,
+                   help="prior covariance scale")
     p.add_argument("--theta0", default="zeros",
                    help="'zeros' or a JSON file with the initial coefficient matrix")
     p.add_argument("--ref-model", default=None,
@@ -201,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("excite", help="persistent-excitation diagnostics for a trajectory")
     p.add_argument("--data", required=True)
-    p.add_argument("--order", type=int, required=True, help="regressor order")
-    p.add_argument("--true-order", type=int, default=None,
+    p.add_argument("--order", type=_nonneg_int, required=True, help="regressor order")
+    p.add_argument("--true-order", type=_nonneg_int, default=None,
                    help="diagnose the reduced regressor for this true order")
     p.add_argument("--emit", default=None, help="excitation curve CSV path")
     p.set_defaults(func=cmd_excite)
@@ -219,18 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "scalar-root-search", "newton-search"])
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--once", action="store_true", help="only one reduction step")
-    p.add_argument("--seed", type=int, default=0, help="seed for the Newton starts")
+    p.add_argument("--seed", type=_nonneg_int, default=0, help="seed for the Newton starts")
     p.add_argument("--out", default=None, help="output model JSON path")
     p.add_argument("--witness-out", default=None, help="witness JSON path")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("converge", help="tracked identification run against a known model")
     p.add_argument("--model", required=True, help="true model JSON")
-    p.add_argument("--fit-order", type=int, required=True)
+    p.add_argument("--fit-order", type=_nonneg_int, required=True)
     p.add_argument("--input", default="white:seed=0:scale=1.0",
                    help="input spec, e.g. white:seed=7:scale=1.0")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--p0-scale", type=float, default=1e3)
+    p.add_argument("--p0-scale", type=_positive_float, default=1e3)
     p.add_argument("--theta0", default="zeros")
     p.add_argument("--emit", default=None, help="trace CSV path")
     p.add_argument("--emit-summary", default=None, help="summary JSON path")

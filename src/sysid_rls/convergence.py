@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .equivalence import build_lift_matrix, trivial_embed
 from .errors import NumericalError, ValidationError
@@ -53,6 +52,8 @@ class ProjectedLimit:
 def projected_limit(model: IOModel, n_hat: int, theta0: np.ndarray,
                     P0: np.ndarray) -> ProjectedLimit:
     """Prior-penalty-minimal equivalent model of order ``n_hat`` > n."""
+    import scipy.linalg
+
     if n_hat <= model.n:
         raise ValidationError(f"projected limit needs n_hat > n, got {n_hat} <= {model.n}")
     M = build_lift_matrix(model, n_hat).M
@@ -65,7 +66,7 @@ def projected_limit(model: IOModel, n_hat: int, theta0: np.ndarray,
     W = M.T @ P0 @ M
     try:
         S = scipy.linalg.solve(W, M.T @ P0, assume_a="pos")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError("lift Gram W is numerically singular") from exc
     H = M @ S
     theta_true = lift_true(model, n_hat)
@@ -105,11 +106,13 @@ def equivalence_via_theta(theta_hat: np.ndarray, model: IOModel, n_hat: int,
 def predict_correct_order_asymptote(theta0: np.ndarray, P0: np.ndarray,
                                     theta_true: np.ndarray, C_n: np.ndarray) -> np.ndarray:
     """Limit of ``k (theta_k - theta_true)`` for a matching-order fit."""
+    import scipy.linalg
+
     E = np.asarray(theta0, dtype=float) - np.asarray(theta_true, dtype=float)
     try:
         X = scipy.linalg.solve(np.asarray(P0, dtype=float), E.T, assume_a="pos").T
         return scipy.linalg.solve(np.asarray(C_n, dtype=float), X.T, assume_a="pos").T
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError("P0 or the Gram limit is numerically singular") from exc
 
 
@@ -119,6 +122,8 @@ def predict_overparam_asymptote(theta0: np.ndarray, P0: np.ndarray, model: IOMod
 
     ``C_reduced`` is the (estimated) Gram limit of the reduced regressors.
     """
+    import scipy.linalg
+
     M = build_lift_matrix(model, n_hat).M
     P0 = np.asarray(P0, dtype=float)
     theta_true = lift_true(model, n_hat)
@@ -128,7 +133,7 @@ def predict_overparam_asymptote(theta0: np.ndarray, P0: np.ndarray, model: IOMod
         X = scipy.linalg.solve(W, E.T, assume_a="pos").T
         X = scipy.linalg.solve(np.asarray(C_reduced, dtype=float), X.T, assume_a="pos").T
         X = scipy.linalg.solve(W, X.T, assume_a="pos").T
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError("W or the reduced Gram limit is numerically singular") from exc
     return X @ M.T @ P0
 

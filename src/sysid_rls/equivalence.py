@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import least_squares
 
 from .errors import ValidationError
 from .model_core import IOModel, _transition_prefix, transition_pair
@@ -68,45 +67,6 @@ def build_lift_matrix(base: IOModel, n_hat: int) -> LiftMatrix:
     bottom = np.eye(p * n + m * (n_hat + 1))
     M = np.vstack([np.hstack([M1, M2]), bottom])
     return LiftMatrix(n=n, n_hat=n_hat, p=p, m=m, M=M, M1=M1, M2=M2)
-
-
-@dataclass(frozen=True, eq=False)
-class ConsolidatedCoeffs:
-    """Flattened window coefficients of a high-order model over a base window.
-
-    ``y_hat[k+n_hat] = -F_cons @ Y[k, n] + G_cons @ U[k, n_hat]`` whenever the
-    preceding high-order outputs agree with the base model's trajectory.
-    """
-
-    F_cons: np.ndarray
-    G_cons: np.ndarray
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.hstack([self.F_cons, self.G_cons])
-
-
-def consolidate(high: IOModel, base: IOModel) -> ConsolidatedCoeffs:
-    """Collapse a high-order model onto the base model's window.
-
-    Computed by the direct recursion on the high model's coefficients and the
-    base model's transition blocks (independent of :func:`build_lift_matrix`,
-    which provides the same result as ``high.theta @ M``).
-    """
-    if (high.p, high.m) != (base.p, base.m):
-        raise ValidationError("models must share output/input dimensions")
-    if high.n <= base.n:
-        raise ValidationError(f"high order {high.n} must exceed base order {base.n}")
-    n, p, m = base.n, base.p, base.m
-    q = high.n - base.n
-    pairs = _transition_prefix(base, q - 1)
-    F_cons = np.hstack(high.F[q:]) if n > 0 else np.zeros((p, 0))
-    G_cons = high.G_stack.copy()
-    for i in range(1, q + 1):
-        pair = pairs[q - i]
-        F_cons = F_cons - high.F[i - 1] @ pair.Fj
-        G_cons[:, i * m:] -= high.F[i - 1] @ pair.Gj
-    return ConsolidatedCoeffs(F_cons=F_cons, G_cons=G_cons)
 
 
 @dataclass(frozen=True)
@@ -305,6 +265,8 @@ def _reduce_scalar_roots(high: IOModel, tol: float) -> ReductionResult:
 
 def _reduce_newton(high: IOModel, tol: float, rng: np.random.Generator,
                    starts: int) -> ReductionResult:
+    from scipy.optimize import least_squares
+
     p = high.p
     scale = 1.0 + float(np.linalg.norm(high.theta))
 

@@ -25,7 +25,7 @@ from .fileio import (
     sha256_text,
     write_json,
 )
-from .inputs import InputSpec, generate_input, spec_from_dict
+from .inputs import InputSpec, _parse_number, generate_input, spec_from_dict
 from .model_core import IOModel
 from .rls import DEFAULT_P0_SCALE, regressor_dim
 
@@ -107,9 +107,9 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(theta0, str):
         raise ValidationError("config.theta0: expected 'zeros' or a JSON file path")
 
-    p0_scale = float(d.get("p0_scale", DEFAULT_P0_SCALE))
-    if p0_scale <= 0:
-        raise ValidationError("config.p0_scale: must be positive")
+    p0_scale = _parse_number("config.p0_scale", d.get("p0_scale", DEFAULT_P0_SCALE), float)
+    if not 0.0 < p0_scale < float("inf"):
+        raise ValidationError("config.p0_scale: must be positive and finite")
 
     tolerances = d.get("tolerances", {})
     if not isinstance(tolerances, dict):

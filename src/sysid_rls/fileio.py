@@ -55,7 +55,7 @@ def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
         raise ValidationError(f"theta0 file {path} does not exist")
     try:
         theta = np.asarray(json.loads(path.read_text()), dtype=float)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"theta0 file {path}: {exc}") from exc
     if theta.shape != (p, d):
         raise ValidationError(f"theta0 file {path}: shape {theta.shape}, expected {(p, d)}")

@@ -65,7 +65,7 @@ def _parse_floats(text: str) -> tuple:
 def _parse_number(where: str, value, cast):
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {value!r} is not a valid {cast.__name__}") from exc
 
 

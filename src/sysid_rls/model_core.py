@@ -39,7 +39,7 @@ def _as_blocks(blocks, count: int, shape: tuple[int, int], what: str) -> tuple[n
     for i, b in enumerate(blocks):
         try:
             arr = np.atleast_2d(np.asarray(b, dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{what}[{i}] is not a numeric matrix ({exc})") from exc
         if arr.shape != shape:
             raise ValidationError(f"{what}[{i}] has shape {arr.shape}, expected {shape}")
@@ -142,7 +142,7 @@ class IOModel:
             blocks = {key: d[key] for key in ("F", "G")}
         except KeyError as exc:
             raise ValidationError(f"model dict is missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"model dimensions n, p, m must be integers ({exc})") from exc
         return cls(**dims, **blocks)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .model_core import Trajectory
@@ -93,9 +92,11 @@ def initial_state(order: int, p: int, m: int, theta0: np.ndarray | None = None,
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix via Cholesky."""
+    import scipy.linalg
+
     try:
         c = scipy.linalg.cho_factor(A)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalError("matrix is not positive definite") from exc
     return scipy.linalg.cho_solve(c, np.eye(A.shape[0]))
 
@@ -123,7 +124,9 @@ def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray,
     """Vectorized regressors: (Phi, Y, ks) with Phi[i] = phi[order, ks[i]].
 
     Defaults to every fully-windowed index.  Matches
-    :func:`build_regressor` bit for bit.
+    :func:`build_regressor` bit for bit.  A missing cell is a validation
+    error; a missing output cell, in a window or as a target, is named by
+    its column and time index.
     """
     if ks is None:
         ks = np.arange(traj.k0 + order, traj.k_last + 1)
@@ -138,7 +141,13 @@ def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray,
     Phi = np.hstack(cols)
     if not np.all(np.isfinite(Phi)):
         raise missing_window_value(traj, idx, range(1, order + 1))
-    return Phi, traj.y[idx], ks
+    Y = traj.y[idx]
+    if not np.all(np.isfinite(Y)):
+        row, col = np.argwhere(~np.isfinite(Y))[0]
+        raise ValidationError(
+            f"output column y_{col + 1} is missing at k={ks[row]}, a regression target"
+        )
+    return Phi, Y, ks
 
 
 def missing_window_value(traj: Trajectory, idx: np.ndarray, y_lags) -> ValidationError:
@@ -206,6 +215,8 @@ def residual(theta: np.ndarray, sample: RegressorSample) -> np.ndarray:
 
 def cost(theta_hat: np.ndarray, samples, theta0: np.ndarray, P0: np.ndarray) -> float:
     """Sum of squared residuals plus the P0-weighted prior penalty."""
+    import scipy.linalg
+
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     Phi, Y = _stack(samples)
@@ -219,9 +230,11 @@ def cost(theta_hat: np.ndarray, samples, theta0: np.ndarray, P0: np.ndarray) -> 
 
 
 def _cho(P0: np.ndarray):
+    import scipy.linalg
+
     try:
         return scipy.linalg.cho_factor(np.asarray(P0, dtype=float))
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericalError("P0 must be symmetric positive definite") from exc
 
 
@@ -233,6 +246,8 @@ def batch_solve(samples, theta0: np.ndarray, P0: np.ndarray) -> np.ndarray:
     by factorization of the regularized normal equations; the P0 term keeps
     them nonsingular even with no data.
     """
+    import scipy.linalg
+
     theta0 = np.asarray(theta0, dtype=float)
     P0_inv = scipy.linalg.cho_solve(_cho(P0), np.eye(theta0.shape[1]))
     Phi, Y = _stack(samples)

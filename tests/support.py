@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from sysid_rls import IOModel, simulate
+from sysid_rls import IOModel, ValidationError, simulate
+from sysid_rls.model_core import _transition_prefix
 
 
 def random_stable_model(rng: np.random.Generator, n: int, p: int, m: int,
@@ -141,3 +144,42 @@ def reference_gram_curve(Phi, stride=1):
         if i + 1 == half:
             gram_half, min_eig_half = gram.copy(), np.linalg.eigvalsh(gram)[0]
     return np.array(curve), gram_half, min_eig_half, gram
+
+
+@dataclass(frozen=True, eq=False)
+class ConsolidatedCoeffs:
+    """Flattened window coefficients of a high-order model over a base window.
+
+    ``y_hat[k+n_hat] = -F_cons @ Y[k, n] + G_cons @ U[k, n_hat]`` whenever the
+    preceding high-order outputs agree with the base model's trajectory.
+    """
+
+    F_cons: np.ndarray
+    G_cons: np.ndarray
+
+    @property
+    def flat(self) -> np.ndarray:
+        return np.hstack([self.F_cons, self.G_cons])
+
+
+def consolidate(high: IOModel, base: IOModel) -> ConsolidatedCoeffs:
+    """Collapse a high-order model onto the base model's window.
+
+    Computed by the direct recursion on the high model's coefficients and the
+    base model's transition blocks (independent of :func:`build_lift_matrix`,
+    which provides the same result as ``high.theta @ M``).
+    """
+    if (high.p, high.m) != (base.p, base.m):
+        raise ValidationError("models must share output/input dimensions")
+    if high.n <= base.n:
+        raise ValidationError(f"high order {high.n} must exceed base order {base.n}")
+    n, p, m = base.n, base.p, base.m
+    q = high.n - base.n
+    pairs = _transition_prefix(base, q - 1)
+    F_cons = np.hstack(high.F[q:]) if n > 0 else np.zeros((p, 0))
+    G_cons = high.G_stack.copy()
+    for i in range(1, q + 1):
+        pair = pairs[q - i]
+        F_cons = F_cons - high.F[i - 1] @ pair.Fj
+        G_cons[:, i * m:] -= high.F[i - 1] @ pair.Gj
+    return ConsolidatedCoeffs(F_cons=F_cons, G_cons=G_cons)

@@ -42,6 +42,8 @@ class TestEquivCommand:
         ({"F": 5}, "F must be a list of 1 blocks"),
         ({"F": ["a"]}, "F[0] is not a numeric matrix"),
         ({"n": "x"}, "n, p, m must be integers"),
+        ({"m": float("inf")}, "n, p, m must be integers"),
+        ({"F": [[[10**400]]]}, "F[0] is not a numeric matrix"),
     ])
     def test_malformed_model_is_validation_error(self, workdir, capsys, change, message):
         bad = workdir / "bad.json"
@@ -58,6 +60,11 @@ class TestEquivCommand:
 
 
 class TestReduceCommand:
+    def test_negative_seed_is_usage_error(self, workdir):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", str(workdir / "high.json"), "--seed", "-1"])
+        assert exc.value.code == 2
+
     def test_full_chain(self, workdir, capsys):
         rc = main(["reduce", str(workdir / "high.json"),
                    "--strategy", "scalar-root-search",
@@ -88,6 +95,21 @@ class TestFitCommand:
         assert float(last[4]) < 1e-3  # converged to the reference
         thetas = [float(x) for x in last[1:4]]
         np.testing.assert_allclose(thetas, [0.5, 0.0, 1.0], atol=1e-3)
+
+    @pytest.mark.parametrize("argv", [["--order", "-1"], ["--order", "1", "--p0-scale", "nan"],
+                                      ["--order", "1", "--p0-scale", "-1"]])
+    def test_bad_order_or_prior_scale_is_usage_error(self, workdir, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(workdir / "traj.csv")] + argv)
+        assert exc.value.code == 2
+        assert "expected a" in capsys.readouterr().err
+
+    def test_oversized_theta0_entry_is_validation_error(self, workdir, capsys):
+        (workdir / "theta0.json").write_text(f"[[{10**400}, 0.0, 0.0]]")
+        rc = main(["fit", "--data", str(workdir / "traj.csv"), "--order", "1",
+                   "--theta0", str(workdir / "theta0.json")])
+        assert rc == 2
+        assert "theta0 file" in capsys.readouterr().err
 
     def test_missing_data_file(self, workdir):
         assert main(["fit", "--data", str(workdir / "nope.csv"), "--order", "1"]) == 2
@@ -221,6 +243,17 @@ class TestExperimentCommand:
                      "--out-dir", str(workdir / "out")]) == 2
         assert "config.input.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change,key", [({"input": {"kind": "white", "seed": float("inf")}},
+                                              "config.input.seed"),
+                                             ({"p0_scale": "x"}, "config.p0_scale"),
+                                             ({"p0_scale": float("nan")}, "config.p0_scale")])
+    def test_bad_number_in_config_is_validation_error(self, workdir, capsys, change, key):
+        cfg = dict({"true_model": "model.json", "fit_orders": [1], "horizon": 100}, **change)
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(workdir / "cfg.json"),
+                     "--out-dir", str(workdir / "out")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_invalid_config(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"fit_orders": [1]}))
         assert main(["experiment", str(workdir / "cfg.json"),
@@ -260,3 +293,13 @@ class TestMissingInputCells:
         err = capsys.readouterr().err
         assert "output column y_1 is missing at k=2" in err
         assert "input" not in err
+
+    def test_missing_last_output_cell_is_named(self, tmp_path, capsys):
+        # the last row's output is a regression target inside no window
+        path = tmp_path / "gap_last_y.csv"
+        path.write_text("k,u_1,y_1\n0,1.0,0.5\n1,-1.0,0.3\n2,0.5,0.4\n3,2.0,0.1\n4,1.0,nan\n")
+        rc = main(["fit", "--data", str(path), "--order", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "output column y_1 is missing at k=4" in err
+        assert "non-finite" not in err

@@ -5,7 +5,6 @@ from sysid_rls import (
     IOModel,
     ValidationError,
     build_lift_matrix,
-    consolidate,
     is_equivalent,
     lift_once,
     reduce_once,
@@ -16,6 +15,7 @@ from sysid_rls import (
 )
 
 from support import (
+    consolidate,
     random_contraction,
     random_stable_model,
     simulation_equivalence_oracle,
