@@ -34,22 +34,16 @@ from .equivalence import (
 )
 from .rls import (
     FoldRecord,
-    RegressorSample,
     RlsState,
     batch_solve,
-    build_regressor,
     cost,
     initial_state,
     regressor_matrix,
-    residual,
     rls_fold,
-    rls_step,
-    run_rls,
 )
 from .excitation import (
     ExcitationReport,
     GramLimit,
-    build_reduced_regressor,
     estimate_gram_limit,
     excitation_report,
     lift_identity_check,
@@ -77,11 +71,10 @@ __all__ = [
     "EquivalenceCertificate", "LiftMatrix", "ReducibilityReport", "ReductionResult",
     "build_lift_matrix", "is_equivalent", "lift_once", "reduce_once", "reducibility_check",
     "trivial_embed",
-    "FoldRecord", "RegressorSample", "RlsState", "batch_solve", "build_regressor", "cost",
-    "initial_state", "regressor_matrix", "residual", "rls_fold", "rls_step", "run_rls",
-    "ExcitationReport", "GramLimit", "build_reduced_regressor", "estimate_gram_limit",
-    "excitation_report", "lift_identity_check", "partial_gram_min_eigs",
-    "reduced_regressor_matrix",
+    "FoldRecord", "RlsState", "batch_solve", "cost", "initial_state", "regressor_matrix",
+    "rls_fold",
+    "ExcitationReport", "GramLimit", "estimate_gram_limit", "excitation_report",
+    "lift_identity_check", "partial_gram_min_eigs", "reduced_regressor_matrix",
     "ConvergenceTrace", "ProjectedLimit", "equivalence_via_theta", "lift_true",
     "predict_correct_order_asymptote", "predict_overparam_asymptote", "projected_limit",
     "run_tracked_identification", "theta_equivalence_residual",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import build_lift_matrix, trivial_embed
+from .equivalence import build_lift_matrix, lift_residual, trivial_embed
 from .errors import NumericalError, ValidationError
 from .excitation import GramLimit, estimate_gram_limit, reduced_regressor_matrix
 from .model_core import IOModel, simulate
@@ -76,24 +76,10 @@ def projected_limit(model: IOModel, n_hat: int, theta0: np.ndarray,
 
 def theta_equivalence_residual(theta_hat: np.ndarray, model: IOModel,
                                n_hat: int) -> float:
-    """Relative norm of ``(theta_hat - theta_lifted) M``.
-
-    Evaluated as ``theta_hat @ M`` against the base model's transition
-    blocks, which is the identical residual used by
-    :func:`sysid_rls.equivalence.is_equivalent` on the decoded model.
-    """
-    from .equivalence import _base_transition_flat
-
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    lift = build_lift_matrix(model, n_hat)
-    if theta_hat.shape != (model.p, lift.M.shape[0]):
-        raise ValidationError(
-            f"theta has shape {theta_hat.shape}, expected {(model.p, lift.M.shape[0])}"
-        )
-    target = _base_transition_flat(model, n_hat)
-    raw = float(np.linalg.norm(theta_hat @ lift.M - target))
-    scale = 1.0 + max(np.linalg.norm(theta_hat), np.linalg.norm(target))
-    return raw / scale
+    """Relative norm of ``(theta_hat - theta_lifted) M``: the
+    :func:`sysid_rls.equivalence.lift_residual` that
+    :func:`sysid_rls.equivalence.is_equivalent` reports for the decoded model."""
+    return lift_residual(np.asarray(theta_hat, dtype=float), model, n_hat)[1]
 
 
 def equivalence_via_theta(theta_hat: np.ndarray, model: IOModel, n_hat: int,
@@ -169,7 +155,9 @@ class ConvergenceTrace:
         return float(self.residual_norm[-1]) if len(self.residual_norm) else 0.0
 
     def summary_dict(self) -> dict:
-        return {
+        """The run's figures for a JSON summary; a non-finite one (no rate
+        prediction without persistent excitation) is None, JSON ``null``."""
+        return _finite_or_none({
             "fit_order": int(self.fit_order),
             "true_order": int(self.true_order),
             "ref_kind": self.ref_kind,
@@ -181,7 +169,16 @@ class ConvergenceTrace:
             "asymptote_rel_error": self.asymptote_rel_error,
             "gram_min_eig": float(np.linalg.eigvalsh(self.gram.C)[0]),
             "gram_stabilization": self.gram.stabilization,
-        }
+        })
+
+
+def _finite_or_none(obj):
+    """``obj`` with every non-finite float in it, at any depth, set to None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_none(value) for value in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def run_tracked_identification(model: IOModel, n_hat: int, input_generator,

@@ -85,9 +85,20 @@ class EquivalenceCertificate:
         return self.equivalent
 
 
-def _base_transition_flat(base: IOModel, n_hat: int) -> np.ndarray:
+def lift_residual(theta: np.ndarray, base: IOModel, n_hat: int) -> tuple[float, float]:
+    """Raw and relative Frobenius norm of ``theta @ M - [F_q G_q]``, the
+    cross-order residual of a flattened order-``n_hat`` ``theta`` against
+    ``base`` (lift ``M``, ``q = n_hat - n`` step transition blocks); the
+    relative one is scaled by ``1 + max(||theta||, ||[F_q G_q]||)``."""
+    lift = build_lift_matrix(base, n_hat)
+    if theta.shape != (base.p, lift.M.shape[0]):
+        raise ValidationError(
+            f"theta has shape {theta.shape}, expected {(base.p, lift.M.shape[0])}"
+        )
     pair = transition_pair(base, n_hat - base.n)
-    return np.hstack([pair.Fj, pair.Gj])
+    target = np.hstack([pair.Fj, pair.Gj])
+    raw = float(np.linalg.norm(theta @ lift.M - target))
+    return raw, raw / (1.0 + max(np.linalg.norm(theta), np.linalg.norm(target)))
 
 
 def is_equivalent(a: IOModel, b: IOModel, tol: float = DEFAULT_TOL) -> EquivalenceCertificate:
@@ -95,7 +106,8 @@ def is_equivalent(a: IOModel, b: IOModel, tol: float = DEFAULT_TOL) -> Equivalen
 
     Residuals are Frobenius norms scaled by ``1 + max coefficient norm``.
     Equal orders compare coefficients directly; different orders test the
-    lift identity against the base model's transition blocks.
+    lift identity against the base model's transition blocks
+    (:func:`lift_residual`).
     """
     if (a.p, a.m) != (b.p, b.m):
         raise ValidationError("models must share output/input dimensions")
@@ -109,12 +121,7 @@ def is_equivalent(a: IOModel, b: IOModel, tol: float = DEFAULT_TOL) -> Equivalen
             low_order=a.n, high_order=b.n,
         )
     base, high = (a, b) if a.n < b.n else (b, a)
-    lift = build_lift_matrix(base, high.n)
-    target = _base_transition_flat(base, high.n)
-    resid = high.theta @ lift.M - target
-    raw = float(np.linalg.norm(resid))
-    scale = 1.0 + max(np.linalg.norm(high.theta), np.linalg.norm(target))
-    rel = raw / scale
+    raw, rel = lift_residual(high.theta, base, high.n)
     return EquivalenceCertificate(
         equivalent=bool(rel <= tol), residual=rel, raw_residual=raw,
         condition="cross-order-lift", tol=tol,

@@ -55,23 +55,10 @@ class ExcitationReport:
     stabilization: float
 
 
-def build_reduced_regressor(traj: Trajectory, k: int, n: int, n_hat: int) -> np.ndarray:
-    """Reduced regressor of length ``p*n + m*(n_hat+1)`` at time index k."""
-    if n_hat <= n:
-        raise ValidationError(f"reduced regressor needs n_hat > n, got {n_hat} <= {n}")
-    i = traj.index_of(k)
-    if i < n_hat:
-        raise ValidationError(f"index {k} is too early for an order-{n_hat} window")
-    ys = traj.y[i - n_hat: i - n_hat + n][::-1]
-    us = traj.u[i - n_hat: i + 1][::-1]
-    if not np.all(np.isfinite(us)):
-        raise ValidationError(f"input window ending at {k} contains missing values")
-    return np.concatenate([-ys.ravel(), us.ravel()])
-
-
 def reduced_regressor_matrix(traj: Trajectory, n: int, n_hat: int,
                              ks=None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized reduced regressors, matching :func:`build_reduced_regressor`."""
+    """Reduced regressors ``(Phi, ks)`` with ``Phi[i] = phi[n, n_hat, ks[i]]``,
+    indexed and checked as in :func:`regressor_matrix`."""
     if n_hat <= n:
         raise ValidationError(f"reduced regressor needs n_hat > n, got {n_hat} <= {n}")
     if ks is None:

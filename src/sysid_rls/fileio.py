@@ -167,7 +167,8 @@ def write_csv(path, header: list[str], columns) -> None:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinite number is an error, not a bare literal."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def canonical_json(obj) -> str:

@@ -207,18 +207,6 @@ class Trajectory:
     def k_last(self) -> int:
         return self.k0 + len(self) - 1
 
-    def index_of(self, k: int) -> int:
-        i = k - self.k0
-        if i < 0 or i >= len(self):
-            raise ValidationError(f"time index {k} outside stored range [{self.k0}, {self.k_last}]")
-        return i
-
-    def y_at(self, k: int) -> np.ndarray:
-        return self.y[self.index_of(k)]
-
-    def u_at(self, k: int) -> np.ndarray:
-        return self.u[self.index_of(k)]
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionPair:

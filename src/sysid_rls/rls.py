@@ -29,20 +29,6 @@ _PMIN_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class RegressorSample:
-    """One (regressor, output) pair."""
-
-    phi: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float).reshape(-1)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True, eq=False)
 class RlsState:
     """Estimate theta (p x d), covariance P (d x d), step counter, and the
     optional running information matrix P_inv."""
@@ -101,30 +87,10 @@ def spd_inverse(A: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(c, np.eye(A.shape[0]))
 
 
-def build_regressor(traj: Trajectory, k: int, order: int) -> RegressorSample:
-    """Regressor/output pair at absolute time index k.
-
-    Requires data back to ``k - order``; raises on window underflow or NaN
-    input cells inside the window.
-    """
-    i = traj.index_of(k)
-    if i < order:
-        raise ValidationError(
-            f"index {k} is too early for order {order} (needs {order} past samples)"
-        )
-    ys = traj.y[i - order:i][::-1]
-    us = traj.u[i - order:i + 1][::-1]
-    if not np.all(np.isfinite(us)):
-        raise ValidationError(f"input window ending at {k} contains missing values")
-    phi = np.concatenate([-ys.ravel(), us.ravel()])
-    return RegressorSample(phi=phi, y=traj.y[i])
-
-
 def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized regressors: (Phi, Y, ks) with Phi[i] = phi[order, ks[i]].
 
-    Defaults to every fully-windowed index.  Matches
-    :func:`build_regressor` bit for bit.  A missing cell is a validation
+    Defaults to every fully-windowed index.  A missing cell is a validation
     error; a missing output cell, in a window or as a target, is named by
     its column and time index.
     """
@@ -180,82 +146,65 @@ def valid_regressor_indices(traj: Trajectory, order: int) -> np.ndarray:
     return ks
 
 
-def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, tuple) and len(samples) == 2:
-        Phi, Y = samples
-        return np.asarray(Phi, dtype=float), np.asarray(Y, dtype=float)
-    return _stack_samples(samples)
+def _check_rows(Phi, Y, p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi`` (K x d) and ``Y`` (K x p) as float arrays.  Any other shape, or
+    a non-finite entry, is a validation error."""
+    Phi = np.asarray(Phi, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if Phi.ndim != 2 or Y.ndim != 2:
+        raise ValidationError(f"regressors and outputs must be 2-D, not {Phi.ndim}-D, {Y.ndim}-D")
+    if Phi.shape[1] != d:
+        raise ValidationError(f"regressor length {Phi.shape[1]} does not match dimension {d}")
+    if Y.shape != (Phi.shape[0], p):
+        raise ValidationError(f"outputs have shape {Y.shape}, expected {(Phi.shape[0], p)}")
+    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(Y))):
+        raise ValidationError("samples contain non-finite values")
+    return Phi, Y
 
 
-def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a :class:`RegressorSample` sequence as ``(Phi, Y)``; samples
-    of unequal regressor or output length are a validation error."""
-    samples = list(samples)
-    if not samples:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    phi_lens = {s.phi.shape[0] for s in samples}
-    y_lens = {s.y.shape[0] for s in samples}
-    if len(phi_lens) > 1 or len(y_lens) > 1:
-        raise ValidationError(
-            f"samples have regressor lengths {sorted(phi_lens)} and output lengths "
-            f"{sorted(y_lens)}; all must agree"
-        )
-    return np.vstack([s.phi for s in samples]), np.vstack([s.y for s in samples])
-
-
-def residual(theta: np.ndarray, sample: RegressorSample) -> np.ndarray:
-    """Prediction error y - theta @ phi."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[1] != sample.phi.shape[0]:
-        raise ValidationError(
-            f"theta width {theta.shape[1]} does not match regressor length {sample.phi.shape[0]}"
-        )
-    return sample.y - theta @ sample.phi
-
-
-def cost(theta_hat: np.ndarray, samples, theta0: np.ndarray, P0: np.ndarray) -> float:
-    """Sum of squared residuals plus the P0-weighted prior penalty."""
+def _prior(theta0, P0):
+    """``theta0`` (p x d) as a float array and the Cholesky factor of ``P0`` (d x d)."""
     import scipy.linalg
 
-    theta_hat = np.asarray(theta_hat, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
-    Phi, Y = _stack(samples)
-    data_term = 0.0
-    if Phi.shape[0]:
-        Z = Y - Phi @ theta_hat.T
-        data_term = float(np.sum(Z * Z))
-    E = theta_hat - theta0
-    X = scipy.linalg.cho_solve(_cho(P0), E.T)
-    return data_term + float(np.sum(E.T * X))
-
-
-def _cho(P0: np.ndarray):
-    import scipy.linalg
-
+    P0 = np.asarray(P0, dtype=float)
+    if theta0.ndim != 2 or P0.shape != (theta0.shape[1],) * 2:
+        raise ValidationError(f"theta0 and P0 have shapes {theta0.shape} and {P0.shape}, "
+                              "expected (p, d) and (d, d)")
     try:
-        return scipy.linalg.cho_factor(np.asarray(P0, dtype=float))
+        return theta0, scipy.linalg.cho_factor(P0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("P0 must be symmetric positive definite") from exc
 
 
-def batch_solve(samples, theta0: np.ndarray, P0: np.ndarray) -> np.ndarray:
-    """Unique minimizer of :func:`cost` over all supplied samples.
+def cost(theta_hat: np.ndarray, Phi, Y, theta0: np.ndarray, P0: np.ndarray) -> float:
+    """Sum of squared residuals ``||Y - Phi theta_hat^T||^2`` plus the
+    P0-weighted prior penalty."""
+    import scipy.linalg
 
-    ``samples`` may be a sequence of :class:`RegressorSample` or a prestacked
-    ``(Phi, Y)`` pair with Phi of shape (K, d) and Y of shape (K, p).  Solved
-    by factorization of the regularized normal equations; the P0 term keeps
-    them nonsingular even with no data.
+    theta0, factor = _prior(theta0, P0)
+    Phi, Y = _check_rows(Phi, Y, *theta0.shape)
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    Z = Y - Phi @ theta_hat.T
+    E = theta_hat - theta0
+    X = scipy.linalg.cho_solve(factor, E.T)
+    return float(np.sum(Z * Z)) + float(np.sum(E.T * X))
+
+
+def batch_solve(Phi, Y, theta0: np.ndarray, P0: np.ndarray) -> np.ndarray:
+    """Unique minimizer of :func:`cost` over the rows of ``Phi`` (K x d) and
+    ``Y`` (K x p).
+
+    Solved by factorization of the regularized normal equations; the P0 term
+    keeps them nonsingular even with no data (K = 0).
     """
     import scipy.linalg
 
-    theta0 = np.asarray(theta0, dtype=float)
-    P0_inv = scipy.linalg.cho_solve(_cho(P0), np.eye(theta0.shape[1]))
-    Phi, Y = _stack(samples)
-    A = P0_inv.copy()
-    B = theta0 @ P0_inv
-    if Phi.shape[0]:
-        A += Phi.T @ Phi
-        B = B + Y.T @ Phi
+    theta0, factor = _prior(theta0, P0)
+    Phi, Y = _check_rows(Phi, Y, *theta0.shape)
+    P0_inv = scipy.linalg.cho_solve(factor, np.eye(theta0.shape[1]))
+    A = P0_inv + Phi.T @ Phi
+    B = theta0 @ P0_inv + Y.T @ Phi
     return scipy.linalg.solve(A, B.T, assume_a="pos").T
 
 
@@ -282,11 +231,12 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     ``Phi`` (K x d) and ``Y`` (K x p); returns the final state and a record.
 
     This is the package's one RLS recursion (the form of Ljung & Soderstrom,
-    *Theory and Practice of Recursive Identification*, 1983); :func:`rls_step`
-    is its one-row case.  Shapes and finiteness are checked once, before any
-    update.  Each row runs a fixed sequence of numpy operations, so the fold
-    agrees bit for bit with a chain of one-row folds.  With the information
-    matrix tracked, ``P_inv`` accumulates ``phi phi^T``.
+    *Theory and Practice of Recursive Identification*, 1983); a one-row
+    slice is a single step.  Shapes and finiteness are checked once, by
+    :func:`_check_rows`, before any update.  Each row runs a fixed sequence of
+    numpy operations, so the fold agrees bit for bit with a chain of one-row
+    folds.  With the information matrix tracked, ``P_inv`` accumulates
+    ``phi phi^T``.
 
     The downdated covariance is re-symmetrized, ``0.5 * (P + P.T)``, only
     while ``P`` is not exactly symmetric: in practice after the first row of
@@ -301,24 +251,11 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     history's ``pmin_eig`` comes from one batched ``eigvalsh`` per
     ``_PMIN_CHUNK`` covariances.
     """
-    Phi = np.asarray(Phi, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Phi.ndim != 2 or Y.ndim != 2:
-        raise ValidationError(
-            f"expected 2-D regressors and outputs, got {Phi.ndim}-D and {Y.ndim}-D"
-        )
+    theta, P, P_inv = state.theta, state.P, state.P_inv
+    Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
     K = Phi.shape[0]
     if K == 0:
         return state, FoldRecord(residual_norm=np.empty(0))
-    theta, P, P_inv = state.theta, state.P, state.P_inv
-    if Phi.shape[1] != state.dim:
-        raise ValidationError(
-            f"regressor length {Phi.shape[1]} does not match state dimension {state.dim}"
-        )
-    if Y.shape != (K, theta.shape[0]):
-        raise ValidationError(f"outputs have shape {Y.shape}, expected {(K, theta.shape[0])}")
-    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(Y))):
-        raise ValidationError("samples contain non-finite values")
     if theta_ref is not None:
         theta_ref = np.asarray(theta_ref, dtype=float)
         if theta_ref.shape != theta.shape:
@@ -364,13 +301,3 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
                         theta=thetas, pmin_eig=pmin)
     return new, record
 
-
-def rls_step(state: RlsState, sample: RegressorSample) -> RlsState:
-    """One covariance downdate and coefficient update: the one-row
-    :func:`rls_fold`."""
-    return rls_fold(state, sample.phi[None, :], sample.y[None, :])[0]
-
-
-def run_rls(state: RlsState, samples) -> RlsState:
-    """Fold a :class:`RegressorSample` sequence through :func:`rls_fold`."""
-    return rls_fold(state, *_stack_samples(samples))[0]

@@ -125,6 +125,25 @@ def reference_rls(theta, P, P_inv, Phi, Y, theta_ref):
     return theta, P, P_inv, resid, dist, np.array(thetas)
 
 
+def reference_regressor(traj, k: int, order: int):
+    """Regressor ``phi[order, k]`` and output ``y[k]`` of one time index,
+    sliced row by row from the window: negated outputs newest-first, then
+    the inputs newest-first."""
+    i = k - traj.k0
+    ys = traj.y[i - order:i][::-1]
+    us = traj.u[i - order:i + 1][::-1]
+    return np.concatenate([-ys.ravel(), us.ravel()]), traj.y[i]
+
+
+def reference_reduced_regressor(traj, k: int, n: int, n_hat: int) -> np.ndarray:
+    """Reduced regressor ``phi[n, n_hat, k]`` of one time index: the oldest
+    ``n`` outputs of the order-``n_hat`` window, then its full input window."""
+    i = k - traj.k0
+    ys = traj.y[i - n_hat:i - n_hat + n][::-1]
+    us = traj.u[i - n_hat:i + 1][::-1]
+    return np.concatenate([-ys.ravel(), us.ravel()])
+
+
 def reference_gram_curve(Phi, stride=1):
     """Per-row Gram partial sum written out with ``np.outer`` and one
     ``eigvalsh`` per row, as :func:`excitation_report` reads it.

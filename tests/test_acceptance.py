@@ -17,13 +17,13 @@ from sysid_rls import (
     reduced_regressor_matrix,
     reducibility_check,
     regressor_matrix,
-    rls_step,
+    rls_fold,
     run_experiment,
     run_tracked_identification,
     simulate,
 )
 from sysid_rls.experiment import config_from_dict
-from sysid_rls.rls import RegressorSample, RlsState
+from sysid_rls.rls import RlsState
 import scipy.linalg
 
 from support import (
@@ -56,10 +56,10 @@ def test_criterion_01_recursive_equals_batch():
         phis = rng.standard_normal((500, d))
         ys = rng.standard_normal((500, p))
         state = RlsState(theta=theta0.copy(), P=P0.copy(), k=0)
+        _, record = rls_fold(state, phis, ys, keep_history=True)
         for k in range(500):
-            state = rls_step(state, RegressorSample(phi=phis[k], y=ys[k]))
-            theta_b = batch_solve((phis[:k + 1], ys[:k + 1]), theta0, P0)
-            rel = np.linalg.norm(state.theta - theta_b) / (1 + np.linalg.norm(theta_b))
+            theta_b = batch_solve(phis[:k + 1], ys[:k + 1], theta0, P0)
+            rel = np.linalg.norm(record.theta[k] - theta_b) / (1 + np.linalg.norm(theta_b))
             worst = max(worst, rel)
             assert rel <= 1e-8
     elapsed = time.monotonic() - t0

@@ -162,6 +162,23 @@ class TestConvergeCommand:
         assert data["asymptote_rel_error"] < 0.2
         assert data["seed"] == 7
 
+    @pytest.mark.parametrize("argv", [["--horizon", "1"],
+                                      ["--input", "white:seed=0:scale=0", "--horizon", "100"]])
+    def test_summary_without_rate_prediction_is_strict_json(self, workdir, argv):
+        # one sample, or zero input, leaves the Gram limit singular
+        summary = workdir / "s.json"
+        rc = main(["converge", "--model", str(workdir / "model.json"), "--fit-order", "1",
+                   *argv, "--emit-summary", str(summary)])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data = json.loads(summary.read_text(), parse_constant=reject)
+        assert data["asymptote_rel_error"] is None
+        assert data["predicted_asymptote"] == [[None, None, None]]
+        assert isinstance(data["final_dist_to_ref"], float)
+
     def test_missing_theta0_file(self, workdir, capsys):
         rc = main(["converge", "--model", str(workdir / "model.json"),
                    "--fit-order", "1", "--horizon", "100",

@@ -4,7 +4,6 @@ import pytest
 from sysid_rls import (
     IOModel,
     NumericalError,
-    RegressorSample,
     ValidationError,
     build_lift_matrix,
     equivalence_via_theta,
@@ -19,7 +18,7 @@ from sysid_rls import (
     theta_equivalence_residual,
     trivial_embed,
 )
-from sysid_rls.rls import RlsState, rls_step, spd_inverse
+from sysid_rls.rls import RlsState, rls_fold, spd_inverse
 
 from support import kkt_projected_limit, random_spd, random_stable_model
 
@@ -211,7 +210,7 @@ class TestErrorDynamicsIdentities:
         for i in range(60):
             err = state.theta - m.theta
             P_prev_inv = spd_inverse(state.P)
-            state = rls_step(state, RegressorSample(phi=Phi[i], y=Y[i]))
+            state, _ = rls_fold(state, Phi[i:i + 1], Y[i:i + 1])
             err_new = state.theta - m.theta
             predicted = err @ P_prev_inv @ state.P
             assert np.max(np.abs(err_new - predicted)) <= 1e-8 * (1 + np.max(np.abs(err_new)))
@@ -229,11 +228,11 @@ class TestErrorDynamicsIdentities:
         state = RlsState(theta=theta0.copy(), P=P0.copy(), k=0)
         P0_inv = spd_inverse(P0)
         gram = np.zeros((d, d))
+        _, record = rls_fold(state, Phi, Y, keep_history=True)
         for i in range(40):
-            state = rls_step(state, RegressorSample(phi=Phi[i], y=Y[i]))
             gram += np.outer(Phi[i], Phi[i])
             closed = (theta0 - m.theta) @ P0_inv @ np.linalg.inv(gram + P0_inv)
-            err = state.theta - m.theta
+            err = record.theta[i] - m.theta
             assert np.linalg.norm(err - closed) <= 1e-7 * (1 + np.linalg.norm(closed))
 
     def test_overparam_exact_error_identity(self):
@@ -255,11 +254,11 @@ class TestErrorDynamicsIdentities:
         E = (theta0 - lift_true(m, n_hat)) @ M
         state = RlsState(theta=theta0.copy(), P=P0.copy(), k=0)
         Q = np.zeros_like(W)
+        _, record = rls_fold(state, Phi, Y, keep_history=True)
         for i in range(50):
-            state = rls_step(state, RegressorSample(phi=Phi[i], y=Y[i]))
             Q += np.outer(Phi_red[i], Phi_red[i])
             closed = E @ W_inv @ np.linalg.inv(Q + W_inv) @ W_inv @ M.T @ P0
-            gap = state.theta - pl.theta_star
+            gap = record.theta[i] - pl.theta_star
             assert np.linalg.norm(gap - closed) <= 1e-8 * (1 + np.linalg.norm(closed))
 
     def test_matrix_inversion_lemma_expansions_agree(self):

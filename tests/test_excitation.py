@@ -5,7 +5,6 @@ from sysid_rls import (
     IOModel,
     Trajectory,
     ValidationError,
-    build_reduced_regressor,
     estimate_gram_limit,
     excitation_report,
     lift_identity_check,
@@ -15,31 +14,31 @@ from sysid_rls import (
     simulate,
 )
 
-from support import random_stable_model, reference_gram_curve
+from support import random_stable_model, reference_gram_curve, reference_reduced_regressor
 
 
 class TestReducedRegressor:
     def test_zero_trajectory(self):
         traj = Trajectory(k0=0, u=np.zeros((8, 1)), y=np.zeros((8, 1)))
-        phi = build_reduced_regressor(traj, 6, 1, 3)
-        np.testing.assert_array_equal(phi, np.zeros(1 + 4))
+        Phi, _ = reduced_regressor_matrix(traj, 1, 3, [6])
+        np.testing.assert_array_equal(Phi[0], np.zeros(1 + 4))
 
     def test_scalar_stacking(self):
         # n=1, n_hat=2: y[k-2]=7 and inputs (1, 2, 3) newest first
         y = np.array([[7.0], [9.0], [4.0]])
         u = np.array([[3.0], [2.0], [1.0]])
-        phi = build_reduced_regressor(Trajectory(k0=0, u=u, y=y), 2, 1, 2)
-        np.testing.assert_array_equal(phi, [-7.0, 1.0, 2.0, 3.0])
+        Phi, _ = reduced_regressor_matrix(Trajectory(k0=0, u=u, y=y), 1, 2, [2])
+        np.testing.assert_array_equal(Phi[0], [-7.0, 1.0, 2.0, 3.0])
 
     def test_equal_orders_forbidden(self):
         traj = Trajectory(k0=0, u=np.zeros((8, 1)), y=np.zeros((8, 1)))
         with pytest.raises(ValidationError):
-            build_reduced_regressor(traj, 6, 2, 2)
+            reduced_regressor_matrix(traj, 2, 2, [6])
 
     def test_underflow(self):
         traj = Trajectory(k0=0, u=np.zeros((4, 1)), y=np.zeros((4, 1)))
         with pytest.raises(ValidationError):
-            build_reduced_regressor(traj, 2, 1, 3)
+            reduced_regressor_matrix(traj, 1, 3, [2])
 
     def test_matrix_builder_matches(self):
         rng = np.random.default_rng(0)
@@ -47,7 +46,7 @@ class TestReducedRegressor:
         traj = simulate(m, rng.standard_normal((1, 2)), rng.standard_normal((25, 2)))
         Phi, ks = reduced_regressor_matrix(traj, 1, 3)
         for i, k in enumerate(ks):
-            np.testing.assert_array_equal(Phi[i], build_reduced_regressor(traj, int(k), 1, 3))
+            np.testing.assert_array_equal(Phi[i], reference_reduced_regressor(traj, int(k), 1, 3))
 
 
 class TestLiftIdentity:

@@ -220,12 +220,9 @@ class TestOutputTransition:
 
 
 class TestTrajectory:
-    def test_index_helpers(self):
+    def test_k_last(self):
         traj = Trajectory(k0=-2, u=np.zeros((5, 1)), y=np.arange(5.0).reshape(-1, 1))
         assert traj.k_last == 2
-        assert traj.y_at(0)[0] == 2.0
-        with pytest.raises(ValidationError):
-            traj.y_at(3)
 
     def test_misaligned_lengths(self):
         with pytest.raises(ValidationError):

@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 
 from sysid_rls import (
-    IOModel,
-    RegressorSample,
     Trajectory,
     ValidationError,
     batch_solve,
-    build_regressor,
     cost,
     initial_state,
     regressor_matrix,
-    residual,
     rls_fold,
-    rls_step,
-    run_rls,
     simulate,
 )
 
-from support import random_spd, random_stable_model, reference_rls
+from support import random_spd, random_stable_model, reference_regressor, reference_rls
 
 
 def make_traj():
@@ -31,34 +25,34 @@ def make_traj():
 class TestBuildRegressor:
     def test_zero_trajectory(self):
         traj = Trajectory(k0=0, u=np.zeros((6, 2)), y=np.zeros((6, 2)))
-        s = build_regressor(traj, 4, 2)
-        np.testing.assert_array_equal(s.phi, np.zeros(2 * 2 + 2 * 3))
+        Phi, _, _ = regressor_matrix(traj, 2, [4])
+        np.testing.assert_array_equal(Phi[0], np.zeros(2 * 2 + 2 * 3))
 
     def test_scalar_order_one_stacking(self):
         # y[k-1]=2, u[k]=3, u[k-1]=5 -> phi = (-2, 3, 5)
         y = np.array([[9.0], [2.0], [8.0]])
         u = np.array([[1.0], [5.0], [3.0]])
-        s = build_regressor(Trajectory(k0=0, u=u, y=y), 2, 1)
-        np.testing.assert_array_equal(s.phi, [-2.0, 3.0, 5.0])
-        np.testing.assert_array_equal(s.y, [8.0])
+        Phi, Y, _ = regressor_matrix(Trajectory(k0=0, u=u, y=y), 1, [2])
+        np.testing.assert_array_equal(Phi[0], [-2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(Y[0], [8.0])
 
     def test_order_two_stacking(self):
         # y[k-1]=2, y[k-2]=7 and inputs newest-first
         y = np.array([[0.0], [7.0], [2.0], [6.0]])
         u = np.array([[1.0], [11.0], [5.0], [3.0]])
-        s = build_regressor(Trajectory(k0=0, u=u, y=y), 3, 2)
-        np.testing.assert_array_equal(s.phi, [-2.0, -7.0, 3.0, 5.0, 11.0])
+        Phi, _, _ = regressor_matrix(Trajectory(k0=0, u=u, y=y), 2, [3])
+        np.testing.assert_array_equal(Phi[0], [-2.0, -7.0, 3.0, 5.0, 11.0])
 
     def test_window_underflow(self):
         with pytest.raises(ValidationError):
-            build_regressor(make_traj(), 1, 3)
+            regressor_matrix(make_traj(), 3, [1])
 
     def test_nan_input_rejected(self):
         u = np.array([[np.nan], [1.0], [2.0]])
         y = np.ones((3, 1))
         traj = Trajectory(k0=0, u=u, y=y)
         with pytest.raises(ValidationError):
-            build_regressor(traj, 1, 1)
+            regressor_matrix(traj, 1, [1])
 
     def test_matrix_builder_matches(self):
         rng = np.random.default_rng(0)
@@ -66,9 +60,9 @@ class TestBuildRegressor:
         traj = simulate(m, rng.standard_normal((2, 2)), rng.standard_normal((30, 2)), k0=-5)
         Phi, Y, ks = regressor_matrix(traj, 3)
         for i, k in enumerate(ks):
-            s = build_regressor(traj, int(k), 3)
-            np.testing.assert_array_equal(Phi[i], s.phi)
-            np.testing.assert_array_equal(Y[i], s.y)
+            phi, y = reference_regressor(traj, int(k), 3)
+            np.testing.assert_array_equal(Phi[i], phi)
+            np.testing.assert_array_equal(Y[i], y)
 
 
 class TestResidualAndCost:
@@ -77,65 +71,55 @@ class TestResidualAndCost:
         m = random_stable_model(rng, 2, 2, 1)
         traj = simulate(m, rng.standard_normal((2, 2)), rng.standard_normal((30, 1)))
         Phi, Y, _ = regressor_matrix(traj, 2)
-        for i in range(Phi.shape[0]):
-            r = residual(m.theta, RegressorSample(phi=Phi[i], y=Y[i]))
-            np.testing.assert_allclose(r, np.zeros(2), atol=1e-10)
-
-    def test_zero_theta_residual_is_y(self):
-        s = RegressorSample(phi=[1.0, 2.0], y=[3.0])
-        np.testing.assert_array_equal(residual(np.zeros((1, 2)), s), [3.0])
-
-    def test_scalar_half(self):
-        s = RegressorSample(phi=[1.0], y=[1.0])
-        np.testing.assert_allclose(residual(np.array([[0.5]]), s), [0.5])
+        np.testing.assert_allclose(Y - Phi @ m.theta.T, np.zeros_like(Y), atol=1e-10)
 
     def test_cost_at_prior_with_no_samples(self):
         theta0 = np.ones((1, 3))
-        assert cost(theta0, [], theta0, np.eye(3)) == 0.0
+        assert cost(theta0, np.zeros((0, 3)), np.zeros((0, 1)), theta0, np.eye(3)) == 0.0
 
     def test_cost_single_squared_residual(self):
         theta0 = np.zeros((1, 1))
-        s = RegressorSample(phi=[1.0], y=[3.0])
-        assert cost(theta0, [s], theta0, np.eye(1)) == pytest.approx(9.0)
+        assert cost(theta0, [[1.0]], [[3.0]], theta0, np.eye(1)) == pytest.approx(9.0)
 
     def test_cost_regularizer_only(self):
         theta0 = np.zeros((1, 3))
         theta = np.array([[1.0, -2.0, 2.0]])
-        assert cost(theta, [], theta0, np.eye(3)) == pytest.approx(9.0)
+        assert cost(theta, np.zeros((0, 3)), np.zeros((0, 1)), theta0, np.eye(3)) == \
+            pytest.approx(9.0)
 
     def test_singular_p0_rejected(self):
         from sysid_rls import NumericalError
 
         with pytest.raises(NumericalError):
-            cost(np.zeros((1, 2)), [], np.zeros((1, 2)), np.zeros((2, 2)))
+            cost(np.zeros((1, 2)), np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((1, 2)),
+                 np.zeros((2, 2)))
 
 
 class TestBatchSolve:
     def test_empty_samples_returns_prior(self):
         theta0 = np.array([[1.0, 2.0, 3.0]])
-        got = batch_solve([], theta0, 10.0 * np.eye(3))
+        got = batch_solve(np.zeros((0, 3)), np.zeros((0, 1)), theta0, 10.0 * np.eye(3))
         np.testing.assert_allclose(got, theta0)
 
     def test_scalar_hand_example(self):
-        got = batch_solve([RegressorSample(phi=[1.0], y=[1.0])],
-                          np.zeros((1, 1)), np.eye(1))
+        got = batch_solve([[1.0]], [[1.0]], np.zeros((1, 1)), np.eye(1))
         np.testing.assert_allclose(got, [[0.5]])
 
     def test_gradient_vanishes(self):
         rng = np.random.default_rng(2)
         d, p = 5, 2
-        samples = [RegressorSample(phi=rng.standard_normal(d), y=rng.standard_normal(p))
-                   for _ in range(12)]
+        rows = [(rng.standard_normal(d), rng.standard_normal(p)) for _ in range(12)]
+        Phi, Y = (np.array(col) for col in zip(*rows))
         theta0 = rng.standard_normal((p, d))
         P0 = random_spd(rng, d)
-        theta = batch_solve(samples, theta0, P0)
+        theta = batch_solve(Phi, Y, theta0, P0)
         # numerical gradient of the cost at the solution
         eps = 1e-6
         for _ in range(10):
             E = rng.standard_normal((p, d))
             E /= np.linalg.norm(E)
-            up = cost(theta + eps * E, samples, theta0, P0)
-            dn = cost(theta - eps * E, samples, theta0, P0)
+            up = cost(theta + eps * E, Phi, Y, theta0, P0)
+            dn = cost(theta - eps * E, Phi, Y, theta0, P0)
             assert abs(up - dn) / (2 * eps) < 1e-6
 
     def test_rich_exact_data_recovers_generator(self):
@@ -144,19 +128,49 @@ class TestBatchSolve:
         traj = simulate(m, rng.standard_normal((2, 1)),
                         rng.standard_normal((400, 1)))
         Phi, Y, _ = regressor_matrix(traj, 2)
-        theta = batch_solve((Phi, Y), np.zeros((1, 5)), 1e3 * np.eye(5))
+        theta = batch_solve(Phi, Y, np.zeros((1, 5)), 1e3 * np.eye(5))
         # zero residual term at the generator, so the fit hugs it
         np.testing.assert_allclose(theta, m.theta, atol=5e-3)
-        at_generator = cost(m.theta, (Phi, Y), np.zeros((1, 5)), 1e3 * np.eye(5))
+        at_generator = cost(m.theta, Phi, Y, np.zeros((1, 5)), 1e3 * np.eye(5))
         assert at_generator <= np.linalg.norm(m.theta) ** 2 / 1e3 + 1e-12
-        assert cost(theta, (Phi, Y), np.zeros((1, 5)), 1e3 * np.eye(5)) <= \
+        assert cost(theta, Phi, Y, np.zeros((1, 5)), 1e3 * np.eye(5)) <= \
             at_generator + 1e-12
+
+    @pytest.mark.parametrize("bad", ["rows", "regressor width", "output width", "nan"])
+    def test_bad_rows_rejected_as_the_fold_rejects_them(self, bad):
+        rng = np.random.default_rng(13)
+        theta0, P0 = np.zeros((2, 3)), np.eye(3)
+        Phi, Y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+        if bad == "rows":
+            Y = Y[:-1]
+        elif bad == "regressor width":
+            Phi = Phi[:, :-1]
+        elif bad == "output width":
+            Y = Y[:, :1]
+        else:
+            Phi[2, 1] = np.nan
+        errors = []
+        for call in (lambda: batch_solve(Phi, Y, theta0, P0),
+                     lambda: cost(theta0, Phi, Y, theta0, P0),
+                     lambda: rls_fold(initial_state(0, 2, 3, P0=P0), Phi, Y)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == errors[2]
+
+    def test_prior_shape_mismatch_rejected(self):
+        Phi, Y = np.ones((4, 3)), np.ones((4, 1))
+        for theta0, P0 in [(np.zeros((1, 3)), np.eye(4)), (np.zeros(3), np.eye(3))]:
+            with pytest.raises(ValidationError):
+                batch_solve(Phi, Y, theta0, P0)
+            with pytest.raises(ValidationError):
+                cost(np.zeros((1, 3)), Phi, Y, theta0, P0)
 
 
 class TestRlsStep:
     def test_scalar_hand_example(self):
         state = initial_state(0, 1, 1, p0_scale=1.0)
-        new = rls_step(state, RegressorSample(phi=[1.0], y=[1.0]))
+        new, _ = rls_fold(state, [[1.0]], [[1.0]])
         np.testing.assert_allclose(new.P, [[0.5]])
         np.testing.assert_allclose(new.theta, [[0.5]])
         assert new.k == 1
@@ -164,9 +178,9 @@ class TestRlsStep:
     def test_zero_regressor_no_op(self):
         rng = np.random.default_rng(4)
         state = initial_state(1, 2, 1, p0_scale=2.0)
-        state = rls_step(state, RegressorSample(phi=rng.standard_normal(state.dim),
-                                                y=rng.standard_normal(2)))
-        new = rls_step(state, RegressorSample(phi=np.zeros(state.dim), y=np.ones(2)))
+        state, _ = rls_fold(state, rng.standard_normal((1, state.dim)),
+                            rng.standard_normal((1, 2)))
+        new, _ = rls_fold(state, np.zeros((1, state.dim)), np.ones((1, 2)))
         np.testing.assert_array_equal(new.theta, state.theta)
         np.testing.assert_array_equal(new.P, state.P)
         assert new.k == state.k + 1
@@ -176,14 +190,14 @@ class TestRlsStep:
         state = initial_state(1, 1, 1, p0_scale=3.0)
         theta = state.theta
         phi = rng.standard_normal(3)
-        new = rls_step(state, RegressorSample(phi=phi, y=theta @ phi))
+        new, _ = rls_fold(state, phi[None, :], (theta @ phi)[None, :])
         np.testing.assert_allclose(new.theta, theta, atol=1e-14)
         assert np.linalg.eigvalsh(new.P)[0] < np.linalg.eigvalsh(state.P)[-1]
 
     def test_rejects_nonfinite(self):
         state = initial_state(1, 1, 1)
         with pytest.raises(ValidationError):
-            rls_step(state, RegressorSample(phi=[np.inf, 0, 0], y=[1.0]))
+            rls_fold(state, [[np.inf, 0, 0]], [[1.0]])
 
     def test_recursive_equals_batch(self):
         rng = np.random.default_rng(6)
@@ -198,11 +212,10 @@ class TestRlsStep:
                              P_inv=spd_inverse(P0))
             phis = rng.standard_normal((100, d))
             ys = rng.standard_normal((100, p))
+            _, record = rls_fold(state, phis, ys, keep_history=True)
             for k in range(100):
-                state = rls_step(state, RegressorSample(phi=phis[k], y=ys[k]))
-                theta_b = batch_solve((phis[:k + 1], ys[:k + 1]),
-                                      order_free_theta0, P0)
-                err = np.linalg.norm(state.theta - theta_b)
+                theta_b = batch_solve(phis[:k + 1], ys[:k + 1], order_free_theta0, P0)
+                err = np.linalg.norm(record.theta[k] - theta_b)
                 assert err <= 1e-8 * (1 + np.linalg.norm(theta_b))
 
     def test_information_identity(self):
@@ -211,7 +224,7 @@ class TestRlsStep:
         for _ in range(50):
             phi = rng.standard_normal(state.dim)
             prev_inv = state.P_inv.copy()
-            state = rls_step(state, RegressorSample(phi=phi, y=rng.standard_normal(1)))
+            state, _ = rls_fold(state, phi[None, :], rng.standard_normal((1, 1)))
             np.testing.assert_allclose(state.P_inv, prev_inv + np.outer(phi, phi))
             defect = np.max(np.abs(np.linalg.inv(state.P) - state.P_inv))
             assert defect <= 1e-8 * np.max(np.abs(state.P_inv))
@@ -223,7 +236,7 @@ class TestRlsStep:
         for _ in range(60):
             phi = rng.standard_normal(state.dim)
             prev = state.P
-            state = rls_step(state, RegressorSample(phi=phi, y=rng.standard_normal(2)))
+            state, _ = rls_fold(state, phi[None, :], rng.standard_normal((1, 2)))
             assert np.linalg.eigvalsh(state.P)[-1] <= np.linalg.eigvalsh(prev)[-1] + 1e-12
             # downdate: P_prev - P_new is positive semidefinite
             assert np.linalg.eigvalsh(prev - state.P)[0] >= -1e-12
@@ -231,9 +244,8 @@ class TestRlsStep:
     def test_symmetry_maintained(self):
         rng = np.random.default_rng(9)
         state = initial_state(3, 1, 2, p0_scale=1e3)
-        samples = [RegressorSample(phi=rng.standard_normal(state.dim),
-                                   y=rng.standard_normal(1)) for _ in range(200)]
-        state = run_rls(state, samples)
+        rows = [(rng.standard_normal(state.dim), rng.standard_normal(1)) for _ in range(200)]
+        state, _ = rls_fold(state, *(np.array(col) for col in zip(*rows)))
         assert np.max(np.abs(state.P - state.P.T)) == 0.0
         state.check()
 
@@ -254,7 +266,7 @@ class TestRlsFold:
         folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
         chained = state
         for i in range(Phi.shape[0]):
-            chained = rls_step(chained, RegressorSample(phi=Phi[i], y=Y[i]))
+            chained, _ = rls_fold(chained, Phi[i:i + 1], Y[i:i + 1])
             np.testing.assert_array_equal(record.theta[i], chained.theta)
             assert record.pmin_eig[i] == np.linalg.eigvalsh(chained.P)[0]
         assert np.array_equal(folded.theta, chained.theta)
@@ -311,24 +323,6 @@ class TestRlsFold:
         new, record = rls_fold(state, np.zeros((0, state.dim)), np.zeros((0, 2)))
         assert new is state
         assert record.residual_norm.shape == (0,)
-        assert run_rls(state, []) is state
-
-    def test_run_rls_rejects_unequal_sample_lengths(self):
-        state = initial_state(1, 1, 1)
-        samples = [RegressorSample(phi=[1.0, 0.0, 2.0], y=[1.0]),
-                   RegressorSample(phi=[1.0, 0.0], y=[1.0])]
-        with pytest.raises(ValidationError):
-            run_rls(state, samples)
-        with pytest.raises(ValidationError):
-            run_rls(state, [samples[0], RegressorSample(phi=[1.0, 0.0, 2.0], y=[1.0, 2.0])])
-
-    def test_run_rls_takes_a_generator_and_a_two_sample_tuple(self):
-        state, Phi, Y, _ = _fold_case(1, 1, 1, 2, seed=6)
-        samples = tuple(RegressorSample(phi=Phi[i], y=Y[i]) for i in range(2))
-        want = rls_fold(state, Phi, Y)[0]
-        for given in (samples, (s for s in samples)):
-            got = run_rls(state, given)
-            assert np.array_equal(got.theta, want.theta) and np.array_equal(got.P, want.P)
 
     @pytest.mark.parametrize("K", [1, 2, 300])
     def test_nonsymmetric_p0_matches_reference_recursion(self, K):
