@@ -18,7 +18,6 @@ from .model_core import (
     output_transition,
     simulate,
     transition_pair,
-    verify_trajectory,
 )
 from .equivalence import (
     EquivalenceCertificate,
@@ -53,7 +52,6 @@ from .excitation import (
 from .convergence import (
     ConvergenceTrace,
     ProjectedLimit,
-    equivalence_via_theta,
     lift_true,
     predict_correct_order_asymptote,
     predict_overparam_asymptote,
@@ -67,7 +65,7 @@ from .experiment import ExperimentConfig, RunManifest, load_config, run_experime
 __all__ = [
     "NumericalError", "ValidationError",
     "IOModel", "Trajectory", "TransitionPair", "output_transition", "simulate",
-    "transition_pair", "verify_trajectory",
+    "transition_pair",
     "EquivalenceCertificate", "LiftMatrix", "ReducibilityReport", "ReductionResult",
     "build_lift_matrix", "is_equivalent", "lift_once", "reduce_once", "reducibility_check",
     "trivial_embed",
@@ -75,7 +73,7 @@ __all__ = [
     "rls_fold",
     "ExcitationReport", "GramLimit", "estimate_gram_limit", "excitation_report",
     "lift_identity_check", "partial_gram_min_eigs", "reduced_regressor_matrix",
-    "ConvergenceTrace", "ProjectedLimit", "equivalence_via_theta", "lift_true",
+    "ConvergenceTrace", "ProjectedLimit", "lift_true",
     "predict_correct_order_asymptote", "predict_overparam_asymptote", "projected_limit",
     "run_tracked_identification", "theta_equivalence_residual",
     "InputSpec", "generate_input", "parse_input_spec",

@@ -61,6 +61,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol`` (a NaN one fails every comparison)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a non-negative finite number, got {text!r}")
+    return value
+
+
 def cmd_fit(args) -> int:
     traj = load_trajectory(args.data)
     order = args.order
@@ -234,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide equivalence of two model JSON files")
     p.add_argument("model_a")
     p.add_argument("model_b")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("reduce", help="search for an equivalent lower-order model")
     p.add_argument("model")
     p.add_argument("--strategy", default="auto",
                    choices=["auto", "scalar-root-search", "newton-search"])
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--once", action="store_true", help="only one reduction step")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="seed for the Newton starts")
     p.add_argument("--out", default=None, help="output model JSON path")

@@ -82,13 +82,6 @@ def theta_equivalence_residual(theta_hat: np.ndarray, model: IOModel,
     return lift_residual(np.asarray(theta_hat, dtype=float), model, n_hat)[1]
 
 
-def equivalence_via_theta(theta_hat: np.ndarray, model: IOModel, n_hat: int,
-                          tol: float = 1e-8) -> bool:
-    """True when the flattened estimate encodes a model equivalent to
-    ``model`` (constraint residual within ``tol``)."""
-    return theta_equivalence_residual(theta_hat, model, n_hat) <= tol
-
-
 def predict_correct_order_asymptote(theta0: np.ndarray, P0: np.ndarray,
                                     theta_true: np.ndarray, C_n: np.ndarray) -> np.ndarray:
     """Limit of ``k (theta_k - theta_true)`` for a matching-order fit."""

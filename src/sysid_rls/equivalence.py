@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import ValidationError
-from .model_core import IOModel, _transition_prefix, transition_pair
+from .model_core import IOModel, _transition_blocks
 
 DEFAULT_TOL = 1e-8
 
@@ -53,20 +53,26 @@ class LiftMatrix:
 
 def build_lift_matrix(base: IOModel, n_hat: int) -> LiftMatrix:
     """Lift matrix of shape (p*n_hat + m*(n_hat+1), p*n + m*(n_hat+1))."""
+    return _lift_and_target(base, n_hat)[0]
+
+
+def _lift_and_target(base: IOModel, n_hat: int) -> tuple[LiftMatrix, np.ndarray]:
+    """The lift matrix and ``[F_q G_q]``, ``q = n_hat - n``: offsets 0..q of
+    the base model's transition blocks, from one impulse response."""
     n, p, m = base.n, base.p, base.m
     if n_hat <= n:
         raise ValidationError(f"lift target order {n_hat} must exceed base order {n}")
     q = n_hat - n
-    pairs = _transition_prefix(base, q - 1)
-    M1 = np.zeros((p * q, p * n))
-    M2 = np.zeros((p * q, m * (n_hat + 1)))
+    blocks = _transition_blocks(base, range(q + 1))
+    rows, cols = p * n_hat + m * (n_hat + 1), p * n + m * (n_hat + 1)
+    M = np.eye(rows, cols, k=-p * q)
     for i in range(1, q + 1):
-        pair = pairs[q - i]
-        M1[(i - 1) * p: i * p, :] = -pair.Fj
-        M2[(i - 1) * p: i * p, i * m:] = -pair.Gj
-    bottom = np.eye(p * n + m * (n_hat + 1))
-    M = np.vstack([np.hstack([M1, M2]), bottom])
-    return LiftMatrix(n=n, n_hat=n_hat, p=p, m=m, M=M, M1=M1, M2=M2)
+        Fj, Gj = blocks[q - i]
+        M[(i - 1) * p: i * p, : p * n] = -Fj
+        M[(i - 1) * p: i * p, p * n + i * m:] = -Gj
+    lift = LiftMatrix(n=n, n_hat=n_hat, p=p, m=m, M=M,
+                      M1=M[: p * q, : p * n], M2=M[: p * q, p * n:])
+    return lift, np.concatenate(blocks[q], axis=1)
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,11 @@ def lift_residual(theta: np.ndarray, base: IOModel, n_hat: int) -> tuple[float, 
     cross-order residual of a flattened order-``n_hat`` ``theta`` against
     ``base`` (lift ``M``, ``q = n_hat - n`` step transition blocks); the
     relative one is scaled by ``1 + max(||theta||, ||[F_q G_q]||)``."""
-    lift = build_lift_matrix(base, n_hat)
+    lift, target = _lift_and_target(base, n_hat)
     if theta.shape != (base.p, lift.M.shape[0]):
         raise ValidationError(
             f"theta has shape {theta.shape}, expected {(base.p, lift.M.shape[0])}"
         )
-    pair = transition_pair(base, n_hat - base.n)
-    target = np.hstack([pair.Fj, pair.Gj])
     raw = float(np.linalg.norm(theta @ lift.M - target))
     return raw, raw / (1.0 + max(np.linalg.norm(theta), np.linalg.norm(target)))
 
@@ -226,26 +230,26 @@ def _scalar_condition_polys(high: IOModel) -> tuple[Polynomial, Polynomial]:
     return cond_F, cond_G
 
 
-def _real_roots(poly: Polynomial, zero_tol: float) -> list[float] | None:
-    """Real roots of ``poly``; None when the polynomial is numerically zero."""
+def _root_candidates(poly: Polynomial, zero_tol: float) -> list[float] | None:
+    """Real parts of the roots of ``poly``; None when the polynomial is
+    numerically zero.  A repeated real root comes back as a pair ``r +- e*i``
+    with ``e`` near ``sqrt(eps)``, so no root is dropped for its imaginary
+    part: the caller's residual test rejects the real part of a genuinely
+    complex pair."""
     coefs = poly.coef
     scale = max(1.0, float(np.max(np.abs(coefs))))
     if np.all(np.abs(coefs) <= zero_tol * scale) or np.all(np.abs(coefs) == 0.0):
         return None
     roots = Polynomial(np.trim_zeros(coefs, "b")).roots() if np.any(coefs) else []
-    out = []
-    for r in roots:
-        if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
-            out.append(float(r.real))
-    return out
+    return [float(r.real) for r in roots]
 
 
 def _reduce_scalar_roots(high: IOModel, tol: float) -> ReductionResult:
     cond_F, cond_G = _scalar_condition_polys(high)
     scale = 1.0 + float(np.linalg.norm(high.theta))
     candidates: list[float] = []
-    roots_F = _real_roots(cond_F, 1e-14)
-    roots_G = _real_roots(cond_G, 1e-14)
+    roots_F = _root_candidates(cond_F, 1e-14)
+    roots_G = _root_candidates(cond_G, 1e-14)
     if roots_F is None and roots_G is None:
         candidates = []
     elif roots_F is None:
@@ -309,8 +313,8 @@ def reduce_once(model: IOModel, strategy: str = "auto", tol: float = DEFAULT_TOL
     """Search for an equivalent model of order n-1.
 
     Strategies: ``verify-candidate`` checks a caller-supplied witness F1;
-    ``scalar-root-search`` (p = 1 only) finds real roots of the two witness
-    polynomials exactly; ``newton-search`` runs damped Gauss-Newton on the
+    ``scalar-root-search`` (p = 1 only) tries the real part of every root of
+    the two witness polynomials; ``newton-search`` runs damped Gauss-Newton on the
     stacked condition residual from multiple starts.  ``auto`` picks the
     root search for p = 1 and the Newton search otherwise.  Every returned
     reduction is re-verified with :func:`is_equivalent`.

@@ -8,7 +8,10 @@ evolves as
 with coefficient blocks ``Fi`` (p x p) and ``Gi`` (p x m).  This module holds
 the model and trajectory value types, exact simulation, and the multi-step
 output-transition blocks that express ``y[k+n+j]`` directly in terms of the
-window ``y[k+n-1..k]`` and inputs ``u[k+n+j..k]``.
+window ``y[k+n-1..k]`` and inputs ``u[k+n+j..k]``.  Those blocks are sums of
+the impulse response ``a_0 = I``, ``a_r = -(F1 a_{r-1} + ... + Fn a_{r-n})``
+of the output dynamics, the companion-form Markov parameters (Kailath,
+*Linear Systems*, 1980), and every offset is computed from them directly.
 
 Stacked windows are always ordered newest-first: ``[y[k+n-1]; ...; y[k]]`` and
 ``[u[k+n]; ...; u[k]]``.
@@ -16,18 +19,15 @@ Stacked windows are always ordered newest-first: ``[y[k+n-1]; ...; y[k]]`` and
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-# Transition recursions cost O(j * n) block products; offsets beyond this cap
-# are treated as caller error.
+# Offsets beyond this cap are treated as caller error: ``Gj`` grows by m
+# columns per step, and the impulse response of an unstable model overflows.
 MAX_TRANSITION_STEPS = 10_000
-
-_CACHE_LOCK = threading.Lock()
 
 
 def _as_blocks(blocks, count: int, shape: tuple[int, int], what: str) -> tuple[np.ndarray, ...]:
@@ -69,7 +69,6 @@ class IOModel:
     m: int
     F: tuple[np.ndarray, ...]
     G: tuple[np.ndarray, ...]
-    _tp_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0 or self.p <= 0 or self.m <= 0:
@@ -124,7 +123,7 @@ class IOModel:
     @property
     def theta(self) -> np.ndarray:
         """Flattened coefficients ``[F1 .. Fn G0 .. Gn]``."""
-        return np.hstack([self.F_stack, self.G_stack])
+        return np.concatenate(self.F + self.G, axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -228,47 +227,51 @@ class TransitionPair:
             object.__setattr__(self, name, arr)
 
 
-def _shifted_F(model: IOModel, j: int) -> np.ndarray:
-    """Left-shift of [F1..Fn] by j blocks with zero padding; zero for j >= n."""
-    p, n = model.p, model.n
-    out = np.zeros((p, p * n))
-    if j <= n - 1:
-        width = p * (n - j)
-        out[:, :width] = model.F_stack[:, p * j:]
-    return out
+def _transition_blocks(model: IOModel, offsets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(Fj, Gj)`` for each offset j, all from one impulse response.
 
-
-def _transition_prefix(model: IOModel, jmax: int) -> list[TransitionPair]:
-    """Transition pairs for all 0 <= j <= jmax, cached on the model."""
-    if jmax < 0:
+    Block row t of ``R`` is ``[a_t .. a_{t-n}] = [I 0 .. 0] A^t`` for the
+    observer-form companion ``A`` (``-F1 .. -Fn`` down its first block
+    column, identities above the diagonal, one zero block of padding), so
+    ``[R; R A^L]`` doubles the rows held in O(log j) products.  With ``T``
+    stacking ``[F_{d+1} .. Fn 0 .. | G_d .. Gn 0 ..]`` for d = 0..n,
+    ``R_t T = [Ft | h_t tail_t]``: ``h_t = sum_i a_{t-i} Gi`` is the t-th
+    Markov block and ``tail_t`` the last n input blocks of ``Gt``, so
+    ``Gj = [h_0 .. h_{j-1} h_j tail_j]``.
+    """
+    if min(offsets) < 0:
         raise ValidationError("step offset j must be >= 0")
-    if jmax > MAX_TRANSITION_STEPS:
-        raise ValidationError(f"step offset {jmax} exceeds cap {MAX_TRANSITION_STEPS}")
-    with _CACHE_LOCK:
-        pairs: list[TransitionPair] = model._tp_cache.setdefault("pairs", [])
-        if not pairs:
-            pairs.append(TransitionPair(0, model.F_stack, model.G_stack))
-        p, m, n = model.p, model.m, model.n
-        G0_stack = model.G_stack
-        for j in range(len(pairs), jmax + 1):
-            Fj = _shifted_F(model, j)
-            Gj = np.hstack([G0_stack, np.zeros((p, j * m))])
-            for i in range(1, min(j, n) + 1):
-                prev = pairs[j - i]
-                Fj = Fj - model.F[i - 1] @ prev.Fj
-                padded = np.hstack([np.zeros((p, i * m)), prev.Gj])
-                Gj = Gj - model.F[i - 1] @ padded
-            pairs.append(TransitionPair(j, Fj, Gj))
-        return pairs[: jmax + 1]
+    if max(offsets) > MAX_TRANSITION_STEPS:
+        raise ValidationError(f"step offset {max(offsets)} exceeds cap {MAX_TRANSITION_STEPS}")
+    p, m, n = model.p, model.m, model.n
+    count, pn, size = max(offsets) + 1, p * n, p * (n + 1)
+    step = np.eye(size, k=p)
+    step[:pn, :p] = -np.array(model.F).reshape(pn, p)
+    R = np.eye(p, size)
+    while len(R) < count * p:
+        if len(R) > p:
+            step = step @ step
+        R = np.vstack([R, R[: count * p - len(R)] @ step])
+    theta = model.theta
+    T = np.zeros((size, theta.shape[1]))
+    for d in range(n + 1):
+        T[d * p:(d + 1) * p, : pn - d * p] = theta[:, d * p: pn]
+        T[d * p:(d + 1) * p, pn: theta.shape[1] - d * m] = theta[:, pn + d * m:]
+    Z = R @ T
+    markov = Z[:, pn: pn + m].reshape(count, p, m).transpose(1, 0, 2).reshape(p, count * m)
+    return [(Z[j * p:(j + 1) * p, :pn],
+             np.concatenate([markov[:, : j * m], Z[j * p:(j + 1) * p, pn:]], axis=1))
+            for j in offsets]
 
 
 def transition_pair(model: IOModel, j: int) -> TransitionPair:
     """Blocks (Fj, Gj) expressing y[k+n+j] from the order-n window at k.
 
-    Fj has shape (p, p*n) and Gj has shape (p, m*(n+1+j)).  Results are
-    cached per model, so repeated queries are cheap.
+    Fj has shape (p, p*n) and Gj has shape (p, m*(n+1+j)).  Computed from the
+    impulse response of the output dynamics in O(log j) array steps, so a
+    repeated query costs what the first one did.
     """
-    return _transition_prefix(model, j)[j]
+    return TransitionPair(j, *_transition_blocks(model, [j])[0])
 
 
 def output_transition(model: IOModel, stacked_outputs, stacked_inputs, j: int) -> np.ndarray:
@@ -345,22 +348,3 @@ def simulate(model: IOModel, initial_outputs, inputs, horizon: int | None = None
             f"(companion spectral radius {model.companion_spectral_radius():.3g})"
         )
     return Trajectory(k0=k0, u=u, y=y)
-
-
-def verify_trajectory(model: IOModel, traj: Trajectory) -> float:
-    """Max defect of the model recursion over the stored record.
-
-    Returns 0.0 (up to roundoff) for trajectories produced by ``simulate``
-    with the same model.
-    """
-    n = model.n
-    if traj.p != model.p or traj.m != model.m:
-        raise ValidationError("trajectory dimensions do not match the model")
-    worst = 0.0
-    F_stack, G_stack = model.F_stack, model.G_stack
-    for k in range(n, len(traj)):
-        Yw = traj.y[k - n:k][::-1].reshape(-1)
-        Uw = traj.u[k - n:k + 1][::-1].reshape(-1)
-        defect = traj.y[k] - (-F_stack @ Yw + G_stack @ Uw)
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return worst

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sysid_rls import IOModel, ValidationError, simulate
-from sysid_rls.model_core import _transition_prefix
+from sysid_rls import IOModel, Trajectory, TransitionPair, ValidationError, simulate
 
 
 def random_stable_model(rng: np.random.Generator, n: int, p: int, m: int,
@@ -194,7 +193,7 @@ def consolidate(high: IOModel, base: IOModel) -> ConsolidatedCoeffs:
         raise ValidationError(f"high order {high.n} must exceed base order {base.n}")
     n, p, m = base.n, base.p, base.m
     q = high.n - base.n
-    pairs = _transition_prefix(base, q - 1)
+    pairs = reference_transition_prefix(base, q - 1)
     F_cons = np.hstack(high.F[q:]) if n > 0 else np.zeros((p, 0))
     G_cons = high.G_stack.copy()
     for i in range(1, q + 1):
@@ -202,3 +201,51 @@ def consolidate(high: IOModel, base: IOModel) -> ConsolidatedCoeffs:
         F_cons = F_cons - high.F[i - 1] @ pair.Fj
         G_cons[:, i * m:] -= high.F[i - 1] @ pair.Gj
     return ConsolidatedCoeffs(F_cons=F_cons, G_cons=G_cons)
+
+
+def verify_trajectory(model: IOModel, traj: Trajectory) -> float:
+    """Max defect of the model recursion over the stored record.
+
+    Mirrors ``simulate``'s loop operation for operation, so it returns
+    exactly 0.0 for trajectories ``simulate`` produced with the same model.
+    """
+    n = model.n
+    if traj.p != model.p or traj.m != model.m:
+        raise ValidationError("trajectory dimensions do not match the model")
+    worst = 0.0
+    F_stack, G_stack = model.F_stack, model.G_stack
+    for k in range(n, len(traj)):
+        Yw = traj.y[k - n:k][::-1].reshape(-1)
+        Uw = traj.u[k - n:k + 1][::-1].reshape(-1)
+        defect = traj.y[k] - (-F_stack @ Yw + G_stack @ Uw)
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
+
+
+def shifted_F(model: IOModel, j: int) -> np.ndarray:
+    """Left-shift of [F1..Fn] by j blocks with zero padding; zero for j >= n."""
+    p, n = model.p, model.n
+    out = np.zeros((p, p * n))
+    if j <= n - 1:
+        width = p * (n - j)
+        out[:, :width] = model.F_stack[:, p * j:]
+    return out
+
+
+def reference_transition_prefix(model: IOModel, jmax: int) -> list[TransitionPair]:
+    """Transition pairs for all 0 <= j <= jmax by the block recursion
+    ``X_j = shift_j(X) - sum_{i=1}^{min(j, n)} F_i X_{j-i}``, independent of
+    the impulse-response form :func:`sysid_rls.transition_pair` uses."""
+    pairs = [TransitionPair(0, model.F_stack, model.G_stack)]
+    p, m, n = model.p, model.m, model.n
+    G0_stack = model.G_stack
+    for j in range(1, jmax + 1):
+        Fj = shifted_F(model, j)
+        Gj = np.hstack([G0_stack, np.zeros((p, j * m))])
+        for i in range(1, min(j, n) + 1):
+            prev = pairs[j - i]
+            Fj = Fj - model.F[i - 1] @ prev.Fj
+            padded = np.hstack([np.zeros((p, i * m)), prev.Gj])
+            Gj = Gj - model.F[i - 1] @ padded
+        pairs.append(TransitionPair(j, Fj, Gj))
+    return pairs

@@ -58,6 +58,21 @@ class TestEquivCommand:
         rc = main(["equiv", str(workdir / "model.json"), str(workdir / "nope.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["equiv", "reduce"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
+    def test_bad_tol_is_usage_error(self, workdir, capsys, command, tol):
+        models = [str(workdir / "model.json")] * (2 if command == "equiv" else 1)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *models, "--tol", tol])
+        assert exc.value.code == 2
+        assert "expected a non-negative finite number" in capsys.readouterr().err
+
+    def test_zero_tol_runs(self, workdir, capsys):
+        model = str(workdir / "model.json")
+        assert main(["equiv", model, model, "--tol", "0"]) == 0
+        assert "NOT EQUIVALENT" not in capsys.readouterr().out
+        assert main(["reduce", str(workdir / "high.json"), "--tol", "0"]) == 0
+
 
 class TestReduceCommand:
     def test_negative_seed_is_usage_error(self, workdir):

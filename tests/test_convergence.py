@@ -6,7 +6,6 @@ from sysid_rls import (
     NumericalError,
     ValidationError,
     build_lift_matrix,
-    equivalence_via_theta,
     lift_true,
     predict_correct_order_asymptote,
     predict_overparam_asymptote,
@@ -130,15 +129,15 @@ class TestEquivalenceViaTheta:
         m = random_stable_model(rng, 1, 1, 1)
         theta0 = rng.standard_normal((1, 7))
         pl = projected_limit(m, 2, theta0[:, :5], np.eye(5))
-        assert equivalence_via_theta(pl.theta_star, m, 2, tol=1e-9)
-        assert equivalence_via_theta(lift_true(m, 2), m, 2, tol=1e-9)
+        assert theta_equivalence_residual(pl.theta_star, m, 2) <= 1e-9
+        assert theta_equivalence_residual(lift_true(m, 2), m, 2) <= 1e-9
 
     def test_range_sensitive_perturbation_fails(self):
         m = SCALAR
         M = build_lift_matrix(m, 2).M
         v = M[:, 0]  # lives in the column space, so v^T M != 0
         theta = lift_true(m, 2) + 1e-3 * v.reshape(1, -1)
-        assert not equivalence_via_theta(theta, m, 2, tol=1e-8)
+        assert not theta_equivalence_residual(theta, m, 2) <= 1e-8
 
     def test_agrees_with_model_level_check(self):
         from sysid_rls import is_equivalent
@@ -148,7 +147,7 @@ class TestEquivalenceViaTheta:
             m = random_stable_model(rng, 1, 1, 1)
             theta = rng.standard_normal((1, 5))
             decoded = IOModel.from_theta(theta, 2, 1, 1)
-            lhs = equivalence_via_theta(theta, m, 2, tol=1e-8)
+            lhs = theta_equivalence_residual(theta, m, 2) <= 1e-8
             rhs = bool(is_equivalent(decoded, m, tol=1e-8))
             assert lhs == rhs
             assert theta_equivalence_residual(theta, m, 2) == \
@@ -301,7 +300,7 @@ class TestRunTrackedIdentification:
         assert trace.ref_kind == "projected"
         assert trace.final_dist < 1e-4
         assert trace.final_residual < 1e-6
-        assert equivalence_via_theta(trace.theta_ref, SCALAR, 3, tol=1e-9)
+        assert theta_equivalence_residual(trace.theta_ref, SCALAR, 3) <= 1e-9
 
     def test_callable_generator(self):
         rng = np.random.default_rng(15)

@@ -278,6 +278,31 @@ class TestReducibilityCheck:
             report = reducibility_check(m)
             assert not report.reducible and report.proven
 
+    def test_equal_lifts_reduce_to_base_order(self):
+        # numpy returns the double root 0.5 of both witness polynomials as
+        # 0.5 +- 1.9e-8j; dropping it on its imaginary part left order 3
+        base = IOModel.scalar([0.3], [1.0, 1.0])
+        high = lift_once(lift_once(base, [[0.5]]), [[0.5]])
+        report = reducibility_check(high)
+        assert report.irreducible_model.n == 1 and report.proven
+        assert is_equivalent(base, report.irreducible_model)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-6])
+    def test_repeated_and_near_repeated_lifts_reduce_to_base_order(self, gap):
+        # Lifting by d and d + gap puts a (near-)double root into both
+        # witness polynomials; every draw must come back to the base order.
+        rng = np.random.default_rng(13)
+        for trial in range(90):
+            n = trial % 3
+            base = random_stable_model(rng, n, 1, 1)
+            if reducibility_check(base).reducible:
+                continue  # the draw has a common factor of its own
+            d = float(rng.uniform(-0.8, 0.8))
+            high = lift_once(lift_once(base, [[d]]), [[d + gap]])
+            report = reducibility_check(high)
+            assert report.irreducible_model.n == n and report.proven, (trial, d)
+            assert is_equivalent(base, report.irreducible_model), (trial, d)
+
     def test_unproven_for_mimo_failure(self):
         rng = np.random.default_rng(11)
         base = random_stable_model(rng, 1, 2, 1)

@@ -6,14 +6,19 @@ from sysid_rls import (
     NumericalError,
     Trajectory,
     ValidationError,
+    build_lift_matrix,
     output_transition,
     simulate,
     transition_pair,
+)
+from sysid_rls.model_core import MAX_TRANSITION_STEPS
+
+from support import (
+    random_stable_model,
+    reference_transition_prefix,
+    shifted_F,
     verify_trajectory,
 )
-from sysid_rls.model_core import MAX_TRANSITION_STEPS, _shifted_F
-
-from support import random_stable_model
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
@@ -131,11 +136,12 @@ class TestTransitionPair:
         with pytest.raises(ValidationError):
             transition_pair(SCALAR, -1)
 
-    def test_cache_reuse(self):
+    def test_repeated_query_is_array_equal(self):
         m = IOModel.scalar([0.3], [1.0, 0.5])
         a = transition_pair(m, 4)
         b = transition_pair(m, 4)
-        assert a is b
+        np.testing.assert_array_equal(a.Fj, b.Fj)
+        np.testing.assert_array_equal(a.Gj, b.Gj)
 
     def test_cache_thread_safety(self):
         import concurrent.futures
@@ -149,17 +155,51 @@ class TestTransitionPair:
             np.testing.assert_array_equal(got, expected)
 
 
+def _rel_err(got, ref):
+    return float(np.linalg.norm(got - ref)) / max(float(np.linalg.norm(ref)), 1e-300)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("p,m", [(1, 1), (2, 2), (3, 2)])
+class TestAgainstRecursion:
+    """The impulse-response blocks against the block recursion oracle."""
+
+    def test_transition_pair(self, n, p, m):
+        model = random_stable_model(np.random.default_rng([n, p, m]), n, p, m)
+        offsets = list(range(n + 3)) + [17, 100, 350]
+        oracle = reference_transition_prefix(model, max(offsets))
+        for j in offsets:
+            pair, ref = transition_pair(model, j), oracle[j]
+            assert pair.Fj.shape == ref.Fj.shape and pair.Gj.shape == ref.Gj.shape
+            assert _rel_err(pair.Fj, ref.Fj) <= 1e-12, j
+            assert _rel_err(pair.Gj, ref.Gj) <= 1e-12, j
+        np.testing.assert_array_equal(transition_pair(model, 0).Fj, oracle[0].Fj)
+        np.testing.assert_array_equal(transition_pair(model, 0).Gj, oracle[0].Gj)
+
+    def test_lift_matrix(self, n, p, m):
+        model = random_stable_model(np.random.default_rng([n, p, m, 1]), n, p, m)
+        for q in (1, 2, 3):
+            n_hat = n + q
+            oracle = reference_transition_prefix(model, q - 1)
+            M1 = np.vstack([-oracle[q - i].Fj for i in range(1, q + 1)])
+            M2 = np.zeros((p * q, m * (n_hat + 1)))
+            for i in range(1, q + 1):
+                M2[(i - 1) * p: i * p, i * m:] = -oracle[q - i].Gj
+            M = np.vstack([np.hstack([M1, M2]), np.eye(p * n + m * (n_hat + 1))])
+            assert _rel_err(build_lift_matrix(model, n_hat).M, M) <= 1e-12, q
+
+
 class TestShiftOperator:
     def test_zero_for_j_at_least_n(self):
         rng = np.random.default_rng(6)
         m = random_stable_model(rng, 3, 2, 1)
         for j in (3, 4, 7):
-            np.testing.assert_array_equal(_shifted_F(m, j), np.zeros((2, 6)))
+            np.testing.assert_array_equal(shifted_F(m, j), np.zeros((2, 6)))
 
     def test_left_shift_with_padding(self):
         m = IOModel.scalar([1.0, 2.0, 3.0], [0.0] * 4)
-        np.testing.assert_array_equal(_shifted_F(m, 1), [[2.0, 3.0, 0.0]])
-        np.testing.assert_array_equal(_shifted_F(m, 2), [[3.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(shifted_F(m, 1), [[2.0, 3.0, 0.0]])
+        np.testing.assert_array_equal(shifted_F(m, 2), [[3.0, 0.0, 0.0]])
 
 
 class TestOutputTransition:
