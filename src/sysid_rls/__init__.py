@@ -6,7 +6,7 @@ fits.
 
 scipy is imported inside the functions that solve with it, so importing the
 package, and the commands that never call them (``fit``, ``excite``,
-``equiv``, a SISO ``reduce``), load none of it."""
+``equiv``, ``reduce``), load none of it."""
 
 __version__ = "0.1.0"
 

@@ -3,7 +3,9 @@
 One program, installed under both the ``sysid-rls`` and ``modelcheck``
 names, with subcommands ``fit``, ``excite``, ``equiv``, ``reduce``,
 ``converge``, and ``experiment``.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure.
+error, 3 numerical failure.  ``reduce`` runs the one reduction search of
+:mod:`sysid_rls.equivalence` and says "irreducible" only when that is proven,
+"no witness found" otherwise.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .rls import (
 
 
 def _nonneg_int(text: str) -> int:
-    """argparse type of orders and seeds."""
+    """argparse type of orders."""
     try:
         value = int(text)
     except ValueError:
@@ -149,15 +151,14 @@ def cmd_equiv(args) -> int:
 
 def cmd_reduce(args) -> int:
     model = load_model(args.model)
-    rng = np.random.default_rng(args.seed)
     if args.once:
-        step = reduce_once(model, strategy=args.strategy, tol=args.tol, rng=rng)
+        step = reduce_once(model, tol=args.tol)
         if not step:
             print(f"no witness found (best residual {step.residual:.3e}); model kept at order {model.n}")
             return 0
         reduced, witnesses = step.reduced, [step.witness]
     else:
-        report = reducibility_check(model, tol=args.tol, strategy=args.strategy, rng=rng)
+        report = reducibility_check(model, tol=args.tol)
         if not report.reducible:
             note = "irreducible" if report.proven else "no witness found"
             print(f"{note}; model kept at order {model.n}")
@@ -250,11 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="search for an equivalent lower-order model")
     p.add_argument("model")
-    p.add_argument("--strategy", default="auto",
-                   choices=["auto", "scalar-root-search", "newton-search"])
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--once", action="store_true", help="only one reduction step")
-    p.add_argument("--seed", type=_nonneg_int, default=0, help="seed for the Newton starts")
     p.add_argument("--out", default=None, help="output model JSON path")
     p.add_argument("--witness-out", default=None, help="witness JSON path")
     p.set_defaults(func=cmd_reduce)

@@ -12,19 +12,35 @@ negated outputs, the input blocks of the top band enter with a minus sign
 relative to the coefficient-consolidation identity; with the model's
 flattened layout ``theta = [F1..Fn G0..Gn]`` the consolidation identity then
 reads simply ``theta_high @ M == [F_cons G_cons]``.
+
+A model of order N reduces by one step when ``[A(z) B(z)]`` has a left
+factor ``I + D z^-1``: then ``X = -D`` is a common left solvent of the two
+polynomials, and the rows of ``[I X .. X^{N-1}]`` span an invariant subspace
+of the block companion pair that the inputs cannot reach.  One search over
+that uncontrollable subspace serves every output dimension p; this is the
+classical left-coprimeness test (Kailath, *Linear Systems*, 1980; Gohberg,
+Lancaster & Rodman, *Matrix Polynomials*, 1982).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import ValidationError
 from .model_core import IOModel, _transition_blocks
 
 DEFAULT_TOL = 1e-8
+# Rank threshold of the Krylov staircase, relative to ||[C Gc]||_2, per unit
+# of the tolerance (never below DEFAULT_TOL): a near-common factor whose
+# reduction residual is below tol leaves a Krylov singular value below about
+# this multiple of tol.  At DEFAULT_TOL the threshold is 1e-6.
+_RANK_PER_TOL = 100.0
+# Bound on the eigenvalue choices one reduction step enumerates.
+_MAX_CHOICES = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +186,15 @@ class ReductionResult:
 
     ``residual`` is the relative defect of the reduction conditions at the
     best candidate found (0-ish on success, the best near-miss otherwise).
+    ``proven`` is True on success and when a failed search shows that no
+    order n-1 equivalent exists.
     """
 
     success: bool
     reduced: IOModel | None
     witness: np.ndarray | None
     residual: float
-    strategy: str
+    proven: bool
 
     def __bool__(self) -> bool:
         return self.success
@@ -213,149 +231,139 @@ def _build_reduced(high: IOModel, F1: np.ndarray) -> IOModel:
     return IOModel(n=high.n - 1, p=high.p, m=high.m, F=F_red, G=G_red)
 
 
-def _scalar_condition_polys(high: IOModel) -> tuple[Polynomial, Polynomial]:
-    """The two reduction conditions as polynomials in d = F1_hat - F1 (p=1)."""
-    n_hat = high.n
-    f = [float(x) for x in np.concatenate([blk.ravel() for blk in high.F])]
-    g = [float(x) for x in np.concatenate([blk.ravel() for blk in high.G])]
-    d = Polynomial([0.0, 1.0])
-    F_last = Polynomial([1.0])  # F0 = 1 convention
-    for i in range(1, n_hat):
-        F_last = (f[0] - d) if i == 1 else f[i - 1] - d * F_last
-    G_last = Polynomial([g[0]])
-    for j in range(1, n_hat):
-        G_last = g[j] - d * G_last
-    cond_F = d * F_last - f[n_hat - 1]
-    cond_G = d * G_last - g[n_hat]
-    return cond_F, cond_G
-
-
-def _root_candidates(poly: Polynomial, zero_tol: float) -> list[float] | None:
-    """Real parts of the roots of ``poly``; None when the polynomial is
-    numerically zero.  A repeated real root comes back as a pair ``r +- e*i``
-    with ``e`` near ``sqrt(eps)``, so no root is dropped for its imaginary
-    part: the caller's residual test rejects the real part of a genuinely
-    complex pair."""
-    coefs = poly.coef
-    scale = max(1.0, float(np.max(np.abs(coefs))))
-    if np.all(np.abs(coefs) <= zero_tol * scale) or np.all(np.abs(coefs) == 0.0):
-        return None
-    roots = Polynomial(np.trim_zeros(coefs, "b")).roots() if np.any(coefs) else []
-    return [float(r.real) for r in roots]
-
-
-def _reduce_scalar_roots(high: IOModel, tol: float) -> ReductionResult:
-    cond_F, cond_G = _scalar_condition_polys(high)
-    scale = 1.0 + float(np.linalg.norm(high.theta))
-    candidates: list[float] = []
-    roots_F = _root_candidates(cond_F, 1e-14)
-    roots_G = _root_candidates(cond_G, 1e-14)
-    if roots_F is None and roots_G is None:
-        candidates = []
-    elif roots_F is None:
-        candidates = roots_G
-    elif roots_G is None:
-        candidates = roots_F
-    else:
-        candidates = roots_F + roots_G
-    candidates.append(0.0)  # keeps the best-residual report finite
-    best_res = np.inf
-    best_D = None
-    for d in candidates:
-        res = float(np.hypot(cond_F(d), cond_G(d))) / scale
-        if res < best_res:
-            best_res, best_D = res, d
-    if best_D is not None and best_res <= tol:
-        F1 = np.array([[high.F[0][0, 0] - best_D]])
-        return ReductionResult(True, _build_reduced(high, F1), F1, best_res,
-                               "scalar-root-search")
-    return ReductionResult(False, None, None,
-                           best_res if np.isfinite(best_res) else np.inf,
-                           "scalar-root-search")
-
-
-def _reduce_newton(high: IOModel, tol: float, rng: np.random.Generator,
-                   starts: int) -> ReductionResult:
-    from scipy.optimize import least_squares
-
+def _polish(high: IOModel, F1: np.ndarray) -> np.ndarray:
+    """``F1`` after one Gauss-Newton step on the reduction conditions.  The
+    chain is polynomial in ``F1``, so a complex step gives its Jacobian
+    exactly, one batched chain for all ``p * p`` directions."""
     p = high.p
-    scale = 1.0 + float(np.linalg.norm(high.theta))
-
-    def stacked_residual(x: np.ndarray) -> np.ndarray:
-        F1 = x.reshape(p, p)
-        _, _, cond_F, cond_G = _reduction_chain(high, F1)
-        return np.concatenate([cond_F.ravel(), cond_G.ravel()]) / scale
-
-    seeds = [high.F[0].ravel(), np.zeros(p * p)]
-    seeds += [high.F[0].ravel() + 0.5 * rng.standard_normal(p * p)
-              for _ in range(max(0, starts - len(seeds)))]
-    best_res = np.inf
-    best_F1 = None
-    for x0 in seeds:
-        try:
-            sol = least_squares(stacked_residual, x0, method="lm", xtol=1e-14, ftol=1e-14)
-        except Exception:
-            continue  # a diverged start is not fatal; other starts may land
-        res = float(np.linalg.norm(stacked_residual(sol.x)))
-        if res < best_res:
-            best_res, best_F1 = res, sol.x.reshape(p, p)
-        if best_res <= tol / 10:
-            break
-    if best_F1 is not None and best_res <= tol:
-        return ReductionResult(True, _build_reduced(high, best_F1), best_F1,
-                               best_res, "newton-search")
-    return ReductionResult(False, None, None, best_res, "newton-search")
+    h = 1e-20
+    _, _, cond_F, cond_G = _reduction_chain(high, F1 + 1j * h * np.eye(p * p).reshape(-1, p, p))
+    res = np.concatenate([cond_F.reshape(p * p, -1), cond_G.reshape(p * p, -1)], axis=1)
+    step = np.linalg.lstsq(res.imag.T / h, res[0].real, rcond=None)[0]
+    return F1 - step.reshape(p, p)
 
 
-def reduce_once(model: IOModel, strategy: str = "auto", tol: float = DEFAULT_TOL,
-                candidate=None, rng: np.random.Generator | None = None,
-                newton_starts: int = 8) -> ReductionResult:
+def _uncontrollable_subspace(high: IOModel, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Block companion ``C`` of ``[A(z) B(z)]`` and an orthonormal row basis
+    ``Z`` of its uncontrollable left subspace ``{z : z C^j Gc = 0, all j}``.
+
+    ``X`` is a common left solvent (``D = -X`` reduces the model) exactly
+    when ``W = [I X .. X^{N-1}]`` satisfies ``W C = X W`` and ``W Gc = 0``,
+    so the rows of ``W`` span a ``p``-dimensional ``C``-invariant subspace
+    of ``Z``'s span.  ``Z`` is the complement of the controllable subspace,
+    which an orthonormalised Krylov staircase on ``(C, Gc)`` spans.
+    """
+    p, N = high.p, high.n
+    C = np.eye(p * N, k=-p)
+    C[:, -p:] = -np.vstack(high.F[::-1])
+    Gc = np.vstack([high.G[N - k] - high.F[N - k - 1] @ high.G[0] for k in range(N)])
+    floor = _RANK_PER_TOL * max(tol, DEFAULT_TOL) * np.linalg.norm(np.hstack([C, Gc]), 2)
+    basis = np.zeros((p * N, 0))
+    block = Gc
+    while block.shape[1] and basis.shape[1] < p * N:
+        for _ in range(2):  # a second pass restores orthogonality
+            block = block - basis @ (basis.T @ block)
+        U, s, _ = np.linalg.svd(block, full_matrices=False)
+        new = U[:, s > floor]
+        basis = np.hstack([basis, new])
+        block = C @ new
+    Z = np.linalg.svd(basis)[0][:, basis.shape[1]:].T if basis.shape[1] else np.eye(p * N)
+    return C, Z
+
+
+def _candidate_witnesses(high: IOModel, tol: float):
+    """Witnesses ``F1`` worth a residual test, and whether their failure
+    proves the model irreducible.
+
+    First ``D = 0`` (exact for zero-padded models), then one witness per
+    conjugation-closed choice of ``p`` eigenvalues of ``Z C Z^T``: the left
+    null space ``Q`` of the product of their real factors spans an invariant
+    subspace ``V = Q^T Z`` of ``C``, and ``X = V_0^{-1} (V C)_0`` from the
+    first blocks of ``V`` and ``V C``.  Each witness is also tried after one
+    :func:`_polish` step.  A complex pair within ``sqrt(tol)`` of the real
+    axis, the split of a double root perturbed by ``tol``, is also tried as
+    a real eigenvalue twice.
+
+    Failure proves irreducibility when ``Z`` is too small to hold a solvent,
+    and for ``p = 1``, where every real eigenvalue of ``Z C Z^T`` is tried.
+    """
+    p = high.p
+    C, Z = _uncontrollable_subspace(high, tol)
+    r = Z.shape[0]
+    near_real = np.sqrt(max(tol, DEFAULT_TOL))
+    witnesses = [high.F[0]]
+    units = []  # (eigenvalues, real factor of Lam)
+    if r >= p:
+        Lam = Z @ C @ Z.T
+        eye = np.eye(r)
+        for lam in np.linalg.eigvals(Lam):
+            if lam.imag == 0.0:
+                units.append(((lam.real,), Lam - lam.real * eye))
+            elif lam.imag > 0.0:
+                units.append(((lam, lam.conjugate()),
+                              Lam @ Lam - 2.0 * lam.real * Lam + abs(lam) ** 2 * eye))
+                if lam.imag <= near_real * (1.0 + abs(lam)):
+                    # a repeated real eigenvalue comes back as such a pair
+                    units += [((lam.real,), Lam - lam.real * eye)] * 2
+        combos = (c for k in range((p + 1) // 2, p + 1)
+                  for c in itertools.combinations(units, k))
+        seen = set()
+        for combo in itertools.islice(combos, _MAX_CHOICES):
+            values = [v for vals, _ in combo for v in vals]
+            key = tuple(sorted(values, key=lambda v: (v.real, v.imag)))
+            if len(values) != p or key in seen:
+                continue
+            seen.add(key)
+            Q = np.linalg.svd(functools.reduce(np.matmul, [f for _, f in combo]))[0][:, -p:]
+            V = Q.T @ Z
+            try:
+                X = np.linalg.solve(V[:, :p], (V @ C)[:, :p])
+            except np.linalg.LinAlgError:
+                continue
+            # at a repeated root the Jacobian is singular and the step wild
+            witnesses += [high.F[0] + X, _polish(high, high.F[0] + X)]
+
+    return witnesses, r < p or (p == 1 and len(units) <= _MAX_CHOICES)
+
+
+def reduce_once(model: IOModel, tol: float = DEFAULT_TOL, candidate=None) -> ReductionResult:
     """Search for an equivalent model of order n-1.
 
-    Strategies: ``verify-candidate`` checks a caller-supplied witness F1;
-    ``scalar-root-search`` (p = 1 only) tries the real part of every root of
-    the two witness polynomials; ``newton-search`` runs damped Gauss-Newton on the
-    stacked condition residual from multiple starts.  ``auto`` picks the
-    root search for p = 1 and the Newton search otherwise.  Every returned
-    reduction is re-verified with :func:`is_equivalent`.
+    Without ``candidate`` every witness of :func:`_candidate_witnesses` is
+    tried; a given ``candidate`` witness F1 is the only one tried.  A witness
+    must pass the condition residual and then :func:`is_equivalent` on the
+    model it builds.
     """
     if model.n < 1:
         raise ValidationError("cannot reduce a model of order 0")
-    if strategy == "auto":
-        strategy = "scalar-root-search" if model.p == 1 else "newton-search"
-    if strategy == "verify-candidate":
-        if candidate is None:
-            raise ValidationError("verify-candidate needs an explicit F1 candidate")
-        F1 = np.atleast_2d(np.asarray(candidate, dtype=float))
-        res = _condition_residual(model, F1)
-        if res <= tol:
-            result = ReductionResult(True, _build_reduced(model, F1), F1, res,
-                                     strategy)
-        else:
-            result = ReductionResult(False, None, None, res, strategy)
-    elif strategy == "scalar-root-search":
-        if model.p != 1:
-            raise ValidationError("scalar-root-search requires p = 1")
-        result = _reduce_scalar_roots(model, tol)
-    elif strategy == "newton-search":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        result = _reduce_newton(model, tol, rng, newton_starts)
+    if candidate is None:
+        witnesses, proven = _candidate_witnesses(model, tol)
     else:
-        raise ValidationError(f"unknown reduction strategy {strategy!r}")
-
-    if result.success and not is_equivalent(model, result.reduced, tol=max(tol, 1e-7)):
-        # Condition residual passed but the full lift identity does not:
-        # treat as a near-miss rather than return an unsound reduction.
-        return ReductionResult(False, None, None, result.residual, result.strategy)
-    return result
+        witnesses, proven = [np.atleast_2d(np.asarray(candidate, dtype=float))], False
+    residuals = [_condition_residual(model, F1) for F1 in witnesses]
+    # the smallest residual first: of several exact witnesses, the best
+    # conditioned one leaves the reduced model the least round-off
+    order = np.argsort(residuals, kind="stable")
+    for i in order:
+        if not residuals[i] <= tol:
+            break
+        reduced = _build_reduced(model, witnesses[i])
+        # the lift identity re-checks what the conditions accepted
+        if is_equivalent(model, reduced, tol=max(tol, 1e-7)):
+            return ReductionResult(True, reduced, witnesses[i], residuals[i], True)
+    # a witness within tol that the re-check refused proves nothing
+    best = residuals[order[0]]
+    return ReductionResult(False, None, None, best, proven and not best <= tol)
 
 
 @dataclass(frozen=True, eq=False)
 class ReducibilityReport:
     """Result of repeated reduction until no witness is found.
 
-    For p > 1 a failed search means "no witness found", not a proof of
-    irreducibility; ``proven`` records the distinction.
+    ``proven`` is False when, for ``p > 1``, the last search found an
+    invariant subspace of the right dimension but no witness in it passed the
+    checks, or when a witness within tol failed the equivalence re-check:
+    then "no witness found" is all the report can say.
     """
 
     original: IOModel
@@ -373,21 +381,20 @@ class ReducibilityReport:
         return tuple(range(self.original.n, self.irreducible_model.n - 1, -1))
 
 
-def reducibility_check(model: IOModel, tol: float = DEFAULT_TOL, strategy: str = "auto",
-                       rng: np.random.Generator | None = None) -> ReducibilityReport:
+def reducibility_check(model: IOModel, tol: float = DEFAULT_TOL) -> ReducibilityReport:
     """Apply :func:`reduce_once` until failure, collecting the witness chain."""
     current = model
     witnesses = []
     residuals = []
-    rng = rng if rng is not None else np.random.default_rng(0)
+    proven = True
     while current.n >= 1:
-        step = reduce_once(current, strategy=strategy, tol=tol, rng=rng)
+        step = reduce_once(current, tol=tol)
         if not step:
+            proven = step.proven
             break
         witnesses.append(step.witness)
         residuals.append(step.residual)
         current = step.reduced
-    proven = current.p == 1 or current.n == 0
     return ReducibilityReport(
         original=model, irreducible_model=current,
         witnesses=tuple(witnesses), residuals=tuple(residuals), proven=proven,

@@ -10,6 +10,8 @@ import numpy as np
 from .errors import ValidationError
 
 KINDS = ("white", "prbs", "sine-mix", "file")
+# keys whose value is a list of numbers
+_LISTS = ("freqs", "amps", "phases")
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,6 @@ class InputSpec:
         return d
 
 
-def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(",") if x != "")
-    except ValueError as exc:
-        raise ValidationError(f"bad number list {text!r}") from exc
-
-
 def _parse_number(where: str, value, cast):
     try:
         return cast(value)
@@ -69,34 +64,30 @@ def _parse_number(where: str, value, cast):
         raise ValidationError(f"{where}: {value!r} is not a valid {cast.__name__}") from exc
 
 
+def _parse_numbers(where: str, values) -> tuple:
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise ValidationError(f"{where}: expected a list of numbers, got {values!r}")
+    return tuple(_parse_number(f"{where}[{i}]", x, float) for i, x in enumerate(values))
+
+
 def parse_input_spec(text: str) -> InputSpec:
     """Parse CLI syntax like ``white:seed=7:scale=1.0`` or
-    ``sine-mix:freqs=0.01,0.05:amps=1,0.5``."""
+    ``sine-mix:freqs=0.01,0.05:amps=1,0.5`` into the dict a config holds."""
     parts = text.split(":")
-    kind = parts[0]
-    kwargs: dict = {}
+    d: dict = {"kind": parts[0]}
     for part in parts[1:]:
         if "=" not in part:
             raise ValidationError(f"bad input-spec fragment {part!r} (expected key=value)")
         key, value = part.split("=", 1)
-        if key == "seed":
-            kwargs["seed"] = _parse_number("input-spec seed", value, int)
-        elif key == "scale":
-            kwargs["scale"] = _parse_number("input-spec scale", value, float)
-        elif key in ("freqs", "amps", "phases"):
-            kwargs[key] = _parse_floats(value)
-        elif key == "path":
-            kwargs["path"] = value
-        else:
-            raise ValidationError(f"unknown input-spec key {key!r}")
-    return InputSpec(kind=kind, **kwargs)
+        d[key] = [x for x in value.split(",") if x] if key in _LISTS else value
+    return spec_from_dict(d, where="input-spec")
 
 
 def spec_from_dict(d: dict, where: str = "input") -> InputSpec:
     """Validate a config-dict input description; unknown keys are rejected."""
     if not isinstance(d, dict):
         raise ValidationError(f"{where}: expected an object")
-    allowed = {"kind", "scale", "seed", "freqs", "amps", "phases", "path"}
+    allowed = {"kind", "scale", "seed", "path", *_LISTS}
     unknown = set(d) - allowed
     if unknown:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
@@ -107,9 +98,9 @@ def spec_from_dict(d: dict, where: str = "input") -> InputSpec:
         kwargs["scale"] = _parse_number(f"{where}.scale", d["scale"], float)
     if "seed" in d:
         kwargs["seed"] = _parse_number(f"{where}.seed", d["seed"], int)
-    for key in ("freqs", "amps", "phases"):
+    for key in _LISTS:
         if key in d:
-            kwargs[key] = tuple(float(x) for x in d[key])
+            kwargs[key] = _parse_numbers(f"{where}.{key}", d[key])
     if "path" in d:
         kwargs["path"] = str(d["path"])
     try:

@@ -43,6 +43,8 @@ def _as_blocks(blocks, count: int, shape: tuple[int, int], what: str) -> tuple[n
             raise ValidationError(f"{what}[{i}] is not a numeric matrix ({exc})") from exc
         if arr.shape != shape:
             raise ValidationError(f"{what}[{i}] has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{what}[{i}] has non-finite coefficients")
         arr = arr.copy()
         arr.setflags(write=False)
         out.append(arr)

@@ -59,6 +59,20 @@ class TestEquivCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["equiv", "reduce"])
+    @pytest.mark.parametrize("block,value", [("F", float("nan")), ("F", float("inf")),
+                                             ("G", float("nan")), ("G", -float("inf"))])
+    def test_non_finite_coefficient_is_validation_error(self, workdir, capsys, command,
+                                                        block, value):
+        model = {"n": 1, "p": 1, "m": 1, "F": [[[0.5]]], "G": [[[0.0]], [[1.0]]]}
+        model[block][0][0][0] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(model))  # NaN / Infinity / -Infinity literals
+        rc = main([command, str(bad)] + ([str(bad)] if command == "equiv" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{block}[0] has non-finite coefficients" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["equiv", "reduce"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "x"])
     def test_bad_tol_is_usage_error(self, workdir, capsys, command, tol):
         models = [str(workdir / "model.json")] * (2 if command == "equiv" else 1)
@@ -75,14 +89,8 @@ class TestEquivCommand:
 
 
 class TestReduceCommand:
-    def test_negative_seed_is_usage_error(self, workdir):
-        with pytest.raises(SystemExit) as exc:
-            main(["reduce", str(workdir / "high.json"), "--seed", "-1"])
-        assert exc.value.code == 2
-
     def test_full_chain(self, workdir, capsys):
         rc = main(["reduce", str(workdir / "high.json"),
-                   "--strategy", "scalar-root-search",
                    "--out", str(workdir / "red.json")])
         assert rc == 0
         reduced = load_model(workdir / "red.json")
@@ -274,6 +282,16 @@ class TestExperimentCommand:
         assert main(["experiment", str(workdir / "cfg.json"),
                      "--out-dir", str(workdir / "out")]) == 2
         assert "config.input.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("freqs", [["x"], 5, [None]])
+    def test_bad_number_list_in_config_input(self, workdir, capsys, freqs):
+        cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 100,
+               "input": {"kind": "sine-mix", "freqs": freqs}}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(workdir / "cfg.json"),
+                     "--out-dir", str(workdir / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config.input.freqs" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("change,key", [({"input": {"kind": "white", "seed": float("inf")}},
                                               "config.input.seed"),

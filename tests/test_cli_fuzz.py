@@ -134,9 +134,7 @@ def argvs(draw):
         argv = ["equiv", draw(model), draw(model)] + _opt(draw, "--tol", FLOAT_TEXT)
     elif command == "reduce":
         argv = ["reduce", draw(model)]
-        argv += _opt(draw, "--strategy", st.sampled_from(
-            ["auto", "scalar-root-search", "newton-search", "bogus"]))
-        argv += _opt(draw, "--tol", FLOAT_TEXT) + _opt(draw, "--seed", INT_TEXT)
+        argv += _opt(draw, "--tol", FLOAT_TEXT)
         argv += ["--once"] if draw(st.booleans()) else []
         argv += ["--out", "red.json"]
     elif command == "converge":

@@ -182,7 +182,7 @@ class TestLiftOnce:
 
 class TestReduceOnce:
     def test_scalar_root_search_recovers(self):
-        result = reduce_once(LIFTED, strategy="scalar-root-search")
+        result = reduce_once(LIFTED)
         assert result
         np.testing.assert_allclose(result.witness, [[0.5]], atol=1e-12)
         np.testing.assert_allclose(result.reduced.theta, SCALAR.theta, atol=1e-12)
@@ -190,7 +190,7 @@ class TestReduceOnce:
     def test_trivial_tail_reduces_with_same_witness(self):
         m = IOModel.scalar([0.7], [0.2, -1.1])
         embedded = trivial_embed(m, 2)
-        result = reduce_once(embedded, strategy="scalar-root-search")
+        result = reduce_once(embedded)
         assert result
         np.testing.assert_allclose(result.witness, [[0.7]], atol=1e-12)
         np.testing.assert_allclose(result.reduced.theta, m.theta, atol=1e-12)
@@ -198,7 +198,7 @@ class TestReduceOnce:
     def test_generic_model_irreducible(self):
         # brute-force sweep agrees: no witness for a generic second-order model
         model = IOModel.scalar([0.8, 0.3], [0.5, 1.0, 0.7])
-        result = reduce_once(model, strategy="scalar-root-search")
+        result = reduce_once(model)
         assert not result
         from sysid_rls.equivalence import _condition_residual
 
@@ -208,12 +208,10 @@ class TestReduceOnce:
         assert best > 1e-3
 
     def test_verify_candidate(self):
-        good = reduce_once(LIFTED, strategy="verify-candidate", candidate=[[0.5]])
+        good = reduce_once(LIFTED, candidate=[[0.5]])
         assert good and good.reduced.n == 1
-        bad = reduce_once(LIFTED, strategy="verify-candidate", candidate=[[0.4]])
+        bad = reduce_once(LIFTED, candidate=[[0.4]])
         assert not bad and bad.residual > 1e-3
-        with pytest.raises(ValidationError):
-            reduce_once(LIFTED, strategy="verify-candidate")
 
     def test_exact_recursion_reproduced(self):
         # reducing with the known witness reproduces the base coefficients
@@ -221,7 +219,7 @@ class TestReduceOnce:
         base = random_stable_model(rng, 2, 2, 2)
         D = random_contraction(rng, 2)
         high = lift_once(base, D)
-        result = reduce_once(high, strategy="verify-candidate", candidate=base.F[0])
+        result = reduce_once(high, candidate=base.F[0])
         assert result
         np.testing.assert_allclose(result.reduced.theta, base.theta, atol=1e-12)
 
@@ -229,26 +227,57 @@ class TestReduceOnce:
         rng = np.random.default_rng(8)
         base = random_stable_model(rng, 1, 2, 1)
         high = lift_once(base, random_contraction(rng, 2))
-        result = reduce_once(high, strategy="newton-search", tol=1e-8,
-                             rng=np.random.default_rng(0))
+        result = reduce_once(high, tol=1e-8)
         assert result
         assert is_equivalent(high, result.reduced)
 
     def test_order_one_to_zero(self):
         base = IOModel(n=0, p=1, m=1, F=[], G=[np.array([[2.0]])])
         high = lift_once(base, 0.6)
-        result = reduce_once(high, strategy="scalar-root-search")
+        result = reduce_once(high)
         assert result and result.reduced.n == 0
         np.testing.assert_allclose(result.reduced.G[0], [[2.0]], atol=1e-12)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValidationError):
-            reduce_once(LIFTED, strategy="bogus")
 
     def test_order_zero_rejected(self):
         z = IOModel(n=0, p=1, m=1, F=[], G=[np.eye(1)])
         with pytest.raises(ValidationError):
             reduce_once(z)
+
+    def test_siso_search_follows_tolerance(self):
+        lifted = lift_once(IOModel.scalar([0.3], [1.0, 1.0]), 0.5)
+
+        def perturbed(eps):
+            theta = lifted.theta[0]
+            return IOModel.scalar(theta[:2], theta[2:] + [0.0, 0.0, eps])
+
+        near = perturbed(1e-5)  # condition residual about 1e-6
+        result = reduce_once(near, tol=1e-4)
+        assert result and is_equivalent(near, result.reduced, tol=1e-4)
+        np.testing.assert_allclose(result.witness, [[0.3]], atol=1e-4)
+        strict = reduce_once(near)
+        assert not strict and strict.proven
+        # a common factor between tol and the rank threshold is still ruled out
+        tiny = reduce_once(perturbed(1e-7))
+        assert not tiny and tiny.proven
+        far = reduce_once(perturbed(1e-3), tol=1e-4)
+        assert not far and far.residual > 1e-4
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_mimo_search_follows_tolerance(self, p):
+        rng = np.random.default_rng(p)
+        base = random_stable_model(rng, 1, p, 2)
+        lifted = lift_once(base, random_contraction(rng, p))
+
+        def perturbed(eps):
+            G = [g + eps * rng.standard_normal(g.shape) for g in lifted.G]
+            return IOModel(n=lifted.n, p=p, m=2, F=lifted.F, G=G)
+
+        near = perturbed(1e-5)
+        result = reduce_once(near, tol=1e-4)
+        assert result and is_equivalent(near, result.reduced, tol=1e-4)
+        assert not reduce_once(near)
+        far = reduce_once(perturbed(1e-3), tol=1e-4)
+        assert not far and far.residual > 1e-4
 
 
 class TestReducibilityCheck:
@@ -303,9 +332,43 @@ class TestReducibilityCheck:
             assert report.irreducible_model.n == n and report.proven, (trial, d)
             assert is_equivalent(base, report.irreducible_model), (trial, d)
 
-    def test_unproven_for_mimo_failure(self):
+    def test_generic_mimo_model_is_proven_irreducible(self):
         rng = np.random.default_rng(11)
-        base = random_stable_model(rng, 1, 2, 1)
-        report = reducibility_check(base, rng=np.random.default_rng(1))
-        if not report.reducible:
-            assert not report.proven  # p > 1: only "no witness found"
+        for n in range(4):
+            base = random_stable_model(rng, n, 2, 1)
+            report = reducibility_check(base)
+            assert not report.reducible and report.proven, n
+
+    def test_siso_model_with_two_inputs_reduces(self):
+        # the root search read the flattened (1, 2) G blocks as scalars and
+        # called this lift proven irreducible
+        base = IOModel(n=1, p=1, m=2, F=[[[0.5]]], G=[[[1.0, -0.4]], [[0.3, 0.2]]])
+        report = reducibility_check(lift_once(base, [[0.4]]))
+        assert report.irreducible_model.n == 1 and report.proven
+        assert is_equivalent(base, report.irreducible_model)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("lift", ["one", "two-distinct", "scaled-identity",
+                                      "jordan-block", "three-equal", "zero-padding"])
+    def test_mimo_lifts_reduce_to_base_order(self, p, lift):
+        rng = np.random.default_rng([p, len(lift)])
+        for n in range(4):
+            base = random_stable_model(rng, n, p, 2)
+            assert not reducibility_check(base).reducible, n
+            D = random_contraction(rng, p)
+            c = float(rng.uniform(-0.8, 0.8))
+            if lift == "one":
+                high = lift_once(base, D)
+            elif lift == "two-distinct":
+                high = lift_once(lift_once(base, D), random_contraction(rng, p))
+            elif lift == "scaled-identity":
+                high = lift_once(base, c * np.eye(p))
+            elif lift == "jordan-block":
+                high = lift_once(base, c * np.eye(p) + np.eye(p, k=1))
+            elif lift == "three-equal":
+                high = lift_once(lift_once(lift_once(base, D), D), D)
+            else:
+                high = trivial_embed(base, n + 6 - n % 3)
+            report = reducibility_check(high)
+            assert report.irreducible_model.n == n and report.proven, (n, high.n)
+            assert is_equivalent(base, report.irreducible_model), (n, high.n)

@@ -67,7 +67,8 @@ def _scipy_modules_after(case, tmp_path):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("case", ["import", "fit", "excite", "equiv", "reduce-siso"])
+@pytest.mark.parametrize("case", ["import", "fit", "excite", "equiv", "reduce-siso",
+                                  "reduce-mimo"])
 def test_commands_that_never_solve_with_scipy_leave_it_unloaded(case, tmp_path):
     assert _scipy_modules_after(case, tmp_path) == set()
 
@@ -76,7 +77,3 @@ def test_converge_loads_scipy_linalg_but_not_scipy_optimize(tmp_path):
     loaded = _scipy_modules_after("converge", tmp_path)
     assert "scipy.linalg" in loaded
     assert "scipy.optimize" not in loaded
-
-
-def test_mimo_reduce_loads_scipy_optimize(tmp_path):
-    assert "scipy.optimize" in _scipy_modules_after("reduce-mimo", tmp_path)
