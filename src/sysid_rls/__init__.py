@@ -1,8 +1,8 @@
 """Identification and equivalence calculus for discrete-time MIMO
 input/output models: exact simulation, cross-order equivalence testing and
 order reduction, regularized recursive least squares, excitation
-diagnostics, and closed-form convergence targets for overparameterized
-fits.
+diagnostics, and closed-form convergence targets for every fit order at or
+above the true one.
 
 scipy is imported inside the functions that solve with it, so importing the
 package, and the commands that never call them (``fit``, ``excite``,
@@ -37,6 +37,7 @@ from .rls import (
     batch_solve,
     cost,
     initial_state,
+    reduced_regressor_matrix,
     regressor_matrix,
     rls_fold,
 )
@@ -47,14 +48,12 @@ from .excitation import (
     excitation_report,
     lift_identity_check,
     partial_gram_min_eigs,
-    reduced_regressor_matrix,
 )
 from .convergence import (
     ConvergenceTrace,
     ProjectedLimit,
     lift_true,
-    predict_correct_order_asymptote,
-    predict_overparam_asymptote,
+    predict_asymptote,
     projected_limit,
     run_tracked_identification,
     theta_equivalence_residual,
@@ -69,13 +68,12 @@ __all__ = [
     "EquivalenceCertificate", "LiftMatrix", "ReducibilityReport", "ReductionResult",
     "build_lift_matrix", "is_equivalent", "lift_once", "reduce_once", "reducibility_check",
     "trivial_embed",
-    "FoldRecord", "RlsState", "batch_solve", "cost", "initial_state", "regressor_matrix",
-    "rls_fold",
+    "FoldRecord", "RlsState", "batch_solve", "cost", "initial_state",
+    "reduced_regressor_matrix", "regressor_matrix", "rls_fold",
     "ExcitationReport", "GramLimit", "estimate_gram_limit", "excitation_report",
-    "lift_identity_check", "partial_gram_min_eigs", "reduced_regressor_matrix",
-    "ConvergenceTrace", "ProjectedLimit", "lift_true",
-    "predict_correct_order_asymptote", "predict_overparam_asymptote", "projected_limit",
-    "run_tracked_identification", "theta_equivalence_residual",
+    "lift_identity_check", "partial_gram_min_eigs",
+    "ConvergenceTrace", "ProjectedLimit", "lift_true", "predict_asymptote",
+    "projected_limit", "run_tracked_identification", "theta_equivalence_residual",
     "InputSpec", "generate_input", "parse_input_spec",
     "ExperimentConfig", "RunManifest", "load_config", "run_experiment",
 ]

@@ -21,7 +21,7 @@ from . import __version__
 from .convergence import run_tracked_identification, write_convergence_trace
 from .equivalence import is_equivalent, reduce_once, reducibility_check
 from .errors import NumericalError, ValidationError
-from .excitation import partial_gram_min_eigs, reduced_regressor_matrix
+from .excitation import partial_gram_min_eigs
 from .experiment import load_config, run_experiment
 from .fileio import (
     load_model,
@@ -34,6 +34,7 @@ from .fileio import (
 from .inputs import generate_input, parse_input_spec
 from .rls import (
     initial_state,
+    reduced_regressor_matrix,
     regressor_dim,
     regressor_matrix,
     rls_fold,
@@ -119,8 +120,8 @@ def cmd_excite(args) -> int:
     order = args.order
     ks = valid_regressor_indices(traj, order)
     if args.true_order is not None:
-        if args.true_order >= order:
-            raise ValidationError("--true-order must be below --order")
+        if args.true_order > order:
+            raise ValidationError("--true-order must not exceed --order")
         Phi, ks = reduced_regressor_matrix(traj, args.true_order, order, ks)
         label = f"reduced regressor (true order {args.true_order}, fit order {order})"
     else:

@@ -1,17 +1,26 @@
 """Convergence targets and tracked identification runs.
 
-With the fit order equal to the true order and persistently exciting data,
-the RLS estimate converges to the true coefficients and ``k * error``
-approaches ``(theta0 - theta_true) P0^{-1} C^{-1}``.
+A recursive fit of order ``n_hat >= n`` on persistently exciting data
+converges to the equivalent order-``n_hat`` model ``theta_star`` that
+minimizes the prior penalty ``tr[(theta - theta0) P0^{-1} (theta - theta0)^T]``
+over the affine set ``(theta - theta_lifted) M = 0`` of models equivalent to
+the true one.  A matching-order fit is the ``q = n_hat - n = 0`` case of
+that result: the lift ``M`` is the identity, the set is the single point
+``theta_true``, and so is ``theta_star``.  With a higher fit order the full
+regressor is never weakly persistently exciting, yet the estimate still
+converges.
 
-With a higher fit order the full regressor is never weakly persistently
-exciting, yet the estimate still converges: its limit is the equivalent
-higher-order model ``theta_star`` that minimizes the prior penalty
-``tr[(theta - theta0) P0^{-1} (theta - theta0)^T]`` over the affine set
-``(theta - theta_lifted) M = 0``.  The minimizer is available in closed form
-through the oblique projector ``H = M (M^T P0 M)^{-1} M^T P0``, and the
-scaled error ``k (theta_k - theta_star)`` approaches a closed-form matrix
-built from the reduced-regressor Gram limit.
+``theta_star`` comes from the null-space method for equality-constrained
+least squares (Golub & Van Loan, *Matrix Computations*, sections 6.2 and
+12.1).  The lift's lower block is the identity, so ``N = [I, -M[:pq]]``
+(``pq = p q`` rows) satisfies ``N M = 0``, and
+
+    theta_star = theta_true + (theta0 - theta_true) Hc,
+    Hc = P0^{-1} N^T (N P0^{-1} N^T)^{-1} N.
+
+At ``q = 0`` ``N`` has no rows, ``Hc`` is zero and ``theta_star`` is
+``theta_true`` exactly.  The scaled error ``k (theta_k - theta_star)``
+approaches a closed-form matrix built from the reduced-regressor Gram limit.
 """
 
 from __future__ import annotations
@@ -22,10 +31,16 @@ import numpy as np
 
 from .equivalence import build_lift_matrix, lift_residual, trivial_embed
 from .errors import NumericalError, ValidationError
-from .excitation import GramLimit, estimate_gram_limit, reduced_regressor_matrix
+from .excitation import GramLimit, estimate_gram_limit
 from .model_core import IOModel, simulate
 from .fileio import write_csv
-from .rls import DEFAULT_P0_SCALE, initial_state, regressor_matrix, rls_fold
+from .rls import (
+    DEFAULT_P0_SCALE,
+    initial_state,
+    reduced_regressor_matrix,
+    regressor_matrix,
+    rls_fold,
+)
 
 
 def lift_true(model: IOModel, n_hat: int) -> np.ndarray:
@@ -37,41 +52,48 @@ def lift_true(model: IOModel, n_hat: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectedLimit:
-    """Closed-form limit of overparameterized RLS.
+    """Closed-form limit of RLS at fit order ``n_hat >= n``.
 
     ``H`` is idempotent with ``H M = M``; ``theta_star`` satisfies the
     equivalence constraint ``(theta_star - theta_lifted) M = 0`` and
-    minimizes the prior penalty among all equivalent models.
+    minimizes the prior penalty among all equivalent models.  At
+    ``n_hat == n``, ``H`` is the identity and ``theta_star`` the true
+    coefficients.
     """
 
     theta_star: np.ndarray
     H: np.ndarray
-    W: np.ndarray
+
+
+def _complement(model: IOModel, n_hat: int, P0: np.ndarray) -> np.ndarray:
+    """``Hc = P0^{-1} N^T (N P0^{-1} N^T)^{-1} N``, ``N = [I, -M[:pq]]``: the
+    projector ``I - H``, a zero matrix at ``n_hat == n``."""
+    import scipy.linalg
+
+    M = build_lift_matrix(model, n_hat).M
+    d, pq = M.shape[0], M.shape[0] - M.shape[1]
+    if P0.shape != (d, d):
+        raise ValidationError(f"P0 has shape {P0.shape}, expected {(d, d)}")
+    N = np.hstack([np.eye(pq), -M[:pq]])
+    try:
+        PN = scipy.linalg.solve(P0, N.T, assume_a="pos")
+        return PN @ scipy.linalg.solve(N @ PN, N, assume_a="pos")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError("P0 is not numerically positive definite") from exc
 
 
 def projected_limit(model: IOModel, n_hat: int, theta0: np.ndarray,
                     P0: np.ndarray) -> ProjectedLimit:
-    """Prior-penalty-minimal equivalent model of order ``n_hat`` > n."""
-    import scipy.linalg
-
-    if n_hat <= model.n:
-        raise ValidationError(f"projected limit needs n_hat > n, got {n_hat} <= {model.n}")
-    M = build_lift_matrix(model, n_hat).M
-    theta0 = np.asarray(theta0, dtype=float)
-    P0 = np.asarray(P0, dtype=float)
-    if theta0.shape != (model.p, M.shape[0]):
-        raise ValidationError(
-            f"theta0 has shape {theta0.shape}, expected {(model.p, M.shape[0])}"
-        )
-    W = M.T @ P0 @ M
-    try:
-        S = scipy.linalg.solve(W, M.T @ P0, assume_a="pos")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError("lift Gram W is numerically singular") from exc
-    H = M @ S
+    """Prior-penalty-minimal equivalent model of order ``n_hat >= n``."""
     theta_true = lift_true(model, n_hat)
-    theta_star = theta0 + (theta_true - theta0) @ H
-    return ProjectedLimit(theta_star=theta_star, H=H, W=W)
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != theta_true.shape:
+        raise ValidationError(
+            f"theta0 has shape {theta0.shape}, expected {theta_true.shape}"
+        )
+    Hc = _complement(model, n_hat, np.asarray(P0, dtype=float))
+    return ProjectedLimit(theta_star=theta_true + (theta0 - theta_true) @ Hc,
+                          H=np.eye(len(Hc)) - Hc)
 
 
 def theta_equivalence_residual(theta_hat: np.ndarray, model: IOModel,
@@ -82,39 +104,28 @@ def theta_equivalence_residual(theta_hat: np.ndarray, model: IOModel,
     return lift_residual(np.asarray(theta_hat, dtype=float), model, n_hat)[1]
 
 
-def predict_correct_order_asymptote(theta0: np.ndarray, P0: np.ndarray,
-                                    theta_true: np.ndarray, C_n: np.ndarray) -> np.ndarray:
-    """Limit of ``k (theta_k - theta_true)`` for a matching-order fit."""
-    import scipy.linalg
-
-    E = np.asarray(theta0, dtype=float) - np.asarray(theta_true, dtype=float)
-    try:
-        X = scipy.linalg.solve(np.asarray(P0, dtype=float), E.T, assume_a="pos").T
-        return scipy.linalg.solve(np.asarray(C_n, dtype=float), X.T, assume_a="pos").T
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError("P0 or the Gram limit is numerically singular") from exc
-
-
-def predict_overparam_asymptote(theta0: np.ndarray, P0: np.ndarray, model: IOModel,
-                                n_hat: int, C_reduced: np.ndarray) -> np.ndarray:
-    """Limit of ``k (theta_k - theta_star)`` for an overparameterized fit.
+def predict_asymptote(theta0: np.ndarray, P0: np.ndarray, model: IOModel,
+                      n_hat: int, C_reduced: np.ndarray) -> np.ndarray:
+    """Limit of ``k (theta_k - theta_star)`` for a fit of order ``n_hat >= n``.
 
     ``C_reduced`` is the (estimated) Gram limit of the reduced regressors.
+    The limit is ``(theta0 - theta_true) P0^{-1} S^T C^{-1} S`` with ``S``
+    the lower ``H[pq:]`` of :class:`ProjectedLimit`'s projector (the lift's
+    lower block is the identity); at ``n_hat == n``, ``S = I``.
     """
     import scipy.linalg
 
-    M = build_lift_matrix(model, n_hat).M
     P0 = np.asarray(P0, dtype=float)
-    theta_true = lift_true(model, n_hat)
-    E = (np.asarray(theta0, dtype=float) - theta_true) @ M
-    W = M.T @ P0 @ M
+    Hc = _complement(model, n_hat, P0)
+    pq = model.p * (n_hat - model.n)
+    S = (np.eye(len(Hc)) - Hc)[pq:]
+    E = np.asarray(theta0, dtype=float) - lift_true(model, n_hat)
     try:
-        X = scipy.linalg.solve(W, E.T, assume_a="pos").T
+        X = scipy.linalg.solve(P0, E.T, assume_a="pos").T @ S.T
         X = scipy.linalg.solve(np.asarray(C_reduced, dtype=float), X.T, assume_a="pos").T
-        X = scipy.linalg.solve(W, X.T, assume_a="pos").T
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError("W or the reduced Gram limit is numerically singular") from exc
-    return X @ M.T @ P0
+        raise NumericalError("P0 or the reduced Gram limit is numerically singular") from exc
+    return X @ S
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +199,10 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
         has a full regressor window.
     horizon : number of RLS updates; must be >= n_hat.
 
-    The reference is the true coefficients for ``n_hat == n`` and the
-    projected limit for ``n_hat > n``; both the per-step distances and the
-    final scaled error against the closed-form asymptote are recorded.
+    The reference is :func:`projected_limit`, the true coefficients at
+    ``n_hat == n`` (``ref_kind`` "true", else "projected"); both the
+    per-step distances and the final scaled error against
+    :func:`predict_asymptote` are recorded.
     """
     if n_hat < model.n:
         raise ValidationError(
@@ -217,29 +229,14 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
                           p0_scale=p0_scale)
     theta_start = state.theta.copy()
     P_start = state.P.copy()
-
-    if n_hat == model.n:
-        ref_kind = "true"
-        theta_ref = model.theta
-    else:
-        ref_kind = "projected"
-        theta_ref = projected_limit(model, n_hat, theta_start, P_start).theta_star
+    theta_ref = projected_limit(model, n_hat, theta_start, P_start).theta_star
 
     state, record = rls_fold(state, Phi, Y, theta_ref=theta_ref)
     K = Phi.shape[0]
 
-    if ref_kind == "true":
-        gram = estimate_gram_limit(Phi)
-    else:
-        Phi_red, _ = reduced_regressor_matrix(traj, model.n, n_hat, ks)
-        gram = estimate_gram_limit(Phi_red)
+    gram = estimate_gram_limit(reduced_regressor_matrix(traj, model.n, n_hat, ks)[0])
     try:
-        if ref_kind == "true":
-            predicted = predict_correct_order_asymptote(theta_start, P_start,
-                                                        model.theta, gram.C)
-        else:
-            predicted = predict_overparam_asymptote(theta_start, P_start, model,
-                                                    n_hat, gram.C)
+        predicted = predict_asymptote(theta_start, P_start, model, n_hat, gram.C)
     except NumericalError:
         # not persistently exciting (e.g. zero input): no rate prediction
         predicted = np.full_like(theta_ref, np.nan)
@@ -248,7 +245,8 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
     rel = float(np.linalg.norm(empirical - predicted) / denom) \
         if np.isfinite(denom) and denom > 0 else float("nan")
     return ConvergenceTrace(
-        fit_order=n_hat, true_order=model.n, ref_kind=ref_kind,
+        fit_order=n_hat, true_order=model.n,
+        ref_kind="true" if n_hat == model.n else "projected",
         ks=np.arange(K), dist_to_ref=record.dist_to_ref,
         scaled_err=np.arange(K) * record.dist_to_ref, residual_norm=record.residual_norm,
         theta_final=state.theta, theta_ref=theta_ref, gram=gram,

@@ -1,9 +1,11 @@
 """Cross-order equivalence and one-step order reduction.
 
 Two models (possibly of different orders) are equivalent when they produce
-identical outputs under shared inputs and shared initial conditions.  For
-equal orders this forces equal coefficients; across orders the test is a
-linear identity on the flattened coefficients through the lift matrix ``M``.
+identical outputs under shared inputs and shared initial conditions.  The
+test is a linear identity on the flattened coefficients through the lift
+matrix ``M``.  Equal orders are its ``q = n_hat - n = 0`` case: ``M`` is the
+identity and the target is the base model's own coefficients, so a model of
+the same order is equivalent only to itself.
 
 ``M`` is defined here as the regressor lift: the matrix mapping the reduced
 regressor (negated oldest outputs of the high-order window, then the full
@@ -49,7 +51,8 @@ class LiftMatrix:
 
     Block layout: ``M = [[M1, M2], [I, 0], [0, I]]`` where the i-th row band
     (i = 1..n_hat-n, top to bottom) is ``[-F_{n, q-i}, -[0 G_{n, q-i}]]``
-    with ``q = n_hat - n`` and transition blocks of the base model.
+    with ``q = n_hat - n`` and transition blocks of the base model.  At
+    ``q = 0`` the bands are empty and ``M`` is the identity.
     """
 
     n: int
@@ -68,16 +71,18 @@ class LiftMatrix:
 
 
 def build_lift_matrix(base: IOModel, n_hat: int) -> LiftMatrix:
-    """Lift matrix of shape (p*n_hat + m*(n_hat+1), p*n + m*(n_hat+1))."""
+    """Lift matrix of shape (p*n_hat + m*(n_hat+1), p*n + m*(n_hat+1)),
+    ``n_hat >= n``."""
     return _lift_and_target(base, n_hat)[0]
 
 
 def _lift_and_target(base: IOModel, n_hat: int) -> tuple[LiftMatrix, np.ndarray]:
     """The lift matrix and ``[F_q G_q]``, ``q = n_hat - n``: offsets 0..q of
-    the base model's transition blocks, from one impulse response."""
+    the base model's transition blocks, from one impulse response.  At
+    ``q = 0`` these are the identity and ``[F_0 G_0] = base.theta``."""
     n, p, m = base.n, base.p, base.m
-    if n_hat <= n:
-        raise ValidationError(f"lift target order {n_hat} must exceed base order {n}")
+    if n_hat < n:
+        raise ValidationError(f"lift target order {n_hat} is below base order {n}")
     q = n_hat - n
     blocks = _transition_blocks(base, range(q + 1))
     rows, cols = p * n_hat + m * (n_hat + 1), p * n + m * (n_hat + 1)
@@ -109,8 +114,8 @@ class EquivalenceCertificate:
 
 def lift_residual(theta: np.ndarray, base: IOModel, n_hat: int) -> tuple[float, float]:
     """Raw and relative Frobenius norm of ``theta @ M - [F_q G_q]``, the
-    cross-order residual of a flattened order-``n_hat`` ``theta`` against
-    ``base`` (lift ``M``, ``q = n_hat - n`` step transition blocks); the
+    equivalence residual of a flattened order-``n_hat`` ``theta`` against
+    ``base`` (lift ``M``, ``q = n_hat - n >= 0`` step transition blocks); the
     relative one is scaled by ``1 + max(||theta||, ||[F_q G_q]||)``."""
     lift, target = _lift_and_target(base, n_hat)
     if theta.shape != (base.p, lift.M.shape[0]):
@@ -124,28 +129,20 @@ def lift_residual(theta: np.ndarray, base: IOModel, n_hat: int) -> tuple[float, 
 def is_equivalent(a: IOModel, b: IOModel, tol: float = DEFAULT_TOL) -> EquivalenceCertificate:
     """Decide equivalence of two models, of equal or different orders.
 
-    Residuals are Frobenius norms scaled by ``1 + max coefficient norm``.
-    Equal orders compare coefficients directly; different orders test the
-    lift identity against the base model's transition blocks
-    (:func:`lift_residual`).
+    The residual is :func:`lift_residual` of the higher-order model against
+    the lower-order one: a Frobenius norm scaled by ``1 + max coefficient
+    norm``.  At equal orders the lift is the identity, so it is the
+    coefficient distance ``||a.theta - b.theta||``; the certificate's
+    ``condition`` names which case was tested.
     """
     if (a.p, a.m) != (b.p, b.m):
         raise ValidationError("models must share output/input dimensions")
-    if a.n == b.n:
-        raw = float(np.linalg.norm(a.theta - b.theta))
-        scale = 1.0 + max(np.linalg.norm(a.theta), np.linalg.norm(b.theta))
-        rel = raw / scale
-        return EquivalenceCertificate(
-            equivalent=bool(rel <= tol), residual=rel, raw_residual=raw,
-            condition="same-order-coefficients", tol=tol,
-            low_order=a.n, high_order=b.n,
-        )
     base, high = (a, b) if a.n < b.n else (b, a)
     raw, rel = lift_residual(high.theta, base, high.n)
     return EquivalenceCertificate(
         equivalent=bool(rel <= tol), residual=rel, raw_residual=raw,
-        condition="cross-order-lift", tol=tol,
-        low_order=base.n, high_order=high.n,
+        condition="same-order-coefficients" if base.n == high.n else "cross-order-lift",
+        tol=tol, low_order=base.n, high_order=high.n,
     )
 
 

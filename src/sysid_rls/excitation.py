@@ -6,15 +6,11 @@ running average Gram converges to a positive-definite limit.  Both notions
 are asymptotic; the verdicts produced here are finite-data heuristics with
 configurable thresholds and are labeled as such.
 
-The reduced regressor pairs the oldest ``n`` outputs of an order ``n_hat``
-window with the full input window:
-
-    phi[n, n_hat, k] = [-y[k-n_hat+n-1]; ...; -y[k-n_hat]; u[k]; ...; u[k-n_hat]]
-
 On data generated by a true order-n model the full order-n_hat regressor is
-an exact linear image of this reduced one through the lift matrix, which is
-the rank obstruction that makes overparameterized regressors fail weak
-persistent excitation.
+an exact linear image of the reduced one
+(:func:`sysid_rls.rls.reduced_regressor_matrix`) through the lift matrix,
+which is the rank obstruction that makes overparameterized regressors fail
+weak persistent excitation.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import numpy as np
 from .equivalence import build_lift_matrix
 from .errors import ValidationError
 from .model_core import IOModel, Trajectory
-from .rls import missing_window_value, regressor_matrix
+from .rls import reduced_regressor_matrix, regressor_matrix
 
 DEFAULT_PE_SLOPE_TOL = 1e-2
 DEFAULT_GROWTH_RATIO = 1.2
@@ -53,28 +49,6 @@ class ExcitationReport:
     stride: int
     weak_pe_threshold: float
     stabilization: float
-
-
-def reduced_regressor_matrix(traj: Trajectory, n: int, n_hat: int,
-                             ks=None) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced regressors ``(Phi, ks)`` with ``Phi[i] = phi[n, n_hat, ks[i]]``,
-    indexed and checked as in :func:`regressor_matrix`."""
-    if n_hat <= n:
-        raise ValidationError(f"reduced regressor needs n_hat > n, got {n_hat} <= {n}")
-    if ks is None:
-        ks = np.arange(traj.k0 + n_hat, traj.k_last + 1)
-    ks = np.asarray(ks, dtype=int)
-    if ks.size == 0:
-        raise ValidationError("no regressor indices available")
-    idx = ks - traj.k0
-    if idx.min() < n_hat or idx.max() >= len(traj):
-        raise ValidationError("requested indices fall outside the fully-windowed range")
-    cols = [-traj.y[idx - lag] for lag in range(n_hat - n + 1, n_hat + 1)]
-    cols += [traj.u[idx - lag] for lag in range(0, n_hat + 1)]
-    Phi = np.hstack(cols)
-    if not np.all(np.isfinite(Phi)):
-        raise missing_window_value(traj, idx, range(n_hat - n + 1, n_hat + 1))
-    return Phi, ks
 
 
 def lift_identity_check(traj: Trajectory, model: IOModel, n_hat: int,

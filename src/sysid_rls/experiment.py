@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -25,13 +25,12 @@ from .fileio import (
     sha256_text,
     write_json,
 )
-from .inputs import InputSpec, _parse_number, generate_input, spec_from_dict
+from .inputs import InputSpec, _parse_int, _parse_number, generate_input, spec_from_dict
 from .model_core import IOModel
 from .rls import DEFAULT_P0_SCALE, regressor_dim
 
 _ALLOWED_KEYS = {"true_model", "fit_orders", "input", "horizon", "theta0",
-                 "p0_scale", "tolerances", "out_dir"}
-_ALLOWED_TOLERANCES = {"equivalence", "pe_slope"}
+                 "p0_scale", "out_dir"}
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class ExperimentConfig:
     horizon: int
     theta0: str = "zeros"
     p0_scale: float = DEFAULT_P0_SCALE
-    tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
     # directory relative file paths in the config are taken from; not hashed
     base_dir: Path | None = None
@@ -55,7 +53,6 @@ class ExperimentConfig:
             "horizon": self.horizon,
             "theta0": self.theta0,
             "p0_scale": self.p0_scale,
-            "tolerances": dict(self.tolerances),
         }
 
     @property
@@ -90,15 +87,15 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(orders, list) or not orders:
         raise ValidationError("config.fit_orders: must be a nonempty list")
     for i, o in enumerate(orders):
-        if not isinstance(o, int) or o < 0:
+        if _parse_int(f"config.fit_orders[{i}]", o) < 0:
             raise ValidationError(f"config.fit_orders[{i}]: must be a non-negative integer")
         if o < model.n:
             raise ValidationError(
                 f"config.fit_orders[{i}]: order {o} is below the true order {model.n}"
             )
 
-    horizon = d["horizon"]
-    if not isinstance(horizon, int) or horizon <= max(orders):
+    horizon = _parse_int("config.horizon", d["horizon"])
+    if horizon <= max(orders):
         raise ValidationError("config.horizon: must be an integer above every fit order")
 
     spec = spec_from_dict(d.get("input", {"kind": "white"}), where="config.input")
@@ -111,18 +108,10 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not 0.0 < p0_scale < float("inf"):
         raise ValidationError("config.p0_scale: must be positive and finite")
 
-    tolerances = d.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ValidationError("config.tolerances: expected an object")
-    unknown = set(tolerances) - _ALLOWED_TOLERANCES
-    if unknown:
-        raise ValidationError(f"config.tolerances: unknown keys {sorted(unknown)}")
-
     out_dir = d.get("out_dir")
     return ExperimentConfig(
         true_model=model, fit_orders=tuple(orders), input=spec, horizon=horizon,
-        theta0=theta0, p0_scale=p0_scale, tolerances=dict(tolerances),
-        out_dir=out_dir, base_dir=base_dir,
+        theta0=theta0, p0_scale=p0_scale, out_dir=out_dir, base_dir=base_dir,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,6 +58,14 @@ class InputSpec:
         return d
 
 
+def _parse_int(where: str, value) -> int:
+    """``value`` if it is an integer: a float, even an integral one, a string
+    or a bool (JSON ``true`` is an int to Python) is a validation error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{where}: {value!r} is not an integer")
+
+
 def _parse_number(where: str, value, cast):
     try:
         return cast(value)
@@ -79,7 +88,11 @@ def parse_input_spec(text: str) -> InputSpec:
         if "=" not in part:
             raise ValidationError(f"bad input-spec fragment {part!r} (expected key=value)")
         key, value = part.split("=", 1)
-        d[key] = [x for x in value.split(",") if x] if key in _LISTS else value
+        if key in _LISTS:
+            value = [x for x in value.split(",") if x]
+        elif key == "seed" and re.fullmatch(r"[+-]?[0-9]+", value):
+            value = int(value)
+        d[key] = value
     return spec_from_dict(d, where="input-spec")
 
 
@@ -97,7 +110,9 @@ def spec_from_dict(d: dict, where: str = "input") -> InputSpec:
     if "scale" in d:
         kwargs["scale"] = _parse_number(f"{where}.scale", d["scale"], float)
     if "seed" in d:
-        kwargs["seed"] = _parse_number(f"{where}.seed", d["seed"], int)
+        kwargs["seed"] = _parse_int(f"{where}.seed", d["seed"])
+        if kwargs["seed"] < 0:
+            raise ValidationError(f"{where}.seed: must be non-negative, got {kwargs['seed']}")
     for key in _LISTS:
         if key in d:
             kwargs[key] = _parse_numbers(f"{where}.{key}", d[key])

@@ -6,7 +6,12 @@ outputs newest-first, then the inputs newest-first:
     phi[n, k] = [-y[k-1]; ...; -y[k-n]; u[k]; ...; u[k-n]]
 
 so that exact data from a matching-order model satisfies
-``y[k] = theta_true @ phi[n, k]``.  The cost after k samples is
+``y[k] = theta_true @ phi[n, k]``.  The reduced regressor of an order
+``n_hat >= n`` window keeps only its oldest ``n`` outputs:
+
+    phi[n, n_hat, k] = [-y[k-n_hat+n-1]; ...; -y[k-n_hat]; u[k]; ...; u[k-n_hat]]
+
+and ``phi[n, n, k] = phi[n, k]``.  The cost after k samples is
 
     J(theta) = sum_i ||y_i - theta phi_i||^2
                + tr[(theta - theta0) P0^{-1} (theta - theta0)^T]
@@ -88,26 +93,14 @@ def spd_inverse(A: np.ndarray) -> np.ndarray:
 
 
 def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized regressors: (Phi, Y, ks) with Phi[i] = phi[order, ks[i]].
+    """Vectorized regressors and targets: (Phi, Y, ks) with
+    ``Phi[i] = phi[order, ks[i]]`` and ``Y[i] = y[ks[i]]``.
 
-    Defaults to every fully-windowed index.  A missing cell is a validation
-    error; a missing output cell, in a window or as a target, is named by
-    its column and time index.
+    The regressors are :func:`reduced_regressor_matrix` at ``n = n_hat =
+    order``; a missing target cell is named by its column and time index.
     """
-    if ks is None:
-        ks = np.arange(traj.k0 + order, traj.k_last + 1)
-    ks = np.asarray(ks, dtype=int)
-    if ks.size == 0:
-        raise ValidationError("no regressor indices available")
-    idx = ks - traj.k0
-    if idx.min() < order or idx.max() >= len(traj):
-        raise ValidationError("requested indices fall outside the fully-windowed range")
-    cols = [-traj.y[idx - lag] for lag in range(1, order + 1)]
-    cols += [traj.u[idx - lag] for lag in range(0, order + 1)]
-    Phi = np.hstack(cols)
-    if not np.all(np.isfinite(Phi)):
-        raise missing_window_value(traj, idx, range(1, order + 1))
-    Y = traj.y[idx]
+    Phi, ks = reduced_regressor_matrix(traj, order, order, ks)
+    Y = traj.y[ks - traj.k0]
     if not np.all(np.isfinite(Y)):
         row, col = np.argwhere(~np.isfinite(Y))[0]
         raise ValidationError(
@@ -116,7 +109,35 @@ def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray,
     return Phi, Y, ks
 
 
-def missing_window_value(traj: Trajectory, idx: np.ndarray, y_lags) -> ValidationError:
+def reduced_regressor_matrix(traj: Trajectory, n: int, n_hat: int,
+                             ks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced regressors ``(Phi, ks)`` with ``Phi[i] = phi[n, n_hat, ks[i]]``
+    for ``n <= n_hat``; ``n == n_hat`` is the full regressor ``phi[n, k]``.
+
+    Defaults to every fully-windowed index.  A missing cell is a validation
+    error; a missing output cell in a window is named by its column and time
+    index.
+    """
+    if n_hat < n:
+        raise ValidationError(f"reduced regressor needs n <= n_hat, got {n} > {n_hat}")
+    if ks is None:
+        ks = np.arange(traj.k0 + n_hat, traj.k_last + 1)
+    ks = np.asarray(ks, dtype=int)
+    if ks.size == 0:
+        raise ValidationError("no regressor indices available")
+    idx = ks - traj.k0
+    if idx.min() < n_hat or idx.max() >= len(traj):
+        raise ValidationError("requested indices fall outside the fully-windowed range")
+    y_lags = range(n_hat - n + 1, n_hat + 1)
+    cols = [-traj.y[idx - lag] for lag in y_lags]
+    cols += [traj.u[idx - lag] for lag in range(0, n_hat + 1)]
+    Phi = np.hstack(cols)
+    if not np.all(np.isfinite(Phi)):
+        raise _missing_window_value(traj, idx, y_lags)
+    return Phi, ks
+
+
+def _missing_window_value(traj: Trajectory, idx: np.ndarray, y_lags) -> ValidationError:
     """The error for regressor windows (ending at rows ``idx``, reading
     outputs at ``y_lags``) that hold a missing cell: the first missing
     output cell is named by column and time index, else the inputs are."""

@@ -5,9 +5,8 @@ import pytest
 
 from sysid_rls import IOModel, InputSpec, generate_input, lift_once, load_config, simulate
 from sysid_rls.cli import main
-from sysid_rls.excitation import reduced_regressor_matrix
 from sysid_rls.fileio import load_model, load_trajectory, save_model, save_trajectory
-from sysid_rls.rls import valid_regressor_indices
+from sysid_rls.rls import reduced_regressor_matrix, valid_regressor_indices
 
 from support import reference_gram_curve
 
@@ -168,8 +167,16 @@ class TestExciteCommand:
 
     def test_true_order_validation(self, workdir):
         rc = main(["excite", "--data", str(workdir / "traj.csv"), "--order", "2",
-                   "--true-order", "2"])
+                   "--true-order", "3"])
         assert rc == 2
+
+    def test_true_order_equal_to_order_is_full_regressor(self, workdir):
+        data = str(workdir / "traj.csv")
+        reduced, full = workdir / "reduced.csv", workdir / "full.csv"
+        assert main(["excite", "--data", data, "--order", "2", "--true-order", "2",
+                     "--emit", str(reduced)]) == 0
+        assert main(["excite", "--data", data, "--order", "2", "--emit", str(full)]) == 0
+        assert reduced.read_bytes() == full.read_bytes()
 
 
 class TestConvergeCommand:
@@ -219,6 +226,8 @@ class TestConvergeCommand:
         assert "diverged" in err and "missing input" not in err
 
     @pytest.mark.parametrize("spec,key", [("white:seed=x", "seed"),
+                                          ("white:seed=1.5", "seed"),
+                                          ("white:seed=-1", "seed"),
                                           ("white:seed=1:scale=abc", "scale")])
     def test_bad_number_in_input_spec(self, workdir, capsys, spec, key):
         rc = main(["converge", "--model", str(workdir / "model.json"),
@@ -296,7 +305,17 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("change,key", [({"input": {"kind": "white", "seed": float("inf")}},
                                               "config.input.seed"),
                                              ({"p0_scale": "x"}, "config.p0_scale"),
-                                             ({"p0_scale": float("nan")}, "config.p0_scale")])
+                                             ({"p0_scale": float("nan")}, "config.p0_scale"),
+                                             ({"input": {"kind": "white", "seed": 1.5}},
+                                              "config.input.seed"),
+                                             ({"input": {"kind": "white", "seed": True}},
+                                              "config.input.seed"),
+                                             ({"input": {"kind": "white", "seed": -1}},
+                                              "config.input.seed"),
+                                             ({"fit_orders": [True]}, "config.fit_orders[0]"),
+                                             ({"fit_orders": [1, 2.0]}, "config.fit_orders[1]"),
+                                             ({"horizon": True}, "config.horizon"),
+                                             ({"horizon": 100.0}, "config.horizon")])
     def test_bad_number_in_config_is_validation_error(self, workdir, capsys, change, key):
         cfg = dict({"true_model": "model.json", "fit_orders": [1], "horizon": 100}, **change)
         (workdir / "cfg.json").write_text(json.dumps(cfg))

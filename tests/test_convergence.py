@@ -7,8 +7,7 @@ from sysid_rls import (
     ValidationError,
     build_lift_matrix,
     lift_true,
-    predict_correct_order_asymptote,
-    predict_overparam_asymptote,
+    predict_asymptote,
     projected_limit,
     reduced_regressor_matrix,
     regressor_matrix,
@@ -82,9 +81,6 @@ class TestProjectedLimit:
             assert np.max(np.abs(pl.H @ M - M)) <= 1e-9
             assert np.max(np.abs((pl.theta_star - lift_true(model, n_hat)) @ M)) <= 1e-9
             assert np.linalg.matrix_rank(pl.H) == M.shape[1]
-            # W is the SPD Gram of the lift under P0
-            np.testing.assert_allclose(pl.W, pl.W.T, atol=1e-10)
-            assert np.linalg.eigvalsh(pl.W)[0] > 0
 
     def test_matches_kkt_oracle(self):
         rng = np.random.default_rng(3)
@@ -123,6 +119,45 @@ class TestProjectedLimit:
             assert base <= reg(pl.theta_star + delta) + 1e-12
 
 
+def ill_conditioned_spd(rng, d: int, cond: float) -> np.ndarray:
+    """Exactly symmetric positive-definite matrix with eigenvalues in
+    ``[1, cond]``, both ends attained when ``d > 1``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eigs = cond ** rng.uniform(0.0, 1.0, d)
+    eigs[[0, -1]] = 1.0, cond
+    P = (Q * eigs) @ Q.T
+    return 0.5 * (P + P.T)
+
+
+class TestMatchingOrderIsExact:
+    """A matching-order fit is the q = 0 case: its target is theta_true
+    exactly, however ill-conditioned the prior."""
+
+    @pytest.mark.parametrize("cond", [1e0, 1e4, 1e8, 1e12])
+    def test_projected_limit_is_truth(self, cond):
+        rng = np.random.default_rng(int(np.log10(cond)) + 20)
+        for _ in range(20):
+            n, p, m_dim = (int(x) for x in rng.integers([0, 1, 1], [4, 3, 3]))
+            model = random_stable_model(rng, n, p, m_dim)
+            d = model.theta.shape[1]
+            pl = projected_limit(model, n, rng.standard_normal((p, d)),
+                                 ill_conditioned_spd(rng, d, cond))
+            np.testing.assert_array_equal(pl.theta_star, model.theta)
+            np.testing.assert_array_equal(pl.H, np.eye(d))
+
+    def test_tracked_reference_is_truth(self):
+        rng = np.random.default_rng(21)
+        for model in (SCALAR, random_stable_model(rng, 2, 2, 1)):
+            d = model.theta.shape[1]
+            P0 = ill_conditioned_spd(rng, d, 1e12)
+            u = rng.standard_normal((200 + model.n, model.m))
+            trace = run_tracked_identification(model, model.n, u, 200,
+                                               theta0=rng.standard_normal((model.p, d)),
+                                               P0=P0)
+            assert trace.ref_kind == "true"
+            np.testing.assert_array_equal(trace.theta_ref, model.theta)
+
+
 class TestEquivalenceViaTheta:
     def test_theta_star_and_lift_true_pass(self):
         rng = np.random.default_rng(5)
@@ -157,20 +192,21 @@ class TestEquivalenceViaTheta:
 class TestAsymptotePredictions:
     def test_zero_initial_error(self):
         C = np.eye(3)
-        pred = predict_correct_order_asymptote(np.ones((1, 3)), np.eye(3),
-                                               np.ones((1, 3)), C)
+        ones = IOModel.scalar([1.0], [1.0, 1.0])  # theta = [[1, 1, 1]]
+        pred = predict_asymptote(np.ones((1, 3)), np.eye(3), ones, 1, C)
         np.testing.assert_array_equal(pred, np.zeros((1, 3)))
 
     def test_scalar_arithmetic(self):
-        pred = predict_correct_order_asymptote(np.array([[1.0]]), np.array([[1.0]]),
-                                               np.array([[0.0]]), np.array([[2.0]]))
+        zero = IOModel.scalar([], [0.0])  # order 0, theta = [[0]]
+        pred = predict_asymptote(np.array([[1.0]]), np.array([[1.0]]), zero, 0,
+                                 np.array([[2.0]]))
         np.testing.assert_allclose(pred, [[0.5]])
 
     def test_overparam_zero_when_prior_is_lifted_truth(self):
         rng = np.random.default_rng(7)
         m = random_stable_model(rng, 1, 1, 1)
         C = random_spd(rng, 4)
-        pred = predict_overparam_asymptote(lift_true(m, 2), np.eye(5), m, 2, C)
+        pred = predict_asymptote(lift_true(m, 2), np.eye(5), m, 2, C)
         np.testing.assert_allclose(pred, np.zeros((1, 5)), atol=1e-12)
 
     def test_overparam_zero_at_any_equivalent_prior(self):
@@ -181,7 +217,7 @@ class TestAsymptotePredictions:
         m = SCALAR
         pl = projected_limit(m, 2, np.zeros((1, 5)), np.eye(5))
         C = random_spd(rng, 4)
-        pred = predict_overparam_asymptote(pl.theta_star, np.eye(5), m, 2, C)
+        pred = predict_asymptote(pl.theta_star, np.eye(5), m, 2, C)
         np.testing.assert_allclose(pred, np.zeros((1, 5)), atol=1e-12)
         u = rng.standard_normal((502, 1))
         trace = run_tracked_identification(m, 2, u, 500, theta0=pl.theta_star,
@@ -191,8 +227,8 @@ class TestAsymptotePredictions:
 
     def test_singular_gram_rejected(self):
         with pytest.raises(NumericalError):
-            predict_correct_order_asymptote(np.ones((1, 2)), np.eye(2),
-                                            np.zeros((1, 2)), np.zeros((2, 2)))
+            zero = IOModel(n=0, p=1, m=2, F=[], G=[np.zeros((1, 2))])
+            predict_asymptote(np.ones((1, 2)), np.eye(2), zero, 0, np.zeros((2, 2)))
 
 
 class TestErrorDynamicsIdentities:
@@ -248,7 +284,7 @@ class TestErrorDynamicsIdentities:
         P0 = random_spd(rng, d, 0.5, 5.0)
         pl = projected_limit(m, n_hat, theta0, P0)
         M = build_lift_matrix(m, n_hat).M
-        W = pl.W
+        W = M.T @ P0 @ M
         W_inv = np.linalg.inv(W)
         E = (theta0 - lift_true(m, n_hat)) @ M
         state = RlsState(theta=theta0.copy(), P=P0.copy(), k=0)

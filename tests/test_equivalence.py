@@ -13,6 +13,7 @@ from sysid_rls import (
     transition_pair,
     trivial_embed,
 )
+from sysid_rls.equivalence import _lift_and_target
 
 from support import (
     consolidate,
@@ -59,8 +60,14 @@ class TestLiftMatrix:
         assert np.linalg.matrix_rank(lift.M) == lift.M.shape[1]
 
     def test_rejects_non_lift(self):
+        # n_hat == n is the q = 0 lift: the identity, against the model itself
+        rng = np.random.default_rng(5)
+        for m in (SCALAR, LIFTED, IOModel.scalar([], [0.7]), random_stable_model(rng, 2, 2, 3)):
+            M = build_lift_matrix(m, m.n).M
+            np.testing.assert_array_equal(M, np.eye(len(M)))
+            np.testing.assert_array_equal(_lift_and_target(m, m.n)[1], m.theta)
         with pytest.raises(ValidationError):
-            build_lift_matrix(SCALAR, 1)
+            build_lift_matrix(LIFTED, 1)
 
 
 class TestConsolidate:
@@ -131,6 +138,24 @@ class TestIsEquivalent:
         assert cert.equivalent and cert.condition == "same-order-coefficients"
         c = IOModel.scalar([0.5], [0.0, 1.0 + 1e-3])
         assert not is_equivalent(a, c)
+
+    def test_same_order_residual_is_coefficient_distance(self):
+        # the q = 0 lift residual is the scaled coefficient distance, exactly
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n, p, m_dim = (int(x) for x in rng.integers([0, 1, 1], [4, 3, 3]))
+            a = random_stable_model(rng, n, p, m_dim)
+            if rng.integers(2):
+                b = random_stable_model(rng, n, p, m_dim)
+            else:
+                b = IOModel.from_theta(a.theta + 1e-9 * rng.standard_normal(a.theta.shape),
+                                       n, p, m_dim)
+            raw = float(np.linalg.norm(a.theta - b.theta))
+            rel = raw / (1.0 + max(np.linalg.norm(a.theta), np.linalg.norm(b.theta)))
+            cert = is_equivalent(a, b)
+            assert cert.raw_residual == raw and cert.residual == rel
+            assert cert.condition == "same-order-coefficients"
+            assert (cert.low_order, cert.high_order) == (n, n)
 
     def test_argument_order_free(self):
         assert is_equivalent(LIFTED, SCALAR)

@@ -30,10 +30,17 @@ class TestReducedRegressor:
         Phi, _ = reduced_regressor_matrix(Trajectory(k0=0, u=u, y=y), 1, 2, [2])
         np.testing.assert_array_equal(Phi[0], [-7.0, 1.0, 2.0, 3.0])
 
-    def test_equal_orders_forbidden(self):
-        traj = Trajectory(k0=0, u=np.zeros((8, 1)), y=np.zeros((8, 1)))
+    def test_equal_orders_give_full_regressor(self):
+        rng = np.random.default_rng(3)
+        m = random_stable_model(rng, 2, 2, 2)
+        traj = simulate(m, rng.standard_normal((2, 2)), rng.standard_normal((30, 2)), k0=-4)
+        for n in range(4):
+            Phi, ks = reduced_regressor_matrix(traj, n, n)
+            Phi_full, _, ks_full = regressor_matrix(traj, n)
+            assert Phi.tobytes() == Phi_full.tobytes() and Phi.shape == Phi_full.shape
+            np.testing.assert_array_equal(ks, ks_full)
         with pytest.raises(ValidationError):
-            reduced_regressor_matrix(traj, 2, 2, [6])
+            reduced_regressor_matrix(traj, 3, 2, [6])
 
     def test_underflow(self):
         traj = Trajectory(k0=0, u=np.zeros((4, 1)), y=np.zeros((4, 1)))

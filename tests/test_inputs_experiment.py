@@ -224,6 +224,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown keys"):
             config_from_dict(minimal_config(extra=1))
+        with pytest.raises(ValidationError, match=r"unknown keys \['tolerances'\]"):
+            config_from_dict(minimal_config(tolerances={"equivalence": 1e-8}))
 
     def test_unknown_input_key_rejected(self):
         with pytest.raises(ValidationError, match="config.input"):
