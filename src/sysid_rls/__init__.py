@@ -37,7 +37,6 @@ from .rls import (
     batch_solve,
     cost,
     initial_state,
-    reduced_regressor_matrix,
     regressor_matrix,
     rls_fold,
 )
@@ -52,7 +51,6 @@ from .excitation import (
 from .convergence import (
     ConvergenceTrace,
     ProjectedLimit,
-    lift_true,
     predict_asymptote,
     projected_limit,
     run_tracked_identification,
@@ -69,10 +67,10 @@ __all__ = [
     "build_lift_matrix", "is_equivalent", "lift_once", "reduce_once", "reducibility_check",
     "trivial_embed",
     "FoldRecord", "RlsState", "batch_solve", "cost", "initial_state",
-    "reduced_regressor_matrix", "regressor_matrix", "rls_fold",
+    "regressor_matrix", "rls_fold",
     "ExcitationReport", "GramLimit", "estimate_gram_limit", "excitation_report",
     "lift_identity_check", "partial_gram_min_eigs",
-    "ConvergenceTrace", "ProjectedLimit", "lift_true", "predict_asymptote",
+    "ConvergenceTrace", "ProjectedLimit", "predict_asymptote",
     "projected_limit", "run_tracked_identification", "theta_equivalence_residual",
     "InputSpec", "generate_input", "parse_input_spec",
     "ExperimentConfig", "RunManifest", "load_config", "run_experiment",

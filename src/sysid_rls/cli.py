@@ -21,7 +21,7 @@ from . import __version__
 from .convergence import run_tracked_identification, write_convergence_trace
 from .equivalence import is_equivalent, reduce_once, reducibility_check
 from .errors import NumericalError, ValidationError
-from .excitation import partial_gram_min_eigs
+from .excitation import excitation_report
 from .experiment import load_config, run_experiment
 from .fileio import (
     load_model,
@@ -34,7 +34,6 @@ from .fileio import (
 from .inputs import generate_input, parse_input_spec
 from .rls import (
     initial_state,
-    reduced_regressor_matrix,
     regressor_dim,
     regressor_matrix,
     rls_fold,
@@ -43,7 +42,7 @@ from .rls import (
 
 
 def _nonneg_int(text: str) -> int:
-    """argparse type of orders."""
+    """argparse type of orders and horizons."""
     try:
         value = int(text)
     except ValueError:
@@ -117,26 +116,24 @@ def cmd_fit(args) -> int:
 
 def cmd_excite(args) -> int:
     traj = load_trajectory(args.data)
-    order = args.order
-    ks = valid_regressor_indices(traj, order)
-    if args.true_order is not None:
-        if args.true_order > order:
-            raise ValidationError("--true-order must not exceed --order")
-        Phi, ks = reduced_regressor_matrix(traj, args.true_order, order, ks)
-        label = f"reduced regressor (true order {args.true_order}, fit order {order})"
-    else:
-        Phi, _, ks = regressor_matrix(traj, order, ks)
-        label = f"full regressor (order {order})"
-    K = Phi.shape[0]
-    lmin, gram = partial_gram_min_eigs(Phi, np.arange(K))
+    order, n = args.order, args.true_order
+    if n is not None and n > order:
+        raise ValidationError("--true-order must not exceed --order")
+    Phi, _, ks = regressor_matrix(traj, order, valid_regressor_indices(traj, order))
+    label = f"full regressor (order {order})"
+    if n is not None:
+        # the reduced regressor is the full block's trailing columns
+        Phi = Phi[:, traj.p * (order - n):]
+        label = f"reduced regressor (true order {n}, fit order {order})"
+    report = excitation_report(Phi)
+    lmin = report.min_eig_curve
     if args.emit:
         write_csv(args.emit, ["k", "lambda_min_partial", "lambda_min_avg"],
-                  [ks, lmin, lmin / np.arange(1, K + 1)])
+                  [ks, lmin, lmin / np.arange(1, len(ks) + 1)])
         print(f"excitation curve written to {args.emit}")
-    final_avg = gram / K
-    print(f"{label}: {K} samples")
+    print(f"{label}: {len(ks)} samples")
     print(f"  lambda_min of Gram partial sum: {lmin[-1]:.6e}")
-    print(f"  lambda_min of average Gram:     {float(np.linalg.eigvalsh(final_avg)[0]):.6e}")
+    print(f"  lambda_min of average Gram:     {report.gram_avg_min_eig:.6e}")
     return 0
 
 
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-order", type=_nonneg_int, required=True)
     p.add_argument("--input", default="white:seed=0:scale=1.0",
                    help="input spec, e.g. white:seed=7:scale=1.0")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_nonneg_int, required=True)
     p.add_argument("--p0-scale", type=_positive_float, default=1e3)
     p.add_argument("--theta0", default="zeros")
     p.add_argument("--emit", default=None, help="trace CSV path")

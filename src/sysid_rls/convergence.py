@@ -34,20 +34,7 @@ from .errors import NumericalError, ValidationError
 from .excitation import GramLimit, estimate_gram_limit
 from .model_core import IOModel, simulate
 from .fileio import write_csv
-from .rls import (
-    DEFAULT_P0_SCALE,
-    initial_state,
-    reduced_regressor_matrix,
-    regressor_matrix,
-    rls_fold,
-)
-
-
-def lift_true(model: IOModel, n_hat: int) -> np.ndarray:
-    """Zero-padded flattened coefficients ``[F 0 G 0]`` at order ``n_hat``."""
-    if n_hat < model.n:
-        raise ValidationError(f"lift order {n_hat} is below the model order {model.n}")
-    return trivial_embed(model, n_hat).theta
+from .rls import DEFAULT_P0_SCALE, initial_state, regressor_matrix, rls_fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +72,7 @@ def _complement(model: IOModel, n_hat: int, P0: np.ndarray) -> np.ndarray:
 def projected_limit(model: IOModel, n_hat: int, theta0: np.ndarray,
                     P0: np.ndarray) -> ProjectedLimit:
     """Prior-penalty-minimal equivalent model of order ``n_hat >= n``."""
-    theta_true = lift_true(model, n_hat)
+    theta_true = trivial_embed(model, n_hat).theta
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != theta_true.shape:
         raise ValidationError(
@@ -119,7 +106,7 @@ def predict_asymptote(theta0: np.ndarray, P0: np.ndarray, model: IOModel,
     Hc = _complement(model, n_hat, P0)
     pq = model.p * (n_hat - model.n)
     S = (np.eye(len(Hc)) - Hc)[pq:]
-    E = np.asarray(theta0, dtype=float) - lift_true(model, n_hat)
+    E = np.asarray(theta0, dtype=float) - trivial_embed(model, n_hat).theta
     try:
         X = scipy.linalg.solve(P0, E.T, assume_a="pos").T @ S.T
         X = scipy.linalg.solve(np.asarray(C_reduced, dtype=float), X.T, assume_a="pos").T
@@ -185,7 +172,7 @@ def _finite_or_none(obj):
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
-def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
+def run_tracked_identification(model: IOModel, n_hat: int, inputs,
                                horizon: int, theta0: np.ndarray | None = None,
                                P0: np.ndarray | None = None,
                                p0_scale: float = DEFAULT_P0_SCALE) -> ConvergenceTrace:
@@ -193,8 +180,7 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
 
     Parameters
     ----------
-    input_generator : callable mapping a length to an (length, m) array, or a
-        prebuilt array with at least ``horizon + n_hat`` rows.  The extra
+    inputs : array with at least ``horizon + n_hat`` rows.  The extra
         ``n_hat`` rows fill the pre-history so every sample from step 0 on
         has a full regressor window.
     horizon : number of RLS updates; must be >= n_hat.
@@ -202,7 +188,8 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
     The reference is :func:`projected_limit`, the true coefficients at
     ``n_hat == n`` (``ref_kind`` "true", else "projected"); both the
     per-step distances and the final scaled error against
-    :func:`predict_asymptote` are recorded.
+    :func:`predict_asymptote` are recorded.  One regressor block serves the
+    fold and, through its trailing columns, the reduced-regressor Gram limit.
     """
     if n_hat < model.n:
         raise ValidationError(
@@ -212,18 +199,12 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
     if horizon < max(n_hat, 1):
         raise ValidationError(f"horizon {horizon} is below the fit order {n_hat}")
     total = horizon + n_hat
-    if callable(input_generator):
-        u = np.asarray(input_generator(total), dtype=float)
-    else:
-        u = np.asarray(input_generator, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
+    u = np.asarray(inputs, dtype=float)
     if u.shape[0] < total:
         raise ValidationError(f"need {total} inputs (horizon + fit order), got {u.shape[0]}")
-    u = u[:total]
 
     traj = simulate(model, np.zeros((model.n, model.p)), u, horizon=total, k0=-n_hat)
-    Phi, Y, ks = regressor_matrix(traj, n_hat, np.arange(0, horizon))
+    Phi, Y, _ = regressor_matrix(traj, n_hat, np.arange(0, horizon))
 
     state = initial_state(n_hat, model.p, model.m, theta0=theta0, P0=P0,
                           p0_scale=p0_scale)
@@ -234,7 +215,7 @@ def run_tracked_identification(model: IOModel, n_hat: int, input_generator,
     state, record = rls_fold(state, Phi, Y, theta_ref=theta_ref)
     K = Phi.shape[0]
 
-    gram = estimate_gram_limit(reduced_regressor_matrix(traj, model.n, n_hat, ks)[0])
+    gram = estimate_gram_limit(Phi[:, model.p * (n_hat - model.n):])
     try:
         predicted = predict_asymptote(theta_start, P_start, model, n_hat, gram.C)
     except NumericalError:

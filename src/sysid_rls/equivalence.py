@@ -373,10 +373,6 @@ class ReducibilityReport:
     def reducible(self) -> bool:
         return self.irreducible_model.n < self.original.n
 
-    @property
-    def order_chain(self) -> tuple:
-        return tuple(range(self.original.n, self.irreducible_model.n - 1, -1))
-
 
 def reducibility_check(model: IOModel, tol: float = DEFAULT_TOL) -> ReducibilityReport:
     """Apply :func:`reduce_once` until failure, collecting the witness chain."""

@@ -4,13 +4,15 @@ A sequence is weakly persistently exciting when the minimum eigenvalue of
 the partial-sum Gram matrix diverges, and persistently exciting when the
 running average Gram converges to a positive-definite limit.  Both notions
 are asymptotic; the verdicts produced here are finite-data heuristics with
-configurable thresholds and are labeled as such.
+the fixed thresholds ``DEFAULT_PE_SLOPE_TOL`` and ``DEFAULT_GROWTH_RATIO``
+and are labeled as such.
 
 On data generated by a true order-n model the full order-n_hat regressor is
-an exact linear image of the reduced one
-(:func:`sysid_rls.rls.reduced_regressor_matrix`) through the lift matrix,
+an exact linear image of the reduced one through the lift matrix ``M``,
 which is the rank obstruction that makes overparameterized regressors fail
-weak persistent excitation.
+weak persistent excitation.  ``M``'s lower block is the identity, so the
+reduced regressor is the full block's trailing columns
+``Phi[:, p * (n_hat - n):]`` (see :mod:`sysid_rls.rls`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .equivalence import build_lift_matrix
 from .errors import ValidationError
 from .model_core import IOModel, Trajectory
-from .rls import reduced_regressor_matrix, regressor_matrix
+from .rls import regressor_matrix
 
 DEFAULT_PE_SLOPE_TOL = 1e-2
 DEFAULT_GROWTH_RATIO = 1.2
@@ -35,7 +37,7 @@ class ExcitationReport:
     """Minimum-eigenvalue growth curve with heuristic excitation verdicts.
 
     ``min_eig_curve[i]`` is the minimum eigenvalue of the Gram partial sum
-    after ``(i+1) * stride`` samples (nondecreasing).  ``gram_avg`` is the
+    after ``i + 1`` samples (nondecreasing).  ``gram_avg`` is the
     final running average; ``stabilization`` compares it against the
     half-sample average.
     """
@@ -45,8 +47,6 @@ class ExcitationReport:
     gram_avg_min_eig: float
     weak_pe: bool
     pe: bool
-    window: tuple[int, int]
-    stride: int
     weak_pe_threshold: float
     stabilization: float
 
@@ -55,14 +55,17 @@ def lift_identity_check(traj: Trajectory, model: IOModel, n_hat: int,
                         k_range=None) -> float:
     """Max over k of the defect ||phi_full - M @ phi_reduced||.
 
-    On data simulated exactly by ``model`` the defect is zero up to
-    roundoff; a corrupted sample shows up in every window containing it.
+    The reduced regressor is the full one's trailing columns and ``M``'s
+    lower block is the identity, so only the top ``pq = p (n_hat - n)``
+    band can differ: the defect is ``Phi[:, :pq] - Phi[:, pq:] @ M[:pq].T``.
+    On data simulated exactly by ``model`` it is zero up to roundoff; a
+    corrupted sample shows up in every window containing it.
     """
-    lift = build_lift_matrix(model, n_hat)
-    Phi_full, _, ks = regressor_matrix(traj, n_hat, k_range)
-    Phi_red, _ = reduced_regressor_matrix(traj, model.n, n_hat, ks)
-    defects = Phi_full - Phi_red @ lift.M.T
-    return float(np.max(np.linalg.norm(defects, axis=1))) if len(ks) else 0.0
+    M = build_lift_matrix(model, n_hat).M
+    pq = M.shape[0] - M.shape[1]
+    Phi = regressor_matrix(traj, n_hat, k_range)[0]
+    defects = Phi[:, :pq] - Phi[:, pq:] @ M[:pq].T
+    return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
 def _as_matrix(regressors) -> np.ndarray:
@@ -79,65 +82,53 @@ def _as_matrix(regressors) -> np.ndarray:
     return Phi
 
 
-def partial_gram_min_eigs(Phi: np.ndarray, rows, gram: np.ndarray | None = None
+def partial_gram_min_eigs(Phi: np.ndarray, gram: np.ndarray | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalue of the Gram partial sum after each of ``rows``.
+    """Smallest eigenvalue of the Gram partial sum after each row of ``Phi``.
 
     The partial sum after row i is ``gram + sum_{j <= i} phi_j phi_j^T``
-    (``gram`` defaults to zeros); ``rows`` are sorted 0-based row indices of
-    ``Phi``.  Returns the eigenvalues at ``rows`` and the final partial sum.
-    The sums are a ``cumsum`` of outer products over ``_GRAM_CHUNK`` rows at
-    a time, the running sum carried into each chunk's first row, so they
-    equal a per-row ``gram += np.outer(phi, phi)`` bit for bit; the chosen
-    rows of a chunk go through one batched ``eigvalsh``.
+    (``gram`` defaults to zeros).  Returns the eigenvalues and the final
+    partial sum.  The sums are a ``cumsum`` of outer products over
+    ``_GRAM_CHUNK`` rows at a time, the running sum carried into each chunk's
+    first row, so they equal a per-row ``gram += np.outer(phi, phi)`` bit for
+    bit; each chunk goes through one batched ``eigvalsh``.
     """
     K, d = Phi.shape
     gram = np.zeros((d, d)) if gram is None else np.array(gram, dtype=float)
-    rows = np.asarray(rows, dtype=int)
-    min_eigs = np.empty(rows.size)
+    min_eigs = np.empty(K)
     for start in range(0, K, _GRAM_CHUNK):
         block = Phi[start:start + _GRAM_CHUNK]
         sums = block[:, :, None] * block[:, None, :]
         sums[0] += gram
         np.cumsum(sums, axis=0, out=sums)
-        lo, hi = np.searchsorted(rows, [start, start + len(block)])
-        if hi > lo:
-            min_eigs[lo:hi] = np.linalg.eigvalsh(sums[rows[lo:hi] - start])[:, 0]
+        min_eigs[start:start + len(block)] = np.linalg.eigvalsh(sums)[:, 0]
         gram = sums[-1].copy()
     return min_eigs, gram
 
 
-def excitation_report(regressors, pe_slope_tol: float = DEFAULT_PE_SLOPE_TOL,
-                      weak_pe_threshold: float | None = None, stride: int = 1,
-                      growth_ratio: float = DEFAULT_GROWTH_RATIO) -> ExcitationReport:
+def excitation_report(regressors) -> ExcitationReport:
     """Partial-sum eigenvalue curve plus heuristic weak-PE / PE verdicts.
 
-    weak PE: final min eigenvalue exceeds ``weak_pe_threshold`` (default
-    ``10 * eps * trace`` of the final Gram) and has grown by at least
-    ``growth_ratio`` since the half-way point.  PE: the running average Gram
-    has min eigenvalue above the threshold scaled per sample and is
-    Cauchy-stabilizing within ``pe_slope_tol`` relative Frobenius distance.
+    weak PE: final min eigenvalue exceeds ``weak_pe_threshold``
+    (``10 * eps * trace`` of the final Gram) and has grown by at least
+    ``DEFAULT_GROWTH_RATIO`` since the half-way point.  PE: the running
+    average Gram has min eigenvalue above the threshold scaled per sample
+    and is Cauchy-stabilizing within ``DEFAULT_PE_SLOPE_TOL`` relative
+    Frobenius distance.
     """
     Phi = _as_matrix(regressors)
-    if stride < 1:
-        raise ValidationError(f"stride must be at least 1, got {stride}")
     K = Phi.shape[0]
     half_idx = max(1, K // 2)
-    # the curve after every stride-th sample and the last; the sum is split
-    # at the half-way point, whose Gram is the first part's final one
-    rows = np.union1d(np.arange(stride - 1, K, stride), [K - 1])
-    picks = np.union1d(rows, [half_idx - 1])
-    cut = np.searchsorted(picks, half_idx)
-    head, gram_half_sum = partial_gram_min_eigs(Phi[:half_idx], picks[:cut])
-    tail, gram = partial_gram_min_eigs(Phi[half_idx:], picks[cut:] - half_idx,
-                                       gram_half_sum)
+    # the sum is split at the half-way point, whose Gram is the first part's
+    # final one
+    head, gram_half_sum = partial_gram_min_eigs(Phi[:half_idx])
+    tail, gram = partial_gram_min_eigs(Phi[half_idx:], gram_half_sum)
     min_eig_half = float(head[-1])
-    min_eig_curve = np.concatenate([head, tail])[np.isin(picks, rows)]
+    min_eig_curve = np.concatenate([head, tail])
     final_min_eig = float(min_eig_curve[-1])
-    trace = float(np.trace(gram))
-    if weak_pe_threshold is None:
-        weak_pe_threshold = 10.0 * np.finfo(float).eps * max(trace, 1.0)
-    still_growing = final_min_eig >= growth_ratio * min_eig_half or min_eig_half <= 0.0
+    weak_pe_threshold = 10.0 * np.finfo(float).eps * max(float(np.trace(gram)), 1.0)
+    still_growing = (final_min_eig >= DEFAULT_GROWTH_RATIO * min_eig_half
+                     or min_eig_half <= 0.0)
     weak_pe = final_min_eig > weak_pe_threshold and still_growing
 
     gram_avg = gram / K
@@ -146,15 +137,13 @@ def excitation_report(regressors, pe_slope_tol: float = DEFAULT_PE_SLOPE_TOL,
     stabilization = float(
         np.linalg.norm(gram_avg - gram_half) / (1.0 + np.linalg.norm(gram_avg))
     )
-    pe = gram_avg_min_eig > weak_pe_threshold / K and stabilization <= pe_slope_tol
+    pe = gram_avg_min_eig > weak_pe_threshold / K and stabilization <= DEFAULT_PE_SLOPE_TOL
     return ExcitationReport(
         min_eig_curve=min_eig_curve,
         gram_avg=gram_avg,
         gram_avg_min_eig=gram_avg_min_eig,
         weak_pe=bool(weak_pe),
         pe=bool(pe),
-        window=(0, K),
-        stride=stride,
         weak_pe_threshold=float(weak_pe_threshold),
         stabilization=stabilization,
     )

@@ -128,6 +128,10 @@ def generate_input(spec: InputSpec, horizon: int, m: int) -> np.ndarray:
     """Input array of shape (horizon, m); identical across calls."""
     if horizon <= 0:
         raise ValidationError(f"horizon must be positive, got {horizon}")
+    # numpy refuses, rather than allocates, an array of more bytes than this
+    if horizon * m * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"input horizon {horizon} is too large: "
+                              "numpy cannot allocate that many inputs")
     if spec.kind == "white":
         rng = np.random.default_rng(spec.seed)
         return spec.scale * rng.standard_normal((horizon, m))

@@ -79,13 +79,6 @@ class IOModel:
         object.__setattr__(self, "G", _as_blocks(self.G, self.n + 1, (self.p, self.m), "G"))
 
     @classmethod
-    def from_blocks(cls, F, G) -> "IOModel":
-        """Build a model from block lists, inferring (n, p, m)."""
-        G0 = np.atleast_2d(np.asarray(G[0], dtype=float))
-        p, m = G0.shape
-        return cls(n=len(F), p=p, m=m, F=F, G=G)
-
-    @classmethod
     def scalar(cls, f_coeffs, g_coeffs) -> "IOModel":
         """SISO shorthand: ``scalar([F1, ..., Fn], [G0, ..., Gn])``."""
         F = [np.array([[float(c)]]) for c in f_coeffs]

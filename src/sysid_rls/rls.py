@@ -11,7 +11,9 @@ so that exact data from a matching-order model satisfies
 
     phi[n, n_hat, k] = [-y[k-n_hat+n-1]; ...; -y[k-n_hat]; u[k]; ...; u[k-n_hat]]
 
-and ``phi[n, n, k] = phi[n, k]``.  The cost after k samples is
+which is the trailing ``p n + m (n_hat + 1)`` entries of ``phi[n_hat, k]``:
+the columns ``Phi[:, p * (n_hat - n):]`` of :func:`regressor_matrix`'s
+block, and all of it at ``n == n_hat``.  The cost after k samples is
 
     J(theta) = sum_i ||y_i - theta phi_i||^2
                + tr[(theta - theta0) P0^{-1} (theta - theta0)^T]
@@ -96,11 +98,25 @@ def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray,
     """Vectorized regressors and targets: (Phi, Y, ks) with
     ``Phi[i] = phi[order, ks[i]]`` and ``Y[i] = y[ks[i]]``.
 
-    The regressors are :func:`reduced_regressor_matrix` at ``n = n_hat =
-    order``; a missing target cell is named by its column and time index.
+    Defaults to every fully-windowed index.  The reduced regressor of a true
+    order ``n <= order`` is the column slice ``Phi[:, p * (order - n):]``.  A
+    missing cell is a validation error; a missing output cell is named by its
+    column and time index.
     """
-    Phi, ks = reduced_regressor_matrix(traj, order, order, ks)
-    Y = traj.y[ks - traj.k0]
+    if ks is None:
+        ks = np.arange(traj.k0 + order, traj.k_last + 1)
+    ks = np.asarray(ks, dtype=int)
+    if ks.size == 0:
+        raise ValidationError("no regressor indices available")
+    idx = ks - traj.k0
+    if idx.min() < order or idx.max() >= len(traj):
+        raise ValidationError("requested indices fall outside the fully-windowed range")
+    cols = [-traj.y[idx - lag] for lag in range(1, order + 1)]
+    cols += [traj.u[idx - lag] for lag in range(0, order + 1)]
+    Phi = np.hstack(cols)
+    if not np.all(np.isfinite(Phi)):
+        raise _missing_window_value(traj, idx, order)
+    Y = traj.y[idx]
     if not np.all(np.isfinite(Y)):
         row, col = np.argwhere(~np.isfinite(Y))[0]
         raise ValidationError(
@@ -109,39 +125,11 @@ def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray,
     return Phi, Y, ks
 
 
-def reduced_regressor_matrix(traj: Trajectory, n: int, n_hat: int,
-                             ks=None) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced regressors ``(Phi, ks)`` with ``Phi[i] = phi[n, n_hat, ks[i]]``
-    for ``n <= n_hat``; ``n == n_hat`` is the full regressor ``phi[n, k]``.
-
-    Defaults to every fully-windowed index.  A missing cell is a validation
-    error; a missing output cell in a window is named by its column and time
-    index.
-    """
-    if n_hat < n:
-        raise ValidationError(f"reduced regressor needs n <= n_hat, got {n} > {n_hat}")
-    if ks is None:
-        ks = np.arange(traj.k0 + n_hat, traj.k_last + 1)
-    ks = np.asarray(ks, dtype=int)
-    if ks.size == 0:
-        raise ValidationError("no regressor indices available")
-    idx = ks - traj.k0
-    if idx.min() < n_hat or idx.max() >= len(traj):
-        raise ValidationError("requested indices fall outside the fully-windowed range")
-    y_lags = range(n_hat - n + 1, n_hat + 1)
-    cols = [-traj.y[idx - lag] for lag in y_lags]
-    cols += [traj.u[idx - lag] for lag in range(0, n_hat + 1)]
-    Phi = np.hstack(cols)
-    if not np.all(np.isfinite(Phi)):
-        raise _missing_window_value(traj, idx, y_lags)
-    return Phi, ks
-
-
-def _missing_window_value(traj: Trajectory, idx: np.ndarray, y_lags) -> ValidationError:
-    """The error for regressor windows (ending at rows ``idx``, reading
-    outputs at ``y_lags``) that hold a missing cell: the first missing
-    output cell is named by column and time index, else the inputs are."""
-    rows = np.unique((idx[:, None] - np.asarray(y_lags, dtype=int)).ravel())
+def _missing_window_value(traj: Trajectory, idx: np.ndarray, order: int) -> ValidationError:
+    """The error for order-``order`` regressor windows (ending at rows
+    ``idx``) that hold a missing cell: the first missing output cell is
+    named by column and time index, else the inputs are."""
+    rows = np.unique((idx[:, None] - np.arange(1, order + 1)).ravel())
     bad = np.argwhere(~np.isfinite(traj.y[rows]))
     if bad.size:
         row, col = bad[0]

@@ -143,13 +143,13 @@ def reference_reduced_regressor(traj, k: int, n: int, n_hat: int) -> np.ndarray:
     return np.concatenate([-ys.ravel(), us.ravel()])
 
 
-def reference_gram_curve(Phi, stride=1):
+def reference_gram_curve(Phi):
     """Per-row Gram partial sum written out with ``np.outer`` and one
     ``eigvalsh`` per row, as :func:`excitation_report` reads it.
 
-    Returns the minimum eigenvalue after every ``stride``-th row and the
-    last, the partial sum after the half-way row ``max(1, K // 2)`` and its
-    minimum eigenvalue, and the final partial sum.
+    Returns the minimum eigenvalue after every row, the partial sum after
+    the half-way row ``max(1, K // 2)`` and its minimum eigenvalue, and the
+    final partial sum.
     """
     K, d = Phi.shape
     half = max(1, K // 2)
@@ -157,8 +157,7 @@ def reference_gram_curve(Phi, stride=1):
     curve = []
     for i in range(K):
         gram += np.outer(Phi[i], Phi[i])
-        if (i + 1) % stride == 0 or i == K - 1:
-            curve.append(np.linalg.eigvalsh(gram)[0])
+        curve.append(np.linalg.eigvalsh(gram)[0])
         if i + 1 == half:
             gram_half, min_eig_half = gram.copy(), np.linalg.eigvalsh(gram)[0]
     return np.array(curve), gram_half, min_eig_half, gram

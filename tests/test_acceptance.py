@@ -12,15 +12,14 @@ from sysid_rls import (
     excitation_report,
     is_equivalent,
     lift_once,
-    lift_true,
     projected_limit,
-    reduced_regressor_matrix,
     reducibility_check,
     regressor_matrix,
     rls_fold,
     run_experiment,
     run_tracked_identification,
     simulate,
+    trivial_embed,
 )
 from sysid_rls.experiment import config_from_dict
 from sysid_rls.rls import RlsState
@@ -140,7 +139,7 @@ def test_criterion_05_rank_obstruction():
     traj = simulate(model, np.zeros((1, 1)), u, k0=-n_hat)
     ks = np.arange(0, steps)
     Phi_full, _, _ = regressor_matrix(traj, n_hat, ks)
-    Phi_red, _ = reduced_regressor_matrix(traj, model.n, n_hat, ks)
+    Phi_red = Phi_full[:, model.p * (n_hat - model.n):]
     rep_full = excitation_report(Phi_full)
     rep_red = excitation_report(Phi_red)
     trace_full = float(np.trace(rep_full.gram_avg) * steps)
@@ -202,7 +201,7 @@ def test_criterion_08_projected_limit_optimality():
         M = build_lift_matrix(model, n_hat).M
         p, d = theta0.shape
 
-        oracle = kkt_projected_limit(lift_true(model, n_hat), theta0, P0, M)
+        oracle = kkt_projected_limit(trivial_embed(model, n_hat).theta, theta0, P0, M)
         worst_kkt = max(worst_kkt, float(np.max(np.abs(pl.theta_star - oracle))))
 
         basis = scipy.linalg.null_space(M.T)
@@ -235,7 +234,7 @@ def test_criterion_09_projection_invariants():
         worst = max(worst, float(np.max(np.abs(pl.H @ pl.H - pl.H))))
         worst = max(worst, float(np.max(np.abs(pl.H @ M - M))))
         worst = max(worst, float(np.max(np.abs(
-            (pl.theta_star - lift_true(model, n_hat)) @ M))))
+            (pl.theta_star - trivial_embed(model, n_hat).theta) @ M))))
     report("09 projection-invariants", worst <= 1e-9,
            f"100 instances, max defect over H^2=H, HM=M, (theta*-truth)M=0: {worst:.2e}")
 

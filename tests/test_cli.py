@@ -6,9 +6,9 @@ import pytest
 from sysid_rls import IOModel, InputSpec, generate_input, lift_once, load_config, simulate
 from sysid_rls.cli import main
 from sysid_rls.fileio import load_model, load_trajectory, save_model, save_trajectory
-from sysid_rls.rls import reduced_regressor_matrix, valid_regressor_indices
+from sysid_rls.rls import valid_regressor_indices
 
-from support import reference_gram_curve
+from support import reference_gram_curve, reference_reduced_regressor
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
@@ -157,7 +157,8 @@ class TestExciteCommand:
                    "--true-order", "1", "--emit", str(out)])
         assert rc == 0
         traj = load_trajectory(tmp_path / "long.csv")
-        Phi, ks = reduced_regressor_matrix(traj, 1, 3, valid_regressor_indices(traj, 3))
+        ks = valid_regressor_indices(traj, 3)
+        Phi = np.array([reference_reduced_regressor(traj, int(k), 1, 3) for k in ks])
         curve = reference_gram_curve(Phi)[0]
         rows = np.array([[float(x) for x in line.split(",")]
                          for line in out.read_text().splitlines()[1:]])
@@ -169,6 +170,20 @@ class TestExciteCommand:
         rc = main(["excite", "--data", str(workdir / "traj.csv"), "--order", "2",
                    "--true-order", "3"])
         assert rc == 2
+
+    def test_true_order_reads_the_fit_order_window(self, tmp_path, capsys):
+        # y[28] is outside every reduced window (they read y[k-3] only) but
+        # inside the order-3 window of k=29, so excite rejects the file with
+        # or without --true-order, as fit does
+        y = np.round(np.linspace(0.1, 3.0, 30), 3).astype(str)
+        y[28] = "nan"
+        rows = [f"{k},{(-1) ** k},{v}" for k, v in enumerate(y)]
+        path = tmp_path / "gap.csv"
+        path.write_text("k,u_1,y_1\n" + "\n".join(rows) + "\n")
+        for extra in ([], ["--true-order", "1"]):
+            assert main(["excite", "--data", str(path), "--order", "3"] + extra) == 2
+            assert ("output column y_1 is missing at k=28, inside a regressor window"
+                    in capsys.readouterr().err)
 
     def test_true_order_equal_to_order_is_full_regressor(self, workdir):
         data = str(workdir / "traj.csv")
@@ -235,6 +250,23 @@ class TestConvergeCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("horizon", ["-5", "x"])
+    def test_bad_horizon_is_usage_error(self, workdir, capsys, horizon):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--model", str(workdir / "model.json"), "--fit-order", "1",
+                  "--horizon", horizon])
+        assert exc.value.code == 2
+        assert "expected a non-negative integer" in capsys.readouterr().err
+
+    # sizes at or above 2**63, which numpy refuses without allocating
+    @pytest.mark.parametrize("horizon", [str(2**63), "1000000000000000000000000"])
+    def test_oversized_horizon_is_validation_error(self, workdir, capsys, horizon):
+        rc = main(["converge", "--model", str(workdir / "model.json"), "--fit-order", "1",
+                   "--horizon", horizon])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "is too large" in err and "Traceback" not in err
 
     def test_bad_input_spec(self, workdir):
         rc = main(["converge", "--model", str(workdir / "model.json"),
@@ -315,7 +347,10 @@ class TestExperimentCommand:
                                              ({"fit_orders": [True]}, "config.fit_orders[0]"),
                                              ({"fit_orders": [1, 2.0]}, "config.fit_orders[1]"),
                                              ({"horizon": True}, "config.horizon"),
-                                             ({"horizon": 100.0}, "config.horizon")])
+                                             ({"horizon": 100.0}, "config.horizon"),
+                                             # above 2**63: numpy refuses it unallocated
+                                             ({"horizon": 10**30},
+                                              f"input horizon {10**30 + 1} is too large")])
     def test_bad_number_in_config_is_validation_error(self, workdir, capsys, change, key):
         cfg = dict({"true_model": "model.json", "fit_orders": [1], "horizon": 100}, **change)
         (workdir / "cfg.json").write_text(json.dumps(cfg))

@@ -6,10 +6,8 @@ from sysid_rls import (
     NumericalError,
     ValidationError,
     build_lift_matrix,
-    lift_true,
     predict_asymptote,
     projected_limit,
-    reduced_regressor_matrix,
     regressor_matrix,
     run_tracked_identification,
     simulate,
@@ -25,11 +23,13 @@ SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
 
 
 class TestLiftTrue:
+    """The lifted truth ``trivial_embed(model, n_hat).theta``."""
+
     def test_same_order_is_theta(self):
-        np.testing.assert_array_equal(lift_true(SCALAR, 1), SCALAR.theta)
+        np.testing.assert_array_equal(trivial_embed(SCALAR, 1).theta, SCALAR.theta)
 
     def test_scalar_layout(self):
-        np.testing.assert_array_equal(lift_true(SCALAR, 2),
+        np.testing.assert_array_equal(trivial_embed(SCALAR, 2).theta,
                                       [[0.5, 0.0, 0.0, 1.0, 0.0]])
 
     def test_annihilates_residual_on_data(self):
@@ -38,19 +38,19 @@ class TestLiftTrue:
         traj = simulate(m, rng.standard_normal((1, 2)),
                         rng.standard_normal((40, 2)), k0=-3)
         Phi, Y, _ = regressor_matrix(traj, 3)
-        Z = Y - Phi @ lift_true(m, 3).T
+        Z = Y - Phi @ trivial_embed(m, 3).theta.T
         assert np.max(np.abs(Z)) <= 1e-10
 
     def test_below_order_rejected(self):
         with pytest.raises(ValidationError):
-            lift_true(trivial_embed(SCALAR, 2), 1)
+            trivial_embed(trivial_embed(SCALAR, 2), 1)
 
 
 class TestProjectedLimit:
     def test_feasible_prior_is_fixed_point(self):
         rng = np.random.default_rng(1)
         m = random_stable_model(rng, 1, 2, 1)
-        theta0 = lift_true(m, 3)
+        theta0 = trivial_embed(m, 3).theta
         pl = projected_limit(m, 3, theta0, random_spd(rng, theta0.shape[1]))
         np.testing.assert_allclose(pl.theta_star, theta0, atol=1e-10)
 
@@ -61,7 +61,7 @@ class TestProjectedLimit:
         pl = projected_limit(SCALAR, 2, theta0, np.eye(5))
         proj = M @ np.linalg.solve(M.T @ M, M.T)
         np.testing.assert_allclose(pl.H, proj, atol=1e-12)
-        np.testing.assert_allclose(pl.theta_star, lift_true(SCALAR, 2) @ proj,
+        np.testing.assert_allclose(pl.theta_star, trivial_embed(SCALAR, 2).theta @ proj,
                                    atol=1e-12)
 
     def test_projection_invariants(self):
@@ -79,7 +79,7 @@ class TestProjectedLimit:
             M = build_lift_matrix(model, n_hat).M
             assert np.max(np.abs(pl.H @ pl.H - pl.H)) <= 1e-9
             assert np.max(np.abs(pl.H @ M - M)) <= 1e-9
-            assert np.max(np.abs((pl.theta_star - lift_true(model, n_hat)) @ M)) <= 1e-9
+            assert np.max(np.abs((pl.theta_star - trivial_embed(model, n_hat).theta) @ M)) <= 1e-9
             assert np.linalg.matrix_rank(pl.H) == M.shape[1]
 
     def test_matches_kkt_oracle(self):
@@ -92,7 +92,7 @@ class TestProjectedLimit:
             theta0 = rng.standard_normal((2, d))
             P0 = random_spd(rng, d)
             pl = projected_limit(model, n_hat, theta0, P0)
-            oracle = kkt_projected_limit(lift_true(model, n_hat), theta0, P0, M)
+            oracle = kkt_projected_limit(trivial_embed(model, n_hat).theta, theta0, P0, M)
             assert np.max(np.abs(pl.theta_star - oracle)) <= 1e-9
 
     def test_minimizes_regularizer_over_feasible_set(self):
@@ -165,13 +165,13 @@ class TestEquivalenceViaTheta:
         theta0 = rng.standard_normal((1, 7))
         pl = projected_limit(m, 2, theta0[:, :5], np.eye(5))
         assert theta_equivalence_residual(pl.theta_star, m, 2) <= 1e-9
-        assert theta_equivalence_residual(lift_true(m, 2), m, 2) <= 1e-9
+        assert theta_equivalence_residual(trivial_embed(m, 2).theta, m, 2) <= 1e-9
 
     def test_range_sensitive_perturbation_fails(self):
         m = SCALAR
         M = build_lift_matrix(m, 2).M
         v = M[:, 0]  # lives in the column space, so v^T M != 0
-        theta = lift_true(m, 2) + 1e-3 * v.reshape(1, -1)
+        theta = trivial_embed(m, 2).theta + 1e-3 * v.reshape(1, -1)
         assert not theta_equivalence_residual(theta, m, 2) <= 1e-8
 
     def test_agrees_with_model_level_check(self):
@@ -206,7 +206,7 @@ class TestAsymptotePredictions:
         rng = np.random.default_rng(7)
         m = random_stable_model(rng, 1, 1, 1)
         C = random_spd(rng, 4)
-        pred = predict_asymptote(lift_true(m, 2), np.eye(5), m, 2, C)
+        pred = predict_asymptote(trivial_embed(m, 2).theta, np.eye(5), m, 2, C)
         np.testing.assert_allclose(pred, np.zeros((1, 5)), atol=1e-12)
 
     def test_overparam_zero_at_any_equivalent_prior(self):
@@ -277,8 +277,8 @@ class TestErrorDynamicsIdentities:
         n_hat = 2
         traj = simulate(m, np.zeros((1, 1)),
                         rng.standard_normal((52, 1)), k0=-n_hat)
-        Phi, Y, ks = regressor_matrix(traj, n_hat, np.arange(0, 50))
-        Phi_red, _ = reduced_regressor_matrix(traj, 1, n_hat, ks)
+        Phi, Y, _ = regressor_matrix(traj, n_hat, np.arange(0, 50))
+        Phi_red = Phi[:, n_hat - 1:]
         d = Phi.shape[1]
         theta0 = rng.standard_normal((1, d))
         P0 = random_spd(rng, d, 0.5, 5.0)
@@ -286,7 +286,7 @@ class TestErrorDynamicsIdentities:
         M = build_lift_matrix(m, n_hat).M
         W = M.T @ P0 @ M
         W_inv = np.linalg.inv(W)
-        E = (theta0 - lift_true(m, n_hat)) @ M
+        E = (theta0 - trivial_embed(m, n_hat).theta) @ M
         state = RlsState(theta=theta0.copy(), P=P0.copy(), k=0)
         Q = np.zeros_like(W)
         _, record = rls_fold(state, Phi, Y, keep_history=True)
@@ -339,9 +339,10 @@ class TestRunTrackedIdentification:
         assert theta_equivalence_residual(trace.theta_ref, SCALAR, 3) <= 1e-9
 
     def test_callable_generator(self):
+        # a 1-D input array is one input channel; rows past horizon + order
+        # are ignored
         rng = np.random.default_rng(15)
-        trace = run_tracked_identification(
-            SCALAR, 1, lambda total: rng.standard_normal((total, 1)), 200)
+        trace = run_tracked_identification(SCALAR, 1, rng.standard_normal(250), 200)
         assert len(trace.ks) == 200
 
     def test_under_order_rejected(self):

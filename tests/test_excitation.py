@@ -9,25 +9,35 @@ from sysid_rls import (
     excitation_report,
     lift_identity_check,
     partial_gram_min_eigs,
-    reduced_regressor_matrix,
     regressor_matrix,
     simulate,
 )
 
-from support import random_stable_model, reference_gram_curve, reference_reduced_regressor
+from support import (
+    random_stable_model,
+    reference_gram_curve,
+    reference_reduced_regressor,
+    reference_regressor,
+)
+
+
+def reduced(traj, n, n_hat, ks=None):
+    """The reduced regressor: the trailing columns of the order-``n_hat`` block."""
+    Phi, _, ks = regressor_matrix(traj, n_hat, ks)
+    return Phi[:, traj.p * (n_hat - n):], ks
 
 
 class TestReducedRegressor:
     def test_zero_trajectory(self):
         traj = Trajectory(k0=0, u=np.zeros((8, 1)), y=np.zeros((8, 1)))
-        Phi, _ = reduced_regressor_matrix(traj, 1, 3, [6])
+        Phi, _ = reduced(traj, 1, 3, [6])
         np.testing.assert_array_equal(Phi[0], np.zeros(1 + 4))
 
     def test_scalar_stacking(self):
         # n=1, n_hat=2: y[k-2]=7 and inputs (1, 2, 3) newest first
         y = np.array([[7.0], [9.0], [4.0]])
         u = np.array([[3.0], [2.0], [1.0]])
-        Phi, _ = reduced_regressor_matrix(Trajectory(k0=0, u=u, y=y), 1, 2, [2])
+        Phi, _ = reduced(Trajectory(k0=0, u=u, y=y), 1, 2, [2])
         np.testing.assert_array_equal(Phi[0], [-7.0, 1.0, 2.0, 3.0])
 
     def test_equal_orders_give_full_regressor(self):
@@ -35,25 +45,30 @@ class TestReducedRegressor:
         m = random_stable_model(rng, 2, 2, 2)
         traj = simulate(m, rng.standard_normal((2, 2)), rng.standard_normal((30, 2)), k0=-4)
         for n in range(4):
-            Phi, ks = reduced_regressor_matrix(traj, n, n)
-            Phi_full, _, ks_full = regressor_matrix(traj, n)
-            assert Phi.tobytes() == Phi_full.tobytes() and Phi.shape == Phi_full.shape
-            np.testing.assert_array_equal(ks, ks_full)
-        with pytest.raises(ValidationError):
-            reduced_regressor_matrix(traj, 3, 2, [6])
+            Phi, ks = reduced(traj, n, n)
+            for i, k in enumerate(ks):
+                full, _ = reference_regressor(traj, int(k), n)
+                assert Phi[i].tobytes() == full.tobytes()
+                assert full.tobytes() == reference_reduced_regressor(traj, int(k), n, n).tobytes()
 
     def test_underflow(self):
         traj = Trajectory(k0=0, u=np.zeros((4, 1)), y=np.zeros((4, 1)))
         with pytest.raises(ValidationError):
-            reduced_regressor_matrix(traj, 1, 3, [2])
+            regressor_matrix(traj, 3, [2])
 
     def test_matrix_builder_matches(self):
         rng = np.random.default_rng(0)
-        m = random_stable_model(rng, 1, 2, 2)
-        traj = simulate(m, rng.standard_normal((1, 2)), rng.standard_normal((25, 2)))
-        Phi, ks = reduced_regressor_matrix(traj, 1, 3)
-        for i, k in enumerate(ks):
-            np.testing.assert_array_equal(Phi[i], reference_reduced_regressor(traj, int(k), 1, 3))
+        for _ in range(40):
+            p, m_dim, n = (int(x) for x in rng.integers([1, 1, 0], [4, 3, 4]))
+            n_hat = n + int(rng.integers(0, 4))
+            model = random_stable_model(rng, n, p, m_dim)
+            traj = simulate(model, rng.standard_normal((n, p)),
+                            rng.standard_normal((n_hat + 12, m_dim)), k0=-n_hat)
+            Phi, ks = reduced(traj, n, n_hat)
+            assert Phi.shape == (12, p * n + m_dim * (n_hat + 1))
+            for i, k in enumerate(ks):
+                assert Phi[i].tobytes() == \
+                    reference_reduced_regressor(traj, int(k), n, n_hat).tobytes()
 
 
 class TestLiftIdentity:
@@ -114,7 +129,7 @@ class TestExcitationReport:
         traj = simulate(m, np.zeros((1, 1)), u, k0=-3)
         ks = np.arange(0, 2000)
         Phi_full, _, _ = regressor_matrix(traj, 3, ks)
-        Phi_red, _ = reduced_regressor_matrix(traj, 1, 3, ks)
+        Phi_red = Phi_full[:, 2:]
         rep_full = excitation_report(Phi_full)
         rep_red = excitation_report(Phi_red)
         assert not rep_full.weak_pe
@@ -125,11 +140,6 @@ class TestExcitationReport:
         S = Phi_full.T @ Phi_full
         svals = np.linalg.svd(S, compute_uv=False)
         assert svals[5] <= 1e-8 * svals[0]  # rank <= p*n + m*(n_hat+1) = 5
-
-    def test_stride(self):
-        rng = np.random.default_rng(6)
-        rep = excitation_report(rng.standard_normal((100, 2)), stride=10)
-        assert len(rep.min_eig_curve) == 10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -144,11 +154,11 @@ class TestPartialGramCurve:
     # 1024 rows per cumsum chunk: these counts put the report's half-way split
     # and both of its parts on either side of a chunk boundary
     @pytest.mark.parametrize("K", [1, 2, 3, 1024, 2049, 2051, 2600])
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_report_matches_per_row_reference(self, K, stride):
-        Phi = np.random.default_rng(K + stride).standard_normal((K, 4))
-        curve, gram_half, min_eig_half, gram = reference_gram_curve(Phi, stride)
-        rep = excitation_report(Phi, stride=stride)
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_report_matches_per_row_reference(self, K, d):
+        Phi = np.random.default_rng(K + d).standard_normal((K, d))
+        curve, gram_half, min_eig_half, gram = reference_gram_curve(Phi)
+        rep = excitation_report(Phi)
         assert np.array_equal(rep.min_eig_curve, curve)
         assert np.array_equal(rep.gram_avg, gram / K)
         assert rep.gram_avg_min_eig == np.linalg.eigvalsh(gram / K)[0]
@@ -166,21 +176,11 @@ class TestPartialGramCurve:
         Phi = np.random.default_rng(K).standard_normal((K, 3))
         curve, gram_half, min_eig_half, gram = reference_gram_curve(Phi)
         half = max(1, K // 2)
-        head, carried = partial_gram_min_eigs(Phi[:half], [half - 1])
-        assert head[0] == min_eig_half and np.array_equal(carried, gram_half)
-        tail, final = partial_gram_min_eigs(Phi[half:], np.arange(K - half), carried)
+        head, carried = partial_gram_min_eigs(Phi[:half])
+        assert head[-1] == min_eig_half and np.array_equal(carried, gram_half)
+        assert np.array_equal(head, curve[:half])
+        tail, final = partial_gram_min_eigs(Phi[half:], carried)
         assert np.array_equal(tail, curve[half:]) and np.array_equal(final, gram)
-
-    def test_picks_only_the_requested_rows(self):
-        Phi = np.random.default_rng(1).standard_normal((2100, 2))
-        curve = reference_gram_curve(Phi)[0]
-        rows = [0, 1023, 1024, 2047, 2099]
-        got, _ = partial_gram_min_eigs(Phi, rows)
-        assert np.array_equal(got, curve[rows])
-
-    def test_bad_stride(self):
-        with pytest.raises(ValidationError):
-            excitation_report(np.ones((5, 2)), stride=0)
 
 
 class TestGramLimit:
