@@ -18,7 +18,9 @@ block, and all of it at ``n == n_hat``.  The cost after k samples is
     J(theta) = sum_i ||y_i - theta phi_i||^2
                + tr[(theta - theta0) P0^{-1} (theta - theta0)^T]
 
-whose unique minimizer is tracked recursively via the covariance downdate.
+whose unique minimizer is tracked recursively via the covariance downdate,
+a block of rows at a time through the Cholesky factor of the block's
+innovation Gram (:func:`rls_fold`).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import NumericalError, ValidationError
 from .model_core import Trajectory
 
 DEFAULT_P0_SCALE = 1e3
-# covariances per batched eigvalsh of a fold's pmin_eig history
-_PMIN_CHUNK = 1024
+# rows per block of rls_fold's innovations form
+_FOLD_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,26 +241,29 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     """Fold the covariance downdate and coefficient update over the rows of
     ``Phi`` (K x d) and ``Y`` (K x p); returns the final state and a record.
 
-    This is the package's one RLS recursion (the form of Ljung & Soderstrom,
-    *Theory and Practice of Recursive Identification*, 1983); a one-row
-    slice is a single step.  Shapes and finiteness are checked once, by
-    :func:`_check_rows`, before any update.  Each row runs a fixed sequence of
-    numpy operations, so the fold agrees bit for bit with a chain of one-row
-    folds.  With the information matrix tracked, ``P_inv`` accumulates
-    ``phi phi^T``.
+    This is the package's one RLS recursion (Ljung & Soderstrom, *Theory and
+    Practice of Recursive Identification*, 1983), run ``_FOLD_BLOCK`` rows at
+    a time in the innovations form of block RLS (Kailath, Sayed & Hassibi,
+    *Linear Estimation*, 2000, ch. 9 and 12).  From the block-start
+    ``theta`` and ``P``, with ``W = Phi_b P`` and the innovation Gram
+    ``S = I + W Phi_b^T = L L^T``, ``[Kt | E] = L^{-1} [W | Y_b - Phi_b
+    theta^T]``.  Factoring ``S`` is Gram-Schmidt on the block's innovations:
+    ``L[j, j]^2 = 1 + phi_j P_{j-1} phi_j^T``, row j of ``Kt`` is
+    ``P_{j-1} phi_j / L[j, j]`` and row j of ``E`` the a-priori innovation
+    ``y_j - theta_{j-1} phi_j`` over ``L[j, j]``.  So ``theta_j = theta +
+    sum_{i<=j} E_i Kt_i`` and ``P_j = P - sum_{i<=j} Kt_i^T Kt_i`` are the
+    sequential recursion row by row in exact arithmetic, and agree with it
+    to round-off in floating point; a one-row slice is a single step.
 
-    The downdated covariance is re-symmetrized, ``0.5 * (P + P.T)``, only
-    while ``P`` is not exactly symmetric: in practice after the first row of
-    a fold from a non-symmetric ``P``.  Once ``P`` is symmetric the downdate
-    ``P - Pphi Pphi^T / denom`` keeps it so, since IEEE multiplication is
-    commutative, and re-symmetrizing would return it bit for bit (``x + x``
-    and ``0.5 * 2x`` are exact barring overflow of entries above about
-    9e307).  Only the loop-carried recursion runs per row: the innovations
-    and, when a reference or the history is asked for, the estimates are
-    stored, and their norms are taken after the loop as ``sqrt(e @ e)`` per
-    row with ``np.vecdot``, the same dot ``np.linalg.norm`` takes.  The
-    history's ``pmin_eig`` comes from one batched ``eigvalsh`` per
-    ``_PMIN_CHUNK`` covariances.
+    Shapes and finiteness are checked once, by :func:`_check_rows`, before
+    any update.  Blocks start at multiples of ``_FOLD_BLOCK``, so a fold
+    split at one equals the unsplit fold bit for bit.  ``P`` is read as its
+    symmetric part ``0.5 * (P + P.T)`` and re-symmetrized after each block.
+    With the information matrix tracked, ``P_inv`` accumulates
+    ``Phi_b^T Phi_b``; the history's ``pmin_eig`` comes from one batched
+    ``eigvalsh`` per block.  A Gram that fails to factor, or a non-finite
+    estimate, raises :class:`NumericalError`: the prior is too large for the
+    data.
     """
     theta, P, P_inv = state.theta, state.P, state.P_inv
     Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
@@ -272,6 +277,7 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
                 f"reference has shape {theta_ref.shape}, expected {theta.shape}"
             )
 
+    P = 0.5 * (P + P.T)
     Z = np.empty(Y.shape)
     # hist[i] is the estimate before row i, hist[K] the final one
     hist = None
@@ -279,30 +285,37 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         hist = np.empty((K + 1,) + theta.shape)
         hist[0] = theta
     pmin = np.empty(K) if keep_history else None
-    pbuf = np.empty((min(K, _PMIN_CHUNK),) + P.shape) if keep_history else None
-    symmetrize = not np.array_equal(P, P.T)
-    for i, (phi, y, z) in enumerate(zip(Phi, Y, Z)):
-        Pphi = P @ phi
-        denom = 1.0 + float(phi @ Pphi)
-        P = P - Pphi[:, None] * Pphi / denom
-        if symmetrize:
-            P = 0.5 * (P + P.T)
-            symmetrize = not np.array_equal(P, P.T)
-        np.subtract(y, theta @ phi, out=z)
-        theta = theta + z[:, None] * (P @ phi)
+    eye = np.eye(_FOLD_BLOCK)
+    for start in range(0, K, _FOLD_BLOCK):
+        stop = min(start + _FOLD_BLOCK, K)
+        Phi_b = Phi[start:stop]
+        W = Phi_b @ P
+        S = eye[:stop - start, :stop - start] + W @ Phi_b.T
+        try:
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            raise _blow_up(start, "its innovation Gram is not positive definite") from None
+        KE = np.linalg.solve(L, np.hstack([W, Y[start:stop] - Phi_b @ theta.T]))
+        Kt, E = KE[:, :state.dim], KE[:, state.dim:]
+        Z[start:stop] = np.diagonal(L)[:, None] * E
+        # the estimate after each row of the block, and its covariance
+        steps = theta + np.cumsum(E[:, :, None] * Kt[:, None, :], axis=0)
+        if keep_history:
+            Ps = P - np.cumsum(Kt[:, :, None] * Kt[:, None, :], axis=0)
+            pmin[start:stop] = np.linalg.eigvalsh(Ps)[:, 0]
+        theta = steps[-1]
+        P = P - Kt.T @ Kt
+        P = 0.5 * (P + P.T)
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(P))):
+            raise _blow_up(start, "the estimate is no longer finite")
         if P_inv is not None:
-            P_inv = P_inv + phi[:, None] * phi
+            P_inv = P_inv + Phi_b.T @ Phi_b
         if hist is not None:
-            hist[i + 1] = theta
-        if pbuf is not None:
-            j = i % _PMIN_CHUNK
-            pbuf[j] = P
-            if j == _PMIN_CHUNK - 1 or i == K - 1:
-                pmin[i - j:i + 1] = np.linalg.eigvalsh(pbuf[:j + 1])[:, 0]
+            hist[start + 1:stop + 1] = steps
     dist = thetas = None
     if theta_ref is not None:
-        E = (hist[:K] - theta_ref).reshape(K, -1)
-        dist = np.sqrt(np.vecdot(E, E))
+        D = (hist[:K] - theta_ref).reshape(K, -1)
+        dist = np.sqrt(np.vecdot(D, D))
     if keep_history:
         thetas = hist[1:]
     new = RlsState(theta=theta, P=P, k=state.k + K, P_inv=P_inv)
@@ -310,3 +323,9 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
                         theta=thetas, pmin_eig=pmin)
     return new, record
 
+
+def _blow_up(start: int, why: str) -> NumericalError:
+    return NumericalError(
+        f"RLS fold broke down in the block from row {start}: {why}; "
+        "the prior covariance is too large for the data"
+    )

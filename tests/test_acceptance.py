@@ -19,6 +19,7 @@ from sysid_rls import (
     run_experiment,
     run_tracked_identification,
     simulate,
+    theta_equivalence_residual,
     trivial_embed,
 )
 from sysid_rls.experiment import config_from_dict
@@ -255,3 +256,27 @@ def test_criterion_10_reproducibility(tmp_path):
     statuses = [r["status"] for r in man1.runs]
     report("10 reproducibility", identical and statuses == ["ok", "ok"],
            "rerun gives byte-identical trace CSVs and identical manifest hash")
+
+
+def test_criterion_11_large_prior_limit():
+    # per p0, bounds on the final distance to theta* and on the equivalence
+    # residual, which shrink with the prior's pull (about 1 / (k p0)), each
+    # with at least 25x headroom over the blocked fold's worst case; the
+    # rate prediction is resolvable only up to p0 = 1e6
+    model = IOModel.scalar([0.5], [0.3, 1.0])
+    bounds = {1e3: (1e-7, 1e-6), 1e6: (1e-9, 1e-9), 1e9: (1e-12, 1e-12)}
+    ok, details = True, []
+    for p0, (dist_bound, resid_bound) in bounds.items():
+        worst = np.zeros(3)
+        for n_hat in (1, 3):
+            for seed in range(3):
+                u = np.random.default_rng(seed).standard_normal((50_000 + n_hat, 1))
+                trace = run_tracked_identification(model, n_hat, u, 50_000, p0_scale=p0)
+                resid = theta_equivalence_residual(trace.theta_final, model, n_hat)
+                rate = trace.asymptote_rel_error if p0 <= 1e6 else 0.0
+                worst = np.maximum(worst, [trace.final_dist, resid, rate])
+        ok &= worst[0] <= dist_bound and worst[1] <= resid_bound and worst[2] <= 1e-3
+        details.append(f"p0={p0:.0e}: |theta-theta*| {worst[0]:.1e}, "
+                       f"equiv residual {worst[1]:.1e}"
+                       + (f", rate err {worst[2]:.1e}" if p0 <= 1e6 else ""))
+    report("11 large-prior-limit", ok, "; ".join(details))

@@ -12,6 +12,8 @@ from support import reference_gram_curve, reference_reduced_regressor
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
+# how rls_fold reports a prior the data cannot bring down
+BLOW_UP = "the prior covariance is too large for the data"
 
 
 @pytest.fixture
@@ -135,6 +137,13 @@ class TestFitCommand:
 
     def test_missing_data_file(self, workdir):
         assert main(["fit", "--data", str(workdir / "nope.csv"), "--order", "1"]) == 2
+
+    def test_oversized_prior_is_numerical_failure(self, workdir, capsys):
+        rc = main(["fit", "--data", str(workdir / "traj.csv"), "--order", "1",
+                   "--p0-scale", "1e50"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert BLOW_UP in err and "block from row 0" in err
 
 
 class TestExciteCommand:
@@ -268,6 +277,13 @@ class TestConvergeCommand:
         err = capsys.readouterr().err
         assert "is too large" in err and "Traceback" not in err
 
+    def test_oversized_prior_is_numerical_failure(self, workdir, capsys):
+        rc = main(["converge", "--model", str(workdir / "model.json"), "--fit-order", "1",
+                   "--horizon", "1000", "--p0-scale", "1e20"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert BLOW_UP in err and "block from row 0" in err
+
     def test_bad_input_spec(self, workdir):
         rc = main(["converge", "--model", str(workdir / "model.json"),
                    "--fit-order", "1", "--input", "noise:seed=1",
@@ -357,6 +373,18 @@ class TestExperimentCommand:
         assert main(["experiment", str(workdir / "cfg.json"),
                      "--out-dir", str(workdir / "out")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_oversized_prior_records_an_error_per_order(self, workdir, capsys):
+        cfg = {"true_model": "model.json", "fit_orders": [1, 2], "horizon": 400,
+               "input": {"kind": "white", "seed": 3}, "p0_scale": 1e50}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        rc = main(["experiment", str(workdir / "cfg.json"), "--out-dir", str(workdir / "out")])
+        assert rc == 3
+        runs = json.loads((workdir / "out" / "manifest.json").read_text())["runs"]
+        assert [r["fit_order"] for r in runs] == [1, 2]
+        for r in runs:
+            assert r["status"].startswith("error: ") and BLOW_UP in r["status"]
+        assert "0/2 orders succeeded" in capsys.readouterr().out
 
     def test_invalid_config(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"fit_orders": [1]}))

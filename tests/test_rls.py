@@ -11,6 +11,7 @@ from sysid_rls import (
     rls_fold,
     simulate,
 )
+from sysid_rls.rls import _FOLD_BLOCK, FoldRecord
 
 from support import random_spd, random_stable_model, reference_regressor, reference_rls
 
@@ -259,31 +260,61 @@ def _fold_case(order, p, m, K, seed):
     return state, Phi, Y, theta_ref
 
 
+# fold lengths around one block boundary, and one spanning many blocks
+FOLD_KS = [1, _FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1, 16 * _FOLD_BLOCK + 1]
+
+
+def _rel_diff(got, want) -> float:
+    """Max-abs difference over max-abs value."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _assert_near_reference(state, Phi, Y, theta_ref):
+    """The blocked fold agrees with the per-row textbook recursion from the
+    symmetric part of ``P`` to round-off: 1e-9 relative on every output."""
+    folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
+    theta, P, P_inv, resid, dist, thetas = reference_rls(
+        state.theta, 0.5 * (state.P + state.P.T), state.P_inv, Phi, Y, theta_ref)
+    for got, want in [(folded.theta, theta), (folded.P, P), (folded.P_inv, P_inv),
+                      (record.residual_norm, resid), (record.dist_to_ref, dist),
+                      (record.theta, thetas)]:
+        assert got.shape == want.shape
+        assert _rel_diff(got, want) <= 1e-9
+
+
+def _assert_block_exact(state, Phi, Y, theta_ref):
+    """What the blocked fold keeps exactly: a rerun gives the same bits, a
+    chain of folds split at multiples of ``_FOLD_BLOCK`` gives the unsplit
+    fold's bits, and ``P`` is symmetric."""
+    runs = [rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True) for _ in range(2)]
+    chained, parts = state, []
+    for start in range(0, Phi.shape[0], _FOLD_BLOCK):
+        rows = slice(start, start + _FOLD_BLOCK)
+        chained, part = rls_fold(chained, Phi[rows], Y[rows], theta_ref=theta_ref,
+                                 keep_history=True)
+        parts.append(part)
+    joined = FoldRecord(*(np.concatenate([getattr(r, f) for r in parts])
+                          for f in ("residual_norm", "dist_to_ref", "theta", "pmin_eig")))
+    runs.append((chained, joined))
+    (folded, record), *others = runs
+    for new, rec in others:
+        for f in ("theta", "P", "P_inv", "k"):
+            assert np.array_equal(getattr(new, f), getattr(folded, f))
+        for f in ("residual_norm", "dist_to_ref", "theta", "pmin_eig"):
+            assert np.array_equal(getattr(rec, f), getattr(record, f))
+    assert np.array_equal(folded.P, folded.P.T)
+
+
 class TestRlsFold:
     @pytest.mark.parametrize("order,p,m", [(1, 1, 1), (3, 2, 2)])  # d = 3, d = 14
-    def test_bit_identical_to_step_chain(self, order, p, m):
-        state, Phi, Y, theta_ref = _fold_case(order, p, m, 300, seed=10 + p)
-        folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
-        chained = state
-        for i in range(Phi.shape[0]):
-            chained, _ = rls_fold(chained, Phi[i:i + 1], Y[i:i + 1])
-            np.testing.assert_array_equal(record.theta[i], chained.theta)
-            assert record.pmin_eig[i] == np.linalg.eigvalsh(chained.P)[0]
-        assert np.array_equal(folded.theta, chained.theta)
-        assert np.array_equal(folded.P, chained.P)
-        assert np.array_equal(folded.P_inv, chained.P_inv)
-        assert folded.k == chained.k == Phi.shape[0]
+    def test_bit_identical_to_block_chain(self, order, p, m):
+        for K in FOLD_KS:
+            _assert_block_exact(*_fold_case(order, p, m, K, seed=10 + p + K))
 
     @pytest.mark.parametrize("order,p,m", [(1, 1, 1), (3, 2, 2)])
-    def test_bit_identical_to_reference_recursion(self, order, p, m):
-        state, Phi, Y, theta_ref = _fold_case(order, p, m, 300, seed=20 + p)
-        folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
-        theta, P, P_inv, resid, dist, thetas = reference_rls(
-            state.theta, state.P, state.P_inv, Phi, Y, theta_ref)
-        for got, want in [(folded.theta, theta), (folded.P, P), (folded.P_inv, P_inv),
-                          (record.residual_norm, resid), (record.dist_to_ref, dist),
-                          (record.theta, thetas)]:
-            assert np.array_equal(got, want)
+    def test_agrees_with_reference_recursion(self, order, p, m):
+        for K in FOLD_KS:
+            _assert_near_reference(*_fold_case(order, p, m, K, seed=20 + p + K))
 
     def test_records_only_what_was_asked(self):
         state, Phi, Y, _ = _fold_case(1, 1, 1, 5, seed=3)
@@ -324,10 +355,10 @@ class TestRlsFold:
         assert new is state
         assert record.residual_norm.shape == (0,)
 
-    @pytest.mark.parametrize("K", [1, 2, 300])
+    @pytest.mark.parametrize("K", [1, 2, 300] + FOLD_KS[1:])
     def test_nonsymmetric_p0_matches_reference_recursion(self, K):
-        # the reference re-symmetrizes every row; the fold only until P is
-        # exactly symmetric
+        # the fold reads P0 as its symmetric part, as does the reference it
+        # is held to
         rng = np.random.default_rng(30 + K)
         P0 = random_spd(rng, 7, 0.5, 50.0) + 1e-3 * np.triu(rng.standard_normal((7, 7)), 1)
         assert not np.array_equal(P0, P0.T)
@@ -335,16 +366,11 @@ class TestRlsFold:
         Phi = rng.standard_normal((K, state.dim))
         Y = rng.standard_normal((K, 2))
         theta_ref = rng.standard_normal((2, state.dim))
-        folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
-        theta, P, P_inv, resid, dist, thetas = reference_rls(
-            state.theta, state.P, state.P_inv, Phi, Y, theta_ref)
-        for got, want in [(folded.theta, theta), (folded.P, P), (folded.P_inv, P_inv),
-                          (record.residual_norm, resid), (record.dist_to_ref, dist),
-                          (record.theta, thetas)]:
-            assert np.array_equal(got, want)
-        assert np.array_equal(folded.P, folded.P.T)
+        _assert_near_reference(state, Phi, Y, theta_ref)
+        _assert_block_exact(state, Phi, Y, theta_ref)
 
-    @pytest.mark.parametrize("order,p,m,K", [(1, 1, 1, 1), (1, 1, 1, 1024), (1, 1, 1, 1025),
+    @pytest.mark.parametrize("order,p,m,K", [(1, 1, 1, 1), (1, 1, 1, 63), (1, 1, 1, 64),
+                                             (1, 1, 1, 65), (1, 1, 1, 1024), (1, 1, 1, 1025),
                                              (1, 1, 1, 2049), (3, 2, 2, 1025)])
     def test_pmin_eig_matches_per_row_eigvalsh(self, order, p, m, K):
         state, Phi, Y, _ = _fold_case(order, p, m, K, seed=40 + K)
@@ -354,4 +380,4 @@ class TestRlsFold:
             Pphi = P @ Phi[i]
             P = P - np.outer(Pphi, Pphi) / (1.0 + float(Phi[i] @ Pphi))
             want[i] = np.linalg.eigvalsh(P)[0]
-        assert np.array_equal(record.pmin_eig, want)
+        assert _rel_diff(record.pmin_eig, want) <= 1e-9
