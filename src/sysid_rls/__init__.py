@@ -21,7 +21,6 @@ from .model_core import (
 )
 from .equivalence import (
     EquivalenceCertificate,
-    LiftMatrix,
     ReducibilityReport,
     ReductionResult,
     build_lift_matrix,
@@ -63,7 +62,7 @@ __all__ = [
     "NumericalError", "ValidationError",
     "IOModel", "Trajectory", "TransitionPair", "output_transition", "simulate",
     "transition_pair",
-    "EquivalenceCertificate", "LiftMatrix", "ReducibilityReport", "ReductionResult",
+    "EquivalenceCertificate", "ReducibilityReport", "ReductionResult",
     "build_lift_matrix", "is_equivalent", "lift_once", "reduce_once", "reducibility_check",
     "trivial_embed",
     "FoldRecord", "RlsState", "batch_solve", "cost", "initial_state",

@@ -3,9 +3,9 @@
 One program, installed under both the ``sysid-rls`` and ``modelcheck``
 names, with subcommands ``fit``, ``excite``, ``equiv``, ``reduce``,
 ``converge``, and ``experiment``.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure.  ``reduce`` runs the one reduction search of
-:mod:`sysid_rls.equivalence` and says "irreducible" only when that is proven,
-"no witness found" otherwise.
+error or a file that cannot be read or written, 3 numerical failure.
+``reduce`` runs the one reduction search of :mod:`sysid_rls.equivalence` and
+says "irreducible" only when that is proven, "no witness found" otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .fileio import (
 )
 from .inputs import generate_input, parse_input_spec
 from .rls import (
+    DEFAULT_P0_SCALE,
     initial_state,
     regressor_dim,
     regressor_matrix,
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="recursive least-squares fit on a trajectory CSV")
     p.add_argument("--data", required=True, help="trajectory CSV (k,u_1..,y_1..)")
     p.add_argument("--order", type=_nonneg_int, required=True, help="fit order")
-    p.add_argument("--p0-scale", type=_positive_float, default=1e3,
+    p.add_argument("--p0-scale", type=_positive_float, default=DEFAULT_P0_SCALE,
                    help="prior covariance scale")
     p.add_argument("--theta0", default="zeros",
                    help="'zeros' or a JSON file with the initial coefficient matrix")
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="white:seed=0:scale=1.0",
                    help="input spec, e.g. white:seed=7:scale=1.0")
     p.add_argument("--horizon", type=_nonneg_int, required=True)
-    p.add_argument("--p0-scale", type=_positive_float, default=1e3)
+    p.add_argument("--p0-scale", type=_positive_float, default=DEFAULT_P0_SCALE)
     p.add_argument("--theta0", default="zeros")
     p.add_argument("--emit", default=None, help="trace CSV path")
     p.add_argument("--emit-summary", default=None, help="summary JSON path")
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:

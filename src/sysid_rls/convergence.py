@@ -57,7 +57,7 @@ def _complement(model: IOModel, n_hat: int, P0: np.ndarray) -> np.ndarray:
     projector ``I - H``, a zero matrix at ``n_hat == n``."""
     import scipy.linalg
 
-    M = build_lift_matrix(model, n_hat).M
+    M = build_lift_matrix(model, n_hat)
     d, pq = M.shape[0], M.shape[0] - M.shape[1]
     if P0.shape != (d, d):
         raise ValidationError(f"P0 has shape {P0.shape}, expected {(d, d)}")
@@ -128,7 +128,6 @@ class ConvergenceTrace:
     ref_kind: str
     ks: np.ndarray
     dist_to_ref: np.ndarray
-    scaled_err: np.ndarray
     residual_norm: np.ndarray
     theta_final: np.ndarray
     theta_ref: np.ndarray
@@ -228,8 +227,7 @@ def run_tracked_identification(model: IOModel, n_hat: int, inputs,
     return ConvergenceTrace(
         fit_order=n_hat, true_order=model.n,
         ref_kind="true" if n_hat == model.n else "projected",
-        ks=np.arange(K), dist_to_ref=record.dist_to_ref,
-        scaled_err=np.arange(K) * record.dist_to_ref, residual_norm=record.residual_norm,
+        ks=np.arange(K), dist_to_ref=record.dist_to_ref, residual_norm=record.residual_norm,
         theta_final=state.theta, theta_ref=theta_ref, gram=gram,
         predicted_asymptote=predicted, empirical_scaled_final=empirical,
         asymptote_rel_error=rel,
@@ -238,6 +236,7 @@ def run_tracked_identification(model: IOModel, n_hat: int, inputs,
 
 def write_convergence_trace(path, trace: ConvergenceTrace) -> None:
     """Trace CSV with columns ``k, frob_err_to_ref, scaled_err_norm,
-    residual_norm``, one row per update."""
+    residual_norm``, one row per update; ``scaled_err_norm`` is ``k *
+    frob_err_to_ref``."""
     write_csv(path, ["k", "frob_err_to_ref", "scaled_err_norm", "residual_norm"],
-              [trace.ks, trace.dist_to_ref, trace.scaled_err, trace.residual_norm])
+              [trace.ks, trace.dist_to_ref, trace.ks * trace.dist_to_ref, trace.residual_norm])

@@ -45,41 +45,24 @@ _RANK_PER_TOL = 100.0
 _MAX_CHOICES = 1000
 
 
-@dataclass(frozen=True, eq=False)
-class LiftMatrix:
-    """Regressor lift from order ``n`` windows to order ``n_hat`` windows.
+def build_lift_matrix(base: IOModel, n_hat: int) -> np.ndarray:
+    """Read-only regressor lift ``M`` from order ``n`` windows to order
+    ``n_hat >= n`` windows, of shape (p*n_hat + m*(n_hat+1), p*n + m*(n_hat+1)).
 
     Block layout: ``M = [[M1, M2], [I, 0], [0, I]]`` where the i-th row band
     (i = 1..n_hat-n, top to bottom) is ``[-F_{n, q-i}, -[0 G_{n, q-i}]]``
-    with ``q = n_hat - n`` and transition blocks of the base model.  At
-    ``q = 0`` the bands are empty and ``M`` is the identity.
+    with ``q = n_hat - n`` and transition blocks of the base model, so
+    ``M1 = M[:p*q, :p*n]`` and ``M2 = M[:p*q, p*n:]``.  At ``q = 0`` the
+    bands are empty and ``M`` is the identity.
     """
-
-    n: int
-    n_hat: int
-    p: int
-    m: int
-    M: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("M", "M1", "M2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def build_lift_matrix(base: IOModel, n_hat: int) -> LiftMatrix:
-    """Lift matrix of shape (p*n_hat + m*(n_hat+1), p*n + m*(n_hat+1)),
-    ``n_hat >= n``."""
     return _lift_and_target(base, n_hat)[0]
 
 
-def _lift_and_target(base: IOModel, n_hat: int) -> tuple[LiftMatrix, np.ndarray]:
-    """The lift matrix and ``[F_q G_q]``, ``q = n_hat - n``: offsets 0..q of
-    the base model's transition blocks, from one impulse response.  At
-    ``q = 0`` these are the identity and ``[F_0 G_0] = base.theta``."""
+def _lift_and_target(base: IOModel, n_hat: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only lift matrix and ``[F_q G_q]``, ``q = n_hat - n``:
+    offsets 0..q of the base model's transition blocks, from one impulse
+    response.  At ``q = 0`` these are the identity and ``[F_0 G_0] =
+    base.theta``."""
     n, p, m = base.n, base.p, base.m
     if n_hat < n:
         raise ValidationError(f"lift target order {n_hat} is below base order {n}")
@@ -91,9 +74,8 @@ def _lift_and_target(base: IOModel, n_hat: int) -> tuple[LiftMatrix, np.ndarray]
         Fj, Gj = blocks[q - i]
         M[(i - 1) * p: i * p, : p * n] = -Fj
         M[(i - 1) * p: i * p, p * n + i * m:] = -Gj
-    lift = LiftMatrix(n=n, n_hat=n_hat, p=p, m=m, M=M,
-                      M1=M[: p * q, : p * n], M2=M[: p * q, p * n:])
-    return lift, np.concatenate(blocks[q], axis=1)
+    M.setflags(write=False)
+    return M, np.concatenate(blocks[q], axis=1)
 
 
 @dataclass(frozen=True)
@@ -117,12 +99,12 @@ def lift_residual(theta: np.ndarray, base: IOModel, n_hat: int) -> tuple[float, 
     equivalence residual of a flattened order-``n_hat`` ``theta`` against
     ``base`` (lift ``M``, ``q = n_hat - n >= 0`` step transition blocks); the
     relative one is scaled by ``1 + max(||theta||, ||[F_q G_q]||)``."""
-    lift, target = _lift_and_target(base, n_hat)
-    if theta.shape != (base.p, lift.M.shape[0]):
+    M, target = _lift_and_target(base, n_hat)
+    if theta.shape != (base.p, M.shape[0]):
         raise ValidationError(
-            f"theta has shape {theta.shape}, expected {(base.p, lift.M.shape[0])}"
+            f"theta has shape {theta.shape}, expected {(base.p, M.shape[0])}"
         )
-    raw = float(np.linalg.norm(theta @ lift.M - target))
+    raw = float(np.linalg.norm(theta @ M - target))
     return raw, raw / (1.0 + max(np.linalg.norm(theta), np.linalg.norm(target)))
 
 

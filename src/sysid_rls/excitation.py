@@ -61,7 +61,7 @@ def lift_identity_check(traj: Trajectory, model: IOModel, n_hat: int,
     On data simulated exactly by ``model`` it is zero up to roundoff; a
     corrupted sample shows up in every window containing it.
     """
-    M = build_lift_matrix(model, n_hat).M
+    M = build_lift_matrix(model, n_hat)
     pq = M.shape[0] - M.shape[1]
     Phi = regressor_matrix(traj, n_hat, k_range)[0]
     defects = Phi[:, :pq] - Phi[:, pq:] @ M[:pq].T

@@ -99,11 +99,6 @@ class IOModel:
         return cls(n=n, p=p, m=m, F=F, G=G)
 
     @property
-    def width(self) -> int:
-        """Column count of the flattened coefficient matrix."""
-        return self.p * self.n + self.m * (self.n + 1)
-
-    @property
     def F_stack(self) -> np.ndarray:
         """``[F1 ... Fn]`` of shape (p, p*n)."""
         if self.n == 0:

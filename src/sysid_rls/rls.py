@@ -39,31 +39,24 @@ _FOLD_BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class RlsState:
-    """Estimate theta (p x d), covariance P (d x d), step counter, and the
-    optional running information matrix P_inv."""
+    """Estimate theta (p x d), covariance P (d x d) and step counter."""
 
     theta: np.ndarray
     P: np.ndarray
     k: int = 0
-    P_inv: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.P.shape[0]
 
-    def check(self, tol_sym: float = 1e-12, tol_inv: float = 1e-8) -> None:
-        """On-demand invariant check: symmetry, positive definiteness, and
-        (when tracked) consistency of P with P_inv."""
+    def check(self, tol_sym: float = 1e-12) -> None:
+        """On-demand invariant check: symmetry and positive definiteness of P."""
         asym = float(np.max(np.abs(self.P - self.P.T)))
         if asym > tol_sym * (1.0 + float(np.max(np.abs(self.P)))):
             raise NumericalError(f"covariance asymmetry {asym:.3e}")
         eigs = np.linalg.eigvalsh(self.P)
         if eigs[0] <= 0:
             raise NumericalError(f"covariance lost positive definiteness (min eig {eigs[0]:.3e})")
-        if self.P_inv is not None:
-            defect = float(np.max(np.abs(self.P @ self.P_inv - np.eye(self.dim))))
-            if defect > tol_inv:
-                raise NumericalError(f"P @ P_inv deviates from identity by {defect:.3e}")
 
 
 def regressor_dim(order: int, p: int, m: int) -> int:
@@ -71,8 +64,7 @@ def regressor_dim(order: int, p: int, m: int) -> int:
 
 
 def initial_state(order: int, p: int, m: int, theta0: np.ndarray | None = None,
-                  P0: np.ndarray | None = None, p0_scale: float = DEFAULT_P0_SCALE,
-                  track_information: bool = False) -> RlsState:
+                  P0: np.ndarray | None = None, p0_scale: float = DEFAULT_P0_SCALE) -> RlsState:
     """Fresh state: theta0 defaults to zeros, P0 to p0_scale * I."""
     d = regressor_dim(order, p, m)
     theta = np.zeros((p, d)) if theta0 is None else np.asarray(theta0, dtype=float).copy()
@@ -81,19 +73,7 @@ def initial_state(order: int, p: int, m: int, theta0: np.ndarray | None = None,
     P = p0_scale * np.eye(d) if P0 is None else np.asarray(P0, dtype=float).copy()
     if P.shape != (d, d):
         raise ValidationError(f"P0 has shape {P.shape}, expected {(d, d)}")
-    P_inv = spd_inverse(P) if track_information else None
-    return RlsState(theta=theta, P=P, k=0, P_inv=P_inv)
-
-
-def spd_inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky."""
-    import scipy.linalg
-
-    try:
-        c = scipy.linalg.cho_factor(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("matrix is not positive definite") from exc
-    return scipy.linalg.cho_solve(c, np.eye(A.shape[0]))
+    return RlsState(theta=theta, P=P, k=0)
 
 
 def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,13 +239,11 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     any update.  Blocks start at multiples of ``_FOLD_BLOCK``, so a fold
     split at one equals the unsplit fold bit for bit.  ``P`` is read as its
     symmetric part ``0.5 * (P + P.T)`` and re-symmetrized after each block.
-    With the information matrix tracked, ``P_inv`` accumulates
-    ``Phi_b^T Phi_b``; the history's ``pmin_eig`` comes from one batched
-    ``eigvalsh`` per block.  A Gram that fails to factor, or a non-finite
-    estimate, raises :class:`NumericalError`: the prior is too large for the
-    data.
+    The history's ``pmin_eig`` comes from one batched ``eigvalsh`` per block.
+    A Gram that fails to factor, or a non-finite estimate, raises
+    :class:`NumericalError`: the prior is too large for the data.
     """
-    theta, P, P_inv = state.theta, state.P, state.P_inv
+    theta, P = state.theta, state.P
     Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
     K = Phi.shape[0]
     if K == 0:
@@ -308,8 +286,6 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         P = 0.5 * (P + P.T)
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(P))):
             raise _blow_up(start, "the estimate is no longer finite")
-        if P_inv is not None:
-            P_inv = P_inv + Phi_b.T @ Phi_b
         if hist is not None:
             hist[start + 1:stop + 1] = steps
     dist = thetas = None
@@ -318,7 +294,7 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         dist = np.sqrt(np.vecdot(D, D))
     if keep_history:
         thetas = hist[1:]
-    new = RlsState(theta=theta, P=P, k=state.k + K, P_inv=P_inv)
+    new = RlsState(theta=theta, P=P, k=state.k + K)
     record = FoldRecord(residual_norm=np.sqrt(np.vecdot(Z, Z)), dist_to_ref=dist,
                         theta=thetas, pmin_eig=pmin)
     return new, record

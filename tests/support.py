@@ -118,8 +118,7 @@ def reference_rls(theta, P, P_inv, Phi, Y, theta_ref):
         P = 0.5 * (P + P.T)
         z = y - theta @ phi
         theta = theta + np.outer(z, P @ phi)
-        if P_inv is not None:
-            P_inv = P_inv + np.outer(phi, phi)
+        P_inv = P_inv + np.outer(phi, phi)
         thetas.append(theta)
     return theta, P, P_inv, resid, dist, np.array(thetas)
 

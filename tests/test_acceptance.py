@@ -199,7 +199,7 @@ def test_criterion_08_projected_limit_optimality():
     for _ in range(100):
         model, n_hat, theta0, P0 = _random_projection_instance(rng)
         pl = projected_limit(model, n_hat, theta0, P0)
-        M = build_lift_matrix(model, n_hat).M
+        M = build_lift_matrix(model, n_hat)
         p, d = theta0.shape
 
         oracle = kkt_projected_limit(trivial_embed(model, n_hat).theta, theta0, P0, M)
@@ -231,7 +231,7 @@ def test_criterion_09_projection_invariants():
     for _ in range(100):
         model, n_hat, theta0, P0 = _random_projection_instance(rng)
         pl = projected_limit(model, n_hat, theta0, P0)
-        M = build_lift_matrix(model, n_hat).M
+        M = build_lift_matrix(model, n_hat)
         worst = max(worst, float(np.max(np.abs(pl.H @ pl.H - pl.H))))
         worst = max(worst, float(np.max(np.abs(pl.H @ M - M))))
         worst = max(worst, float(np.max(np.abs(

@@ -435,3 +435,34 @@ class TestMissingInputCells:
         err = capsys.readouterr().err
         assert "output column y_1 is missing at k=4" in err
         assert "non-finite" not in err
+
+
+# each command with a path the operating system refuses ({w} is the working
+# directory): a missing parent directory, a file where a directory goes, or a
+# directory where a file goes
+OS_ERROR_CASES = [
+    (["fit", "--data", "{w}/traj.csv", "--order", "1", "--emit-trace", "{w}/nodir/x.csv"],
+     "{w}/nodir/x.csv"),
+    (["excite", "--data", "{w}/traj.csv", "--order", "1", "--emit", "{w}/nodir/x.csv"],
+     "{w}/nodir/x.csv"),
+    (["converge", "--model", "{w}/model.json", "--fit-order", "1", "--horizon", "50",
+      "--emit", "{w}/nodir/x.csv"], "{w}/nodir/x.csv"),
+    (["converge", "--model", "{w}/model.json", "--fit-order", "1", "--horizon", "50",
+      "--emit-summary", "{w}/nodir/x.json"], "{w}/nodir/x.json"),
+    (["experiment", "{w}/cfg.json", "--out-dir", "{w}/traj.csv"], "{w}/traj.csv"),
+    (["fit", "--data", "{w}", "--order", "1"], "{w}"),
+    (["equiv", "{w}", "{w}/model.json"], "{w}"),
+]
+
+
+@pytest.mark.parametrize("argv,path", OS_ERROR_CASES,
+                         ids=["fit-trace", "excite-emit", "converge-emit", "converge-summary",
+                              "experiment-out-dir", "fit-data-dir", "equiv-dir"])
+def test_os_error_is_exit_2_naming_the_path(workdir, capsys, argv, path):
+    cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 50,
+           "input": {"kind": "white", "seed": 3}}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    rc = main([arg.format(w=workdir) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and path.format(w=workdir) in err

@@ -14,7 +14,7 @@ from sysid_rls import (
     theta_equivalence_residual,
     trivial_embed,
 )
-from sysid_rls.rls import RlsState, rls_fold, spd_inverse
+from sysid_rls.rls import RlsState, rls_fold
 
 from support import kkt_projected_limit, random_spd, random_stable_model
 
@@ -56,7 +56,7 @@ class TestProjectedLimit:
 
     def test_identity_prior_orthogonal_projection(self):
         # with P0 = I the hat matrix is the orthogonal projector onto range(M)
-        M = build_lift_matrix(SCALAR, 2).M
+        M = build_lift_matrix(SCALAR, 2)
         theta0 = np.zeros((1, 5))
         pl = projected_limit(SCALAR, 2, theta0, np.eye(5))
         proj = M @ np.linalg.solve(M.T @ M, M.T)
@@ -76,7 +76,7 @@ class TestProjectedLimit:
             theta0 = rng.standard_normal((p, d))
             P0 = random_spd(rng, d) if rng.integers(2) else 1e3 * np.eye(d)
             pl = projected_limit(model, n_hat, theta0, P0)
-            M = build_lift_matrix(model, n_hat).M
+            M = build_lift_matrix(model, n_hat)
             assert np.max(np.abs(pl.H @ pl.H - pl.H)) <= 1e-9
             assert np.max(np.abs(pl.H @ M - M)) <= 1e-9
             assert np.max(np.abs((pl.theta_star - trivial_embed(model, n_hat).theta) @ M)) <= 1e-9
@@ -87,7 +87,7 @@ class TestProjectedLimit:
         for _ in range(10):
             model = random_stable_model(rng, 1, 2, 1)
             n_hat = 2 + int(rng.integers(0, 2))
-            M = build_lift_matrix(model, n_hat).M
+            M = build_lift_matrix(model, n_hat)
             d = M.shape[0]
             theta0 = rng.standard_normal((2, d))
             P0 = random_spd(rng, d)
@@ -100,7 +100,7 @@ class TestProjectedLimit:
 
         rng = np.random.default_rng(4)
         model = random_stable_model(rng, 1, 1, 1)
-        M = build_lift_matrix(model, 3).M
+        M = build_lift_matrix(model, 3)
         d = M.shape[0]
         theta0 = rng.standard_normal((1, d))
         P0 = random_spd(rng, d)
@@ -169,7 +169,7 @@ class TestEquivalenceViaTheta:
 
     def test_range_sensitive_perturbation_fails(self):
         m = SCALAR
-        M = build_lift_matrix(m, 2).M
+        M = build_lift_matrix(m, 2)
         v = M[:, 0]  # lives in the column space, so v^T M != 0
         theta = trivial_embed(m, 2).theta + 1e-3 * v.reshape(1, -1)
         assert not theta_equivalence_residual(theta, m, 2) <= 1e-8
@@ -244,7 +244,7 @@ class TestErrorDynamicsIdentities:
         state = RlsState(theta=rng.standard_normal((1, d)), P=P0.copy(), k=0)
         for i in range(60):
             err = state.theta - m.theta
-            P_prev_inv = spd_inverse(state.P)
+            P_prev_inv = np.linalg.inv(state.P)
             state, _ = rls_fold(state, Phi[i:i + 1], Y[i:i + 1])
             err_new = state.theta - m.theta
             predicted = err @ P_prev_inv @ state.P
@@ -261,7 +261,7 @@ class TestErrorDynamicsIdentities:
         P0 = random_spd(rng, d, 0.5, 20.0)
         theta0 = rng.standard_normal((2, d))
         state = RlsState(theta=theta0.copy(), P=P0.copy(), k=0)
-        P0_inv = spd_inverse(P0)
+        P0_inv = np.linalg.inv(P0)
         gram = np.zeros((d, d))
         _, record = rls_fold(state, Phi, Y, keep_history=True)
         for i in range(40):
@@ -283,7 +283,7 @@ class TestErrorDynamicsIdentities:
         theta0 = rng.standard_normal((1, d))
         P0 = random_spd(rng, d, 0.5, 5.0)
         pl = projected_limit(m, n_hat, theta0, P0)
-        M = build_lift_matrix(m, n_hat).M
+        M = build_lift_matrix(m, n_hat)
         W = M.T @ P0 @ M
         W_inv = np.linalg.inv(W)
         E = (theta0 - trivial_embed(m, n_hat).theta) @ M
@@ -301,7 +301,7 @@ class TestErrorDynamicsIdentities:
         rng = np.random.default_rng(12)
         for _ in range(10):
             model = random_stable_model(rng, 1, 2, 1)
-            M = build_lift_matrix(model, 3).M
+            M = build_lift_matrix(model, 3)
             D, R = M.shape
             P0 = random_spd(rng, D)
             Q = random_spd(rng, R)

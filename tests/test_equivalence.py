@@ -30,40 +30,44 @@ LIFTED = IOModel.scalar([0.8, 0.15], [0.0, 1.0, 0.3])
 
 class TestLiftMatrix:
     def test_scalar_shape_and_blocks(self):
-        lift = build_lift_matrix(SCALAR, 2)
-        assert lift.M.shape == (5, 4)
+        M = build_lift_matrix(SCALAR, 2)
+        assert M.shape == (5, 4)
+        assert not M.flags.writeable
         # top band: [-F1 | -(0, G0, G1)]; the input blocks flip sign because
         # the regressor stacks negated outputs
-        np.testing.assert_allclose(lift.M[0], [-0.5, 0.0, 0.0, -1.0])
-        np.testing.assert_array_equal(lift.M[1:], np.eye(4))
+        np.testing.assert_allclose(M[0], [-0.5, 0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(M[1:], np.eye(4))
 
     def test_zero_model(self):
         z = IOModel.scalar([0.0], [0.0, 0.0])
-        lift = build_lift_matrix(z, 2)
-        np.testing.assert_array_equal(lift.M1, np.zeros((1, 1)))
-        np.testing.assert_array_equal(lift.M2, np.zeros((1, 3)))
-        np.testing.assert_array_equal(lift.M[1:], np.eye(4))
+        M = build_lift_matrix(z, 2)
+        # p = n = 1, q = 1: M1 = M[:1, :1] and M2 = M[:1, 1:]
+        np.testing.assert_array_equal(M[:1, :1], np.zeros((1, 1)))
+        np.testing.assert_array_equal(M[:1, 1:], np.zeros((1, 3)))
+        np.testing.assert_array_equal(M[1:], np.eye(4))
 
     def test_two_step_lift_rows(self):
-        lift = build_lift_matrix(SCALAR, 3)
+        M = build_lift_matrix(SCALAR, 3)
+        # p = n = 1, q = 2: M1 = M[:2, :1] and M2 = M[:2, 1:]
+        M1, M2 = M[:2, :1], M[:2, 1:]
         pair1 = transition_pair(SCALAR, 1)
-        np.testing.assert_allclose(lift.M1[:, 0], [-pair1.Fj[0, 0], -0.5])
-        np.testing.assert_allclose(lift.M1[0, 0], 0.25)
+        np.testing.assert_allclose(M1[:, 0], [-pair1.Fj[0, 0], -0.5])
+        np.testing.assert_allclose(M1[0, 0], 0.25)
         # row 1 carries the padded one-step input blocks, negated
-        np.testing.assert_allclose(lift.M2[0], [0.0, -0.0, -1.0, 0.5])
-        np.testing.assert_allclose(lift.M2[1], [0.0, 0.0, -0.0, -1.0])
+        np.testing.assert_allclose(M2[0], [0.0, -0.0, -1.0, 0.5])
+        np.testing.assert_allclose(M2[1], [0.0, 0.0, -0.0, -1.0])
 
     def test_full_column_rank(self):
         rng = np.random.default_rng(0)
         m = random_stable_model(rng, 2, 2, 2)
-        lift = build_lift_matrix(m, 4)
-        assert np.linalg.matrix_rank(lift.M) == lift.M.shape[1]
+        M = build_lift_matrix(m, 4)
+        assert np.linalg.matrix_rank(M) == M.shape[1]
 
     def test_rejects_non_lift(self):
         # n_hat == n is the q = 0 lift: the identity, against the model itself
         rng = np.random.default_rng(5)
         for m in (SCALAR, LIFTED, IOModel.scalar([], [0.7]), random_stable_model(rng, 2, 2, 3)):
-            M = build_lift_matrix(m, m.n).M
+            M = build_lift_matrix(m, m.n)
             np.testing.assert_array_equal(M, np.eye(len(M)))
             np.testing.assert_array_equal(_lift_and_target(m, m.n)[1], m.theta)
         with pytest.raises(ValidationError):
@@ -104,8 +108,8 @@ class TestConsolidate:
             base = random_stable_model(rng, n, p, m_dim)
             high = random_stable_model(rng, n_hat, p, m_dim)
             cons = consolidate(high, base)
-            lift = build_lift_matrix(base, n_hat)
-            np.testing.assert_allclose(high.theta @ lift.M, cons.flat,
+            M = build_lift_matrix(base, n_hat)
+            np.testing.assert_allclose(high.theta @ M, cons.flat,
                                        atol=1e-10, rtol=1e-10)
 
 
@@ -126,8 +130,8 @@ class TestIsEquivalent:
         cert = is_equivalent(SCALAR, bad)
         assert not cert.equivalent
         # the defect sits in the last input column of the lift identity
-        lift = build_lift_matrix(SCALAR, 2)
-        resid = bad.theta @ lift.M - np.hstack(
+        M = build_lift_matrix(SCALAR, 2)
+        resid = bad.theta @ M - np.hstack(
             [transition_pair(SCALAR, 1).Fj, transition_pair(SCALAR, 1).Gj])
         np.testing.assert_allclose(resid, [[0.0, 0.0, 0.0, -0.3]], atol=1e-14)
 

@@ -256,6 +256,13 @@ class TestRunExperiment:
                      "summary_order1.json", "summary_order2.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+        # scaled_err_norm is k * frob_err_to_ref, bit for bit
+        for name in ("trace_order1.csv", "trace_order2.csv"):
+            lines = (tmp_path / "a" / name).read_text().splitlines()
+            assert lines[0].split(",")[:3] == ["k", "frob_err_to_ref", "scaled_err_norm"]
+            for line in lines[1:]:
+                k, dist, scaled = line.split(",")[:3]
+                assert float(scaled) == int(k) * float(dist)
         # order-1 trace heads to the true model, order-2 to the projection
         s1 = json.loads((tmp_path / "a" / "summary_order1.json").read_text())
         s2 = json.loads((tmp_path / "a" / "summary_order2.json").read_text())

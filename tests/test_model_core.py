@@ -186,7 +186,7 @@ class TestAgainstRecursion:
             for i in range(1, q + 1):
                 M2[(i - 1) * p: i * p, i * m:] = -oracle[q - i].Gj
             M = np.vstack([np.hstack([M1, M2]), np.eye(p * n + m * (n_hat + 1))])
-            assert _rel_err(build_lift_matrix(model, n_hat).M, M) <= 1e-12, q
+            assert _rel_err(build_lift_matrix(model, n_hat), M) <= 1e-12, q
 
 
 class TestShiftOperator:

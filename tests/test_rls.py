@@ -207,10 +207,9 @@ class TestRlsStep:
             order_free_theta0 = rng.standard_normal((p, d))
             P0 = random_spd(rng, d, 0.5, 50.0)
             # build the state directly to decouple d from an order
-            from sysid_rls.rls import RlsState, spd_inverse
+            from sysid_rls.rls import RlsState
 
-            state = RlsState(theta=order_free_theta0, P=P0.copy(), k=0,
-                             P_inv=spd_inverse(P0))
+            state = RlsState(theta=order_free_theta0, P=P0.copy(), k=0)
             phis = rng.standard_normal((100, d))
             ys = rng.standard_normal((100, p))
             _, record = rls_fold(state, phis, ys, keep_history=True)
@@ -220,15 +219,16 @@ class TestRlsStep:
                 assert err <= 1e-8 * (1 + np.linalg.norm(theta_b))
 
     def test_information_identity(self):
+        # P_k^{-1} = P0^{-1} + sum_{i<=k} phi_i phi_i^T after every step
         rng = np.random.default_rng(7)
-        state = initial_state(2, 1, 1, p0_scale=10.0, track_information=True)
+        state = initial_state(2, 1, 1, p0_scale=10.0)
+        info = np.linalg.inv(state.P)
         for _ in range(50):
             phi = rng.standard_normal(state.dim)
-            prev_inv = state.P_inv.copy()
             state, _ = rls_fold(state, phi[None, :], rng.standard_normal((1, 1)))
-            np.testing.assert_allclose(state.P_inv, prev_inv + np.outer(phi, phi))
-            defect = np.max(np.abs(np.linalg.inv(state.P) - state.P_inv))
-            assert defect <= 1e-8 * np.max(np.abs(state.P_inv))
+            info = info + np.outer(phi, phi)
+            defect = np.max(np.abs(np.linalg.inv(state.P) - info))
+            assert defect <= 1e-8 * np.max(np.abs(info))
         state.check()
 
     def test_monotone_covariance(self):
@@ -253,7 +253,7 @@ class TestRlsStep:
 
 def _fold_case(order, p, m, K, seed):
     rng = np.random.default_rng(seed)
-    state = initial_state(order, p, m, p0_scale=1e3, track_information=True)
+    state = initial_state(order, p, m, p0_scale=1e3)
     Phi = rng.standard_normal((K, state.dim))
     Y = rng.standard_normal((K, p))
     theta_ref = rng.standard_normal((p, state.dim))
@@ -271,15 +271,19 @@ def _rel_diff(got, want) -> float:
 
 def _assert_near_reference(state, Phi, Y, theta_ref):
     """The blocked fold agrees with the per-row textbook recursion from the
-    symmetric part of ``P`` to round-off: 1e-9 relative on every output."""
+    symmetric part of ``P`` to round-off: 1e-9 relative on every output.  Its
+    final ``P`` inverts the information matrix ``P0^{-1} + Phi^T Phi`` to
+    1e-8."""
     folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
+    P0 = 0.5 * (state.P + state.P.T)
     theta, P, P_inv, resid, dist, thetas = reference_rls(
-        state.theta, 0.5 * (state.P + state.P.T), state.P_inv, Phi, Y, theta_ref)
-    for got, want in [(folded.theta, theta), (folded.P, P), (folded.P_inv, P_inv),
+        state.theta, P0, np.linalg.inv(P0), Phi, Y, theta_ref)
+    for got, want in [(folded.theta, theta), (folded.P, P),
                       (record.residual_norm, resid), (record.dist_to_ref, dist),
                       (record.theta, thetas)]:
         assert got.shape == want.shape
         assert _rel_diff(got, want) <= 1e-9
+    assert np.max(np.abs(folded.P @ P_inv - np.eye(state.dim))) <= 1e-8
 
 
 def _assert_block_exact(state, Phi, Y, theta_ref):
@@ -298,7 +302,7 @@ def _assert_block_exact(state, Phi, Y, theta_ref):
     runs.append((chained, joined))
     (folded, record), *others = runs
     for new, rec in others:
-        for f in ("theta", "P", "P_inv", "k"):
+        for f in ("theta", "P", "k"):
             assert np.array_equal(getattr(new, f), getattr(folded, f))
         for f in ("residual_norm", "dist_to_ref", "theta", "pmin_eig"):
             assert np.array_equal(getattr(rec, f), getattr(record, f))
@@ -362,7 +366,7 @@ class TestRlsFold:
         rng = np.random.default_rng(30 + K)
         P0 = random_spd(rng, 7, 0.5, 50.0) + 1e-3 * np.triu(rng.standard_normal((7, 7)), 1)
         assert not np.array_equal(P0, P0.T)
-        state = initial_state(2, 2, 1, P0=P0, track_information=True)
+        state = initial_state(2, 2, 1, P0=P0)
         Phi = rng.standard_normal((K, state.dim))
         Y = rng.standard_normal((K, 2))
         theta_ref = rng.standard_normal((2, state.dim))
