@@ -1,5 +1,5 @@
 """Identification and equivalence calculus for discrete-time MIMO
-input/output models: exact simulation, cross-order equivalence testing and
+input/output models: block simulation, cross-order equivalence testing and
 order reduction, regularized recursive least squares, excitation
 diagnostics, and closed-form convergence targets for every fit order at or
 above the true one.

@@ -21,6 +21,7 @@ from .fileio import (
     canonical_json,
     load_model,
     load_theta0,
+    read_text,
     sha256_file,
     sha256_text,
     write_json,
@@ -120,7 +121,7 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ValidationError(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     return config_from_dict(raw, base_dir=path.parent)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,21 @@ def save_model(model: IOModel, path) -> None:
     Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+def read_text(path: Path) -> str:
+    """The file's UTF-8 text; a file that does not decode is a
+    :class:`ValidationError` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_model(path) -> IOModel:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"model file {path} does not exist")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -81,39 +91,80 @@ def save_trajectory(traj: Trajectory, path) -> None:
             writer.writerow(row)
 
 
-def load_trajectory(path) -> Trajectory:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"trajectory file {path} does not exist")
-    with open(path, newline="") as fh:
+def _input_cell(cell: str) -> float:
+    """An input cell's value; an empty cell is a missing input (NaN)."""
+    return float(cell) if cell.strip() != "" else float("nan")
+
+
+def _read_table(fh, m: int, p: int):
+    """The data rows left in ``fh`` in one ``np.loadtxt`` call, or None when
+    a row does not parse or there is none."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: None below
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("k", np.int64), ("u", float, (m,)), ("y", float, (p,))],
+                               converters={c: _input_cell for c in range(1, 1 + m)})
+    except ValueError:
+        return None
+    return table if len(table) else None
+
+
+def _parse_rows(path: Path, width: int, m: int):
+    """The data rows cell by cell, naming the file and line of the first bad
+    one."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+        next(reader)
         rows = [r for r in reader if r]
-    if not header or header[0] != "k":
-        raise ValidationError(f"{path}: first column must be 'k'")
-    m = sum(1 for h in header if h.startswith("u_"))
-    p = sum(1 for h in header if h.startswith("y_"))
-    if m == 0 or p == 0 or len(header) != 1 + m + p:
-        raise ValidationError(f"{path}: header must be k,u_1..u_m,y_1..y_p")
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     ks, us, ys = [], [], []
     for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+        if len(row) != width:
+            raise ValidationError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
         try:
             ks.append(int(row[0]))
-            us.append([float(c) if c.strip() != "" else float("nan") for c in row[1:1 + m]])
+            us.append([_input_cell(c) for c in row[1:1 + m]])
             ys.append([float(c) for c in row[1 + m:]])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return ks, np.asarray(us), np.asarray(ys)
+
+
+def load_trajectory(path) -> Trajectory:
+    """Read a CSV written by :func:`save_trajectory`.
+
+    The data rows are parsed in one ``np.loadtxt`` pass over the file; when
+    that fails they are parsed again row by row, so the error names the bad
+    line.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"trajectory file {path} does not exist")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file") from None
+            if not header or header[0] != "k":
+                raise ValidationError(f"{path}: first column must be 'k'")
+            m = sum(1 for h in header if h.startswith("u_"))
+            p = sum(1 for h in header if h.startswith("y_"))
+            if m == 0 or p == 0 or len(header) != 1 + m + p:
+                raise ValidationError(f"{path}: header must be k,u_1..u_m,y_1..y_p")
+            table = _read_table(fh, m, p)
+        if table is None:
+            ks, us, ys = _parse_rows(path, len(header), m)
+        else:
+            ks, us, ys = table["k"].tolist(), table["u"], table["y"]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     k0 = ks[0]
     if ks != list(range(k0, k0 + len(ks))):
         raise ValidationError(f"{path}: k column must be consecutive integers")
-    return Trajectory(k0=k0, u=np.asarray(us), y=np.asarray(ys))
+    return Trajectory(k0=k0, u=us, y=ys)
 
 
 # Rows formatted and written per block by write_csv: enough that the per-block

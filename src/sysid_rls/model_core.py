@@ -6,12 +6,14 @@ evolves as
     y[k+n] = -(F1 y[k+n-1] + ... + Fn y[k]) + G0 u[k+n] + ... + Gn u[k]
 
 with coefficient blocks ``Fi`` (p x p) and ``Gi`` (p x m).  This module holds
-the model and trajectory value types, exact simulation, and the multi-step
+the model and trajectory value types, simulation, and the multi-step
 output-transition blocks that express ``y[k+n+j]`` directly in terms of the
 window ``y[k+n-1..k]`` and inputs ``u[k+n+j..k]``.  Those blocks are sums of
 the impulse response ``a_0 = I``, ``a_r = -(F1 a_{r-1} + ... + Fn a_{r-n})``
 of the output dynamics, the companion-form Markov parameters (Kailath,
 *Linear Systems*, 1980), and every offset is computed from them directly.
+Simulation evaluates the recursion through the same blocks, 64 outputs per
+step, so a simulated record satisfies the recursion to round-off.
 
 Stacked windows are always ordered newest-first: ``[y[k+n-1]; ...; y[k]]`` and
 ``[u[k+n]; ...; u[k]]``.
@@ -28,6 +30,10 @@ from .errors import NumericalError, ValidationError
 # Offsets beyond this cap are treated as caller error: ``Gj`` grows by m
 # columns per step, and the impulse response of an unstable model overflows.
 MAX_TRANSITION_STEPS = 10_000
+
+# Outputs produced per interpreter step by ``simulate``; the same width as
+# the RLS fold's row blocks.
+_SIM_BLOCK = 64
 
 
 def _as_blocks(blocks, count: int, shape: tuple[int, int], what: str) -> tuple[np.ndarray, ...]:
@@ -153,8 +159,9 @@ class Trajectory:
 
     The first ``n`` outputs of a simulated trajectory are the initial
     conditions; every later output satisfies the owning model's recursion
-    exactly.  Loaded records may carry NaN in ``u`` where a file left input
-    cells empty; windowed operations reject such indices.
+    to round-off (``simulate`` evaluates it in blocks of outputs).  Loaded
+    records may carry NaN in ``u`` where a file left input cells empty;
+    windowed operations reject such indices.
     """
 
     k0: int
@@ -292,10 +299,19 @@ def simulate(model: IOModel, initial_outputs, inputs, horizon: int | None = None
               (defaults to ``len(inputs)``); must be >= n
     k0 : time index of the first stored sample
 
-    Returns a trajectory whose outputs satisfy the recursion exactly for
-    every index past the initial window.  Deterministic: identical inputs
-    give bit-identical outputs.  Raises :class:`NumericalError` when the
-    outputs overflow (an unstable model run long enough).
+    Returns a trajectory whose outputs satisfy the recursion to round-off
+    for every index past the initial window.  The outputs are evaluated
+    :data:`_SIM_BLOCK` at a time (block realization of the recursive filter;
+    Burrus, IEEE Trans. Audio Electroacoust. 20(4), 1972): with the
+    transition blocks ``Fj``, ``Gj`` for j = 0..B-1 stacked as ``FF`` and,
+    right-aligned, ``GG``, the block starting at ``t`` is
+    ``GG @ u[t+B-1..t-n] - FF @ y[t-1..t-n]`` (newest first).  The input
+    terms of every block come from one matrix product, so only the output
+    window is carried from block to block.  Deterministic: identical inputs
+    give bit-identical outputs, and a record continued from its last ``n``
+    outputs after a multiple of B steps matches the unsplit one bit for bit.
+    Raises :class:`NumericalError` when the outputs overflow (an unstable
+    model run long enough).
     """
     n, p, m = model.n, model.p, model.m
     u = np.asarray(inputs, dtype=float)
@@ -325,12 +341,28 @@ def simulate(model: IOModel, initial_outputs, inputs, horizon: int | None = None
     u = u[:horizon]
     y = np.zeros((horizon, p))
     y[:n] = ics
-    F_stack, G_stack = model.F_stack, model.G_stack
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
-        for k in range(n, horizon):
-            Yw = y[k - n:k][::-1].reshape(-1)
-            Uw = u[k - n:k + 1][::-1].reshape(-1)
-            y[k] = -F_stack @ Yw + G_stack @ Uw
+        B = _SIM_BLOCK
+        blocks = _transition_blocks(model, range(B))
+        while True:
+            FF = np.vstack([Fj for Fj, _ in blocks])
+            GG = np.zeros((B * p, (B + n) * m))
+            for j, (_, Gj) in enumerate(blocks):
+                GG[j * p:(j + 1) * p, (B - 1 - j) * m:] = Gj
+            # A steep model overflows the B-step blocks themselves; halving
+            # ends at B = 1, the model's own finite coefficients.
+            if B == 1 or (np.isfinite(FF).all() and np.isfinite(GG).all()):
+                break
+            B //= 2
+            blocks = blocks[:B]
+        starts = np.arange(n, horizon, B)
+        u_pad = np.zeros((n + len(starts) * B, m))
+        u_pad[:horizon] = u
+        windows = u_pad[starts[:, None] + np.arange(B - 1, -n - 1, -1)]
+        forced = windows.reshape(len(starts), (B + n) * m) @ GG.T
+        for t, f in zip(starts.tolist(), forced):
+            out = (f - FF @ y[t - n:t][::-1].ravel()).reshape(B, p)
+            y[t:t + B] = out[:horizon - t]
     if not np.all(np.isfinite(y)):
         first = k0 + int(np.flatnonzero(~np.all(np.isfinite(y), axis=1))[0])
         raise NumericalError(

@@ -201,11 +201,31 @@ def consolidate(high: IOModel, base: IOModel) -> ConsolidatedCoeffs:
     return ConsolidatedCoeffs(F_cons=F_cons, G_cons=G_cons)
 
 
+def reference_simulate(model: IOModel, initial_outputs, inputs) -> np.ndarray:
+    """Outputs of ``model`` over ``len(inputs)`` steps by the per-sample
+    recursion, one output row per loop iteration: the oracle for
+    ``simulate``'s block evaluation.  Overflow is left in the returned
+    outputs, not raised."""
+    n, p = model.n, model.p
+    u = np.asarray(inputs, dtype=float).reshape(len(inputs), model.m)
+    horizon = u.shape[0]
+    y = np.zeros((horizon, p))
+    y[:n] = np.asarray(initial_outputs, dtype=float).reshape(n, p)
+    F_stack, G_stack = model.F_stack, model.G_stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n, horizon):
+            Yw = y[k - n:k][::-1].reshape(-1)
+            Uw = u[k - n:k + 1][::-1].reshape(-1)
+            y[k] = -F_stack @ Yw + G_stack @ Uw
+    return y
+
+
 def verify_trajectory(model: IOModel, traj: Trajectory) -> float:
     """Max defect of the model recursion over the stored record.
 
-    Mirrors ``simulate``'s loop operation for operation, so it returns
-    exactly 0.0 for trajectories ``simulate`` produced with the same model.
+    Evaluates the recursion at every index past the initial window from the
+    stored outputs themselves, so a record ``simulate`` produced returns a
+    defect at round-off level, not exactly 0.0.
     """
     n = model.n
     if traj.p != model.p or traj.m != model.m:

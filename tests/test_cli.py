@@ -466,3 +466,20 @@ def test_os_error_is_exit_2_naming_the_path(workdir, capsys, argv, path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and path.format(w=workdir) in err
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["fit", "--data", "{w}/bad.csv", "--order", "1"], "{w}/bad.csv"),
+    (["excite", "--data", "{w}/bad.csv", "--order", "1"], "{w}/bad.csv"),
+    (["equiv", "{w}/bad.json", "{w}/bad.json"], "{w}/bad.json"),
+    (["experiment", "{w}/bad.json", "--out-dir", "{w}/out"], "{w}/bad.json"),
+], ids=["fit", "excite", "equiv", "experiment"])
+def test_non_utf8_file_is_exit_2_naming_the_path(workdir, capsys, argv, path):
+    # the bad byte sits past the first read buffer, inside the data rows
+    rows = "".join(f"{k},1.0,0.5\n" for k in range(1000)).encode()
+    (workdir / "bad.csv").write_bytes(b"k,u_1,y_1\n" + rows + b"1000,\xff,0.3\n")
+    (workdir / "bad.json").write_bytes(b'{"n": 1, "p": 1\xff}')
+    rc = main([arg.format(w=workdir) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and path.format(w=workdir) in err

@@ -11,10 +11,11 @@ from sysid_rls import (
     simulate,
     transition_pair,
 )
-from sysid_rls.model_core import MAX_TRANSITION_STEPS
+from sysid_rls.model_core import _SIM_BLOCK, MAX_TRANSITION_STEPS
 
 from support import (
     random_stable_model,
+    reference_simulate,
     reference_transition_prefix,
     shifted_F,
     verify_trajectory,
@@ -79,12 +80,6 @@ class TestSimulate:
         b = simulate(m, ics, u)
         np.testing.assert_array_equal(a.y, b.y)
 
-    def test_recursion_holds_exactly(self):
-        rng = np.random.default_rng(3)
-        m = random_stable_model(rng, 3, 2, 2)
-        traj = simulate(m, rng.standard_normal((3, 2)), rng.standard_normal((40, 2)))
-        assert verify_trajectory(m, traj) == 0.0
-
     def test_errors(self):
         with pytest.raises(ValidationError):
             simulate(SCALAR, [1.0], np.zeros((5, 2)))  # wrong input dim
@@ -102,6 +97,47 @@ class TestSimulate:
         assert np.all(np.isfinite(simulate(unstable, [1.0], np.zeros(1000)).y))
         with pytest.raises(NumericalError, match="diverged"):
             simulate(unstable, [1.0], np.zeros(3000))
+
+    def test_steep_model_falls_back_to_shorter_blocks(self):
+        # the 64-step blocks of a pole at 1e6 overflow; zero data stays zero
+        steep = IOModel.scalar([-1e6], [1.0, 0.0])
+        np.testing.assert_array_equal(simulate(steep, [0.0], np.zeros(500)).y,
+                                      np.zeros((500, 1)))
+        with pytest.raises(NumericalError, match=r"diverged.* from k=52 "):
+            simulate(steep, [1.0], np.zeros(500))
+
+
+@pytest.mark.parametrize("n,p,m", [(0, 2, 1), (1, 1, 1), (3, 1, 1), (2, 2, 2), (4, 3, 2)])
+class TestBlockSimulation:
+    """``simulate``'s block evaluation against the per-sample recursion."""
+
+    K = 20_000
+
+    def _case(self, n, p, m):
+        rng = np.random.default_rng([n, p, m, 3])
+        model = random_stable_model(rng, n, p, m)
+        return model, rng.standard_normal((n, p)), rng.standard_normal((self.K, m))
+
+    def test_agrees_with_per_sample_recursion(self, n, p, m):
+        model, ics, u = self._case(n, p, m)
+        y_ref = reference_simulate(model, ics, u)
+        traj = simulate(model, ics, u)
+        bound = 1e-12 * (1.0 + np.max(np.abs(y_ref)))
+        assert np.max(np.abs(traj.y - y_ref)) <= bound
+        assert verify_trajectory(model, traj) <= bound
+
+    def test_split_at_a_block_boundary_is_bit_identical(self, n, p, m):
+        model, ics, u = self._case(n, p, m)
+        whole = simulate(model, ics, u, k0=-7)
+        cut = n + 100 * _SIM_BLOCK
+        head = simulate(model, ics, u[:cut], k0=-7)
+        tail = simulate(model, head.y[cut - n:], u[cut - n:], k0=-7 + cut - n)
+        assert tail.k0 == whole.k0 + cut - n and tail.k_last == whole.k_last
+        np.testing.assert_array_equal(np.vstack([head.y, tail.y[n:]]), whole.y)
+
+    def test_rerun_is_bit_identical(self, n, p, m):
+        model, ics, u = self._case(n, p, m)
+        np.testing.assert_array_equal(simulate(model, ics, u).y, simulate(model, ics, u).y)
 
 
 class TestTransitionPair:
@@ -218,8 +254,8 @@ class TestOutputTransition:
         np.testing.assert_allclose(out, [1.0])
 
     def test_agrees_with_simulation(self):
-        # the j-step blocks must reproduce simulated outputs for all j;
-        # raw coefficient draws in [-1, 1] are fine over short horizons
+        # the j-step blocks must reproduce the per-sample recursion for all
+        # j; raw coefficient draws in [-1, 1] are fine over short horizons
         rng = np.random.default_rng(8)
         for trial in range(8):
             n = int(rng.integers(1, 4))
@@ -233,12 +269,12 @@ class TestOutputTransition:
             ics = rng.uniform(-1, 1, (n, p))
             horizon = n + 9
             u = rng.uniform(-1, 1, (horizon, m_dim))
-            traj = simulate(model, ics, u)
-            Yw = traj.y[0:n][::-1].reshape(-1)
+            y = reference_simulate(model, ics, u)
+            Yw = y[0:n][::-1].reshape(-1)
             for j in range(0, 9):
-                Uw = traj.u[0:n + 1 + j][::-1].reshape(-1)
+                Uw = u[0:n + 1 + j][::-1].reshape(-1)
                 got = output_transition(model, Yw, Uw, j)
-                want = traj.y[n + j]
+                want = y[n + j]
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_linearity(self):
