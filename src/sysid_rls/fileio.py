@@ -115,8 +115,11 @@ def _parse_rows(path: Path, width: int, m: int):
     one."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        rows = [r for r in reader if r]
+        try:
+            next(reader)
+            rows = [r for r in reader if r]
+        except csv.Error as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     ks, us, ys = [], [], []
@@ -137,17 +140,21 @@ def load_trajectory(path) -> Trajectory:
 
     The data rows are parsed in one ``np.loadtxt`` pass over the file; when
     that fails they are parsed again row by row, so the error names the bad
-    line.
+    line.  A line the ``csv`` module refuses (a cell over its field size
+    limit) is a :class:`ValidationError` naming it too.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"trajectory file {path} does not exist")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                header = next(csv.reader(fh))
+                header = next(reader)
             except StopIteration:
                 raise ValidationError(f"{path}: empty file") from None
+            except csv.Error as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
             if not header or header[0] != "k":
                 raise ValidationError(f"{path}: first column must be 'k'")
             m = sum(1 for h in header if h.startswith("u_"))

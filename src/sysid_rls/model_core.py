@@ -301,15 +301,18 @@ def simulate(model: IOModel, initial_outputs, inputs, horizon: int | None = None
 
     Returns a trajectory whose outputs satisfy the recursion to round-off
     for every index past the initial window.  The outputs are evaluated
-    :data:`_SIM_BLOCK` at a time (block realization of the recursive filter;
-    Burrus, IEEE Trans. Audio Electroacoust. 20(4), 1972): with the
-    transition blocks ``Fj``, ``Gj`` for j = 0..B-1 stacked as ``FF`` and,
+    B = :data:`_SIM_BLOCK` at a time, or ``horizon - n`` (at least 1) for a
+    shorter record (block realization of the recursive filter; Burrus,
+    IEEE Trans. Audio Electroacoust. 20(4), 1972): with the transition
+    blocks ``Fj``, ``Gj`` for j = 0..B-1 stacked as ``FF`` and,
     right-aligned, ``GG``, the block starting at ``t`` is
     ``GG @ u[t+B-1..t-n] - FF @ y[t-1..t-n]`` (newest first).  The input
     terms of every block come from one matrix product, so only the output
     window is carried from block to block.  Deterministic: identical inputs
     give bit-identical outputs, and a record continued from its last ``n``
-    outputs after a multiple of B steps matches the unsplit one bit for bit.
+    outputs after a multiple of :data:`_SIM_BLOCK` steps matches the
+    unsplit one bit for bit when the continuation is at least
+    :data:`_SIM_BLOCK` steps long.
     Raises :class:`NumericalError` when the outputs overflow (an unstable
     model run long enough).
     """
@@ -342,7 +345,7 @@ def simulate(model: IOModel, initial_outputs, inputs, horizon: int | None = None
     y = np.zeros((horizon, p))
     y[:n] = ics
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is raised below
-        B = _SIM_BLOCK
+        B = min(_SIM_BLOCK, max(1, horizon - n))
         blocks = _transition_blocks(model, range(B))
         while True:
             FF = np.vstack([Fj for Fj, _ in blocks])

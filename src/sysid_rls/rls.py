@@ -19,8 +19,8 @@ block, and all of it at ``n == n_hat``.  The cost after k samples is
                + tr[(theta - theta0) P0^{-1} (theta - theta0)^T]
 
 whose unique minimizer is tracked recursively via the covariance downdate,
-a block of rows at a time through the Cholesky factor of the block's
-innovation Gram (:func:`rls_fold`).
+a block of rows at a time through one Cholesky factor of the block's
+innovation Gram bordered by its gain and innovation terms (:func:`rls_fold`).
 """
 
 from __future__ import annotations
@@ -154,16 +154,19 @@ def _check_rows(Phi, Y, p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prior(theta0, P0):
-    """``theta0`` (p x d) as a float array and the Cholesky factor of ``P0`` (d x d)."""
-    import scipy.linalg
-
+    """``theta0`` (p x d) as a float array and ``C^{-1}`` (d x d), the
+    inverse of the Cholesky factor in ``P0 = C C^T``, so that
+    ``P0^{-1} = C^{-T} C^{-1}``.  ``P0`` is read from its upper triangle."""
     theta0 = np.asarray(theta0, dtype=float)
     P0 = np.asarray(P0, dtype=float)
     if theta0.ndim != 2 or P0.shape != (theta0.shape[1],) * 2:
         raise ValidationError(f"theta0 and P0 have shapes {theta0.shape} and {P0.shape}, "
                               "expected (p, d) and (d, d)")
+    if not (np.all(np.isfinite(theta0)) and np.all(np.isfinite(P0))):
+        raise ValidationError("theta0 and P0 must be finite")
     try:
-        return theta0, scipy.linalg.cho_factor(P0)
+        # P0 = U^T U with U upper triangular, so C = U^T
+        return theta0, np.linalg.inv(np.linalg.cholesky(P0, upper=True)).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError("P0 must be symmetric positive definite") from exc
 
@@ -171,32 +174,31 @@ def _prior(theta0, P0):
 def cost(theta_hat: np.ndarray, Phi, Y, theta0: np.ndarray, P0: np.ndarray) -> float:
     """Sum of squared residuals ``||Y - Phi theta_hat^T||^2`` plus the
     P0-weighted prior penalty."""
-    import scipy.linalg
-
-    theta0, factor = _prior(theta0, P0)
+    theta0, C_inv = _prior(theta0, P0)
     Phi, Y = _check_rows(Phi, Y, *theta0.shape)
     theta_hat = np.asarray(theta_hat, dtype=float)
     Z = Y - Phi @ theta_hat.T
-    E = theta_hat - theta0
-    X = scipy.linalg.cho_solve(factor, E.T)
-    return float(np.sum(Z * Z)) + float(np.sum(E.T * X))
+    X = C_inv @ (theta_hat - theta0).T
+    return float(np.sum(Z * Z)) + float(np.sum(X * X))
 
 
 def batch_solve(Phi, Y, theta0: np.ndarray, P0: np.ndarray) -> np.ndarray:
     """Unique minimizer of :func:`cost` over the rows of ``Phi`` (K x d) and
     ``Y`` (K x p).
 
-    Solved by factorization of the regularized normal equations; the P0 term
-    keeps them nonsingular even with no data (K = 0).
+    With ``P0 = C C^T``, the prior enters as ``d`` pseudo-observations and
+    ``theta^T`` is the least-squares solution of the stacked system
+    ``[C^{-1}; Phi] theta^T = [C^{-1} theta0^T; Y]`` (Golub & Van Loan,
+    *Matrix Computations*, section 5.3).  Unlike the normal equations
+    ``P0^{-1} + Phi^T Phi``, this does not square the condition number,
+    which the prior sets in the overparameterized regime.  The ``C^{-1}``
+    rows keep the system full rank even with no data (K = 0).
     """
-    import scipy.linalg
-
-    theta0, factor = _prior(theta0, P0)
+    theta0, C_inv = _prior(theta0, P0)
     Phi, Y = _check_rows(Phi, Y, *theta0.shape)
-    P0_inv = scipy.linalg.cho_solve(factor, np.eye(theta0.shape[1]))
-    A = P0_inv + Phi.T @ Phi
-    B = theta0 @ P0_inv + Y.T @ Phi
-    return scipy.linalg.solve(A, B.T, assume_a="pos").T
+    A = np.vstack([C_inv, Phi])
+    B = np.vstack([C_inv @ theta0.T, Y])
+    return np.linalg.lstsq(A, B, rcond=None)[0].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,22 +228,33 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     a time in the innovations form of block RLS (Kailath, Sayed & Hassibi,
     *Linear Estimation*, 2000, ch. 9 and 12).  From the block-start
     ``theta`` and ``P``, with ``W = Phi_b P`` and the innovation Gram
-    ``S = I + W Phi_b^T = L L^T``, ``[Kt | E] = L^{-1} [W | Y_b - Phi_b
-    theta^T]``.  Factoring ``S`` is Gram-Schmidt on the block's innovations:
-    ``L[j, j]^2 = 1 + phi_j P_{j-1} phi_j^T``, row j of ``Kt`` is
-    ``P_{j-1} phi_j / L[j, j]`` and row j of ``E`` the a-priori innovation
-    ``y_j - theta_{j-1} phi_j`` over ``L[j, j]``.  So ``theta_j = theta +
-    sum_{i<=j} E_i Kt_i`` and ``P_j = P - sum_{i<=j} Kt_i^T Kt_i`` are the
-    sequential recursion row by row in exact arithmetic, and agree with it
-    to round-off in floating point; a one-row slice is a single step.
+    ``S = I + W Phi_b^T = L L^T``, ``[Kt | E] = L^{-1} R`` for ``R = [W |
+    Y_b - Phi_b theta^T]``.  Both come from one Cholesky factorization of
+    the bordered matrix (Golub & Van Loan, *Matrix Computations*, 4.2)::
+
+        [[S,   R  ],   =   [[L, 0],  [[L^T, G^T],      G^T = [Kt | E]
+         [R^T, c I]]        [G, H]]   [0,   H^T]]
+
+    with ``c = 1 + 2 ||R||_F^2``.  ``L`` and ``G`` do not depend on ``c``;
+    ``c`` only keeps the trailing block ``H H^T = c I - G G^T`` positive
+    definite: ``P >= 0`` gives ``S >= I``, so ``||G||_2^2 <= ||R||_2^2 <=
+    ||R||_F^2 < c / 2``.  Factoring ``S`` is Gram-Schmidt on the block's
+    innovations: ``L[j, j]^2 = 1 + phi_j P_{j-1} phi_j^T``, row j of ``Kt``
+    is ``P_{j-1} phi_j / L[j, j]`` and row j of ``E`` the a-priori
+    innovation ``y_j - theta_{j-1} phi_j`` over ``L[j, j]``.  So ``theta_j =
+    theta + sum_{i<=j} E_i Kt_i`` and ``P_j = P - sum_{i<=j} Kt_i^T Kt_i``
+    are the sequential recursion row by row in exact arithmetic, and agree
+    with it to round-off in floating point; a one-row slice is a single
+    step.
 
     Shapes and finiteness are checked once, by :func:`_check_rows`, before
     any update.  Blocks start at multiples of ``_FOLD_BLOCK``, so a fold
     split at one equals the unsplit fold bit for bit.  ``P`` is read as its
     symmetric part ``0.5 * (P + P.T)`` and re-symmetrized after each block.
     The history's ``pmin_eig`` comes from one batched ``eigvalsh`` per block.
-    A Gram that fails to factor, or a non-finite estimate, raises
-    :class:`NumericalError`: the prior is too large for the data.
+    A bordered matrix that fails to factor (its Gram ``S`` is not positive
+    definite), a border ``c`` that overflows, or a non-finite estimate
+    raises :class:`NumericalError`: the prior is too large for the data.
     """
     theta, P = state.theta, state.P
     Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
@@ -256,6 +269,8 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
             )
 
     P = 0.5 * (P + P.T)
+    d = state.dim
+    q = d + theta.shape[0]
     Z = np.empty(Y.shape)
     # hist[i] is the estimate before row i, hist[K] the final one
     hist = None
@@ -263,19 +278,34 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         hist = np.empty((K + 1,) + theta.shape)
         hist[0] = theta
     pmin = np.empty(K) if keep_history else None
-    eye = np.eye(_FOLD_BLOCK)
+    # a block of b rows fills buf[:b+q, :b+q] with [[S, R], [R^T, c I]];
+    # diag views buf's diagonal, which every such corner shares
+    buf = np.zeros((_FOLD_BLOCK + q,) * 2)
+    diag = buf.reshape(-1)[::_FOLD_BLOCK + q + 1]
     for start in range(0, K, _FOLD_BLOCK):
         stop = min(start + _FOLD_BLOCK, K)
+        b = stop - start
         Phi_b = Phi[start:stop]
-        W = Phi_b @ P
-        S = eye[:stop - start, :stop - start] + W @ Phi_b.T
+        A = buf[:b + q, :b + q]
+        R = A[:b, b:]
+        np.matmul(Phi_b, P, out=R[:, :d])
+        np.subtract(Y[start:stop], Phi_b @ theta.T, out=R[:, d:])
+        np.matmul(R[:, :d], Phi_b.T, out=A[:b, :b])
+        A[b:, :b] = R.T
+        A[b:, b:] = 0.0
+        with np.errstate(over="ignore"):
+            c = 1.0 + 2.0 * np.vdot(R, R)
+        if not np.isfinite(c):
+            raise _blow_up(start, "its gain overflows")
+        diag[:b] += 1.0
+        diag[b:b + q] = c
         try:
-            L = np.linalg.cholesky(S)
+            F = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             raise _blow_up(start, "its innovation Gram is not positive definite") from None
-        KE = np.linalg.solve(L, np.hstack([W, Y[start:stop] - Phi_b @ theta.T]))
-        Kt, E = KE[:, :state.dim], KE[:, state.dim:]
-        Z[start:stop] = np.diagonal(L)[:, None] * E
+        # [Kt | E] = L^{-1} R, the transpose of the factor's bottom-left block
+        Kt, E = F[b:b + d, :b].T, F[b + d:, :b].T
+        Z[start:stop] = np.diagonal(F)[:b, None] * E
         # the estimate after each row of the block, and its covariance
         steps = theta + np.cumsum(E[:, :, None] * Kt[:, None, :], axis=0)
         if keep_history:

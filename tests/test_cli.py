@@ -483,3 +483,15 @@ def test_non_utf8_file_is_exit_2_naming_the_path(workdir, capsys, argv, path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and path.format(w=workdir) in err
+
+
+@pytest.mark.parametrize("command", ["fit", "excite"])
+def test_cell_over_the_csv_field_limit_is_exit_2_naming_the_line(workdir, capsys, command):
+    # the csv module refuses a cell over 131,072 characters; the extra cell
+    # sends the read past np.loadtxt to the per-row parser
+    bad = workdir / "huge.csv"
+    bad.write_text("k,u_1,y_1\n0,1.0,0.5\n1,1.0,0.5\n2," + "1" * 140_000 + ",0.3,9\n")
+    rc = main([command, "--data", str(bad), "--order", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{bad}:4: field larger than field limit" in err

@@ -11,6 +11,7 @@ from sysid_rls import (
     simulate,
     transition_pair,
 )
+from sysid_rls import model_core
 from sysid_rls.model_core import _SIM_BLOCK, MAX_TRANSITION_STEPS
 
 from support import (
@@ -97,6 +98,26 @@ class TestSimulate:
         assert np.all(np.isfinite(simulate(unstable, [1.0], np.zeros(1000)).y))
         with pytest.raises(NumericalError, match="diverged"):
             simulate(unstable, [1.0], np.zeros(3000))
+
+    @pytest.mark.parametrize("n,p,m", [(1, 1, 1), (2, 2, 2)])
+    def test_every_short_horizon_agrees_with_per_sample_recursion(self, n, p, m):
+        rng = np.random.default_rng([n, p, m, 4])
+        model = random_stable_model(rng, n, p, m)
+        ics, u = rng.standard_normal((n, p)), rng.standard_normal((n + 70, m))
+        for horizon in range(n, n + 71):
+            y_ref = reference_simulate(model, ics, u[:horizon])
+            y = simulate(model, ics, u, horizon=horizon).y
+            assert y.shape == (horizon, p)
+            assert np.max(np.abs(y - y_ref)) <= 1e-12 * (1.0 + np.max(np.abs(y_ref)))
+
+    def test_short_record_builds_only_the_blocks_it_uses(self, monkeypatch):
+        asked = []
+        real = model_core._transition_blocks
+        monkeypatch.setattr(model_core, "_transition_blocks",
+                            lambda model, js: asked.append(len(js)) or real(model, js))
+        for horizon in (1, 2, 6, 1 + _SIM_BLOCK, 2 + _SIM_BLOCK):
+            simulate(SCALAR, [0.5], np.ones(horizon))
+        assert asked == [1, 1, 5, _SIM_BLOCK, _SIM_BLOCK]
 
     def test_steep_model_falls_back_to_shorter_blocks(self):
         # the 64-step blocks of a pole at 1e6 overflow; zero data stays zero

@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sysid_rls import (
+    IOModel,
+    NumericalError,
     Trajectory,
     ValidationError,
     batch_solve,
     cost,
     initial_state,
+    projected_limit,
     regressor_matrix,
     rls_fold,
     simulate,
@@ -167,6 +172,33 @@ class TestBatchSolve:
             with pytest.raises(ValidationError):
                 cost(np.zeros((1, 3)), Phi, Y, theta0, P0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_prior_rejected(self, value):
+        Phi, Y = np.ones((4, 3)), np.ones((4, 1))
+        P0 = np.eye(3)
+        P0[1, 1] = value
+        theta0 = np.zeros((1, 3))
+        with pytest.raises(ValidationError, match="must be finite"):
+            batch_solve(Phi, Y, theta0, P0)
+        with pytest.raises(ValidationError, match="must be finite"):
+            cost(theta0, Phi, Y, theta0, P0)
+
+    @pytest.mark.parametrize("p0", [1e3, 1e6, 1e9])
+    def test_overparameterized_fit_reaches_theta_star_at_large_priors(self, p0):
+        # an order-1 model fitted at order 3: Phi^T Phi is singular in the
+        # limit and the prior alone sets the conditioning, which the normal
+        # equations square (they miss theta* by 5e-2 at p0 = 1e9)
+        model = IOModel.scalar([0.5], [0.0, 1.0])
+        u = np.random.default_rng(5).standard_normal((50_003, 1))
+        Phi, Y, _ = regressor_matrix(simulate(model, [0.0], u), 3)
+        theta0, P0 = np.zeros((1, 7)), p0 * np.eye(7)
+        theta_star = projected_limit(model, 3, theta0, P0).theta_star
+        recursive, _ = rls_fold(initial_state(3, 1, 1, P0=P0), Phi, Y)
+        batch = batch_solve(Phi, Y, theta0, P0)
+        assert np.max(np.abs(batch - theta_star)) <= 1e-7
+        assert np.max(np.abs(recursive.theta - theta_star)) <= 1e-7
+        assert np.max(np.abs(batch - recursive.theta)) <= 1e-7
+
 
 class TestRlsStep:
     def test_scalar_hand_example(self):
@@ -269,11 +301,11 @@ def _rel_diff(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _assert_near_reference(state, Phi, Y, theta_ref):
+def _assert_near_reference(state, Phi, Y, theta_ref, tol=1e-9):
     """The blocked fold agrees with the per-row textbook recursion from the
-    symmetric part of ``P`` to round-off: 1e-9 relative on every output.  Its
-    final ``P`` inverts the information matrix ``P0^{-1} + Phi^T Phi`` to
-    1e-8."""
+    symmetric part of ``P`` to round-off: ``tol`` (1e-9) relative on every
+    output.  Its final ``P`` inverts the information matrix ``P0^{-1} +
+    Phi^T Phi`` to ``10 * tol``."""
     folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
     P0 = 0.5 * (state.P + state.P.T)
     theta, P, P_inv, resid, dist, thetas = reference_rls(
@@ -282,8 +314,8 @@ def _assert_near_reference(state, Phi, Y, theta_ref):
                       (record.residual_norm, resid), (record.dist_to_ref, dist),
                       (record.theta, thetas)]:
         assert got.shape == want.shape
-        assert _rel_diff(got, want) <= 1e-9
-    assert np.max(np.abs(folded.P @ P_inv - np.eye(state.dim))) <= 1e-8
+        assert _rel_diff(got, want) <= tol
+    assert np.max(np.abs(folded.P @ P_inv - np.eye(state.dim))) <= 10 * tol
 
 
 def _assert_block_exact(state, Phi, Y, theta_ref):
@@ -372,6 +404,34 @@ class TestRlsFold:
         theta_ref = rng.standard_normal((2, state.dim))
         _assert_near_reference(state, Phi, Y, theta_ref)
         _assert_block_exact(state, Phi, Y, theta_ref)
+
+    @pytest.mark.parametrize("p0", [1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("K", [_FOLD_BLOCK, 16 * _FOLD_BLOCK + 1])
+    def test_mimo_fold_at_large_priors_agrees_with_reference(self, p0, K):
+        # d = 14; at p0 = 1e9 the border c of the bordered factor is ~1e21.
+        # On full-rank data the first block's downdate from P0 = p0 I to
+        # P ~ I / 64 cancels about log10(p0) digits, in the per-row
+        # reference too, so the bound grows with p0 from 1e-9 at p0 = 1e3
+        # (30 seeds: at most 4e-14 p0 relative, 7.4e-14 p0 on the inverse).
+        state, Phi, Y, theta_ref = _fold_case(3, 2, 2, K, seed=50 + K)
+        state = initial_state(3, 2, 2, P0=p0 * np.eye(state.dim))
+        _assert_near_reference(state, Phi, Y, theta_ref, tol=1e-12 * p0)
+
+    def test_indefinite_prior_is_numerical_error(self):
+        state, Phi, Y, _ = _fold_case(2, 1, 1, 100, seed=6)
+        state = initial_state(2, 1, 1, P0=-np.eye(state.dim))
+        with pytest.raises(NumericalError, match="block from row 0"):
+            rls_fold(state, Phi, Y)
+
+    @pytest.mark.parametrize("K", [2, 100])
+    def test_overflowing_prior_is_numerical_error_without_warnings(self, K):
+        # ||R||_F^2 overflows at this scale; no RuntimeWarning may escape
+        state, Phi, Y, _ = _fold_case(1, 1, 1, K, seed=7)
+        state = initial_state(1, 1, 1, p0_scale=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="block from row 0"):
+                rls_fold(state, Phi, Y)
 
     @pytest.mark.parametrize("order,p,m,K", [(1, 1, 1, 1), (1, 1, 1, 63), (1, 1, 1, 64),
                                              (1, 1, 1, 65), (1, 1, 1, 1024), (1, 1, 1, 1025),
