@@ -2,11 +2,7 @@
 input/output models: block simulation, cross-order equivalence testing and
 order reduction, regularized recursive least squares, excitation
 diagnostics, and closed-form convergence targets for every fit order at or
-above the true one.
-
-scipy is imported inside the functions that solve with it, so importing the
-package, and the commands that never call them (``fit``, ``excite``,
-``equiv``, ``reduce``), load none of it."""
+above the true one."""
 
 __version__ = "0.1.0"
 

@@ -16,9 +16,11 @@ least squares (Golub & Van Loan, *Matrix Computations*, sections 6.2 and
 (``pq = p q`` rows) satisfies ``N M = 0``, and
 
     theta_star = theta_true + (theta0 - theta_true) Hc,
-    Hc = P0^{-1} N^T (N P0^{-1} N^T)^{-1} N.
+    Hc = P0^{-1} N^T (N P0^{-1} N^T)^{-1} N = C^{-T} X (X^T X)^{-1} N,
 
-At ``q = 0`` ``N`` has no rows, ``Hc`` is zero and ``theta_star`` is
+with ``X = C^{-1} N^T`` for the prior's Cholesky factor ``P0 = C C^T``
+(:func:`sysid_rls.rls._prior`, the one factorization of ``P0``).  At
+``q = 0`` ``N`` has no rows, ``Hc`` is zero and ``theta_star`` is
 ``theta_true`` exactly.  The scaled error ``k (theta_k - theta_star)``
 approaches a closed-form matrix built from the reduced-regressor Gram limit.
 """
@@ -34,7 +36,7 @@ from .errors import NumericalError, ValidationError
 from .excitation import GramLimit, estimate_gram_limit
 from .model_core import IOModel, simulate
 from .fileio import write_csv
-from .rls import DEFAULT_P0_SCALE, initial_state, regressor_matrix, rls_fold
+from .rls import DEFAULT_P0_SCALE, _prior, initial_state, regressor_matrix, rls_fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,20 +54,17 @@ class ProjectedLimit:
     H: np.ndarray
 
 
-def _complement(model: IOModel, n_hat: int, P0: np.ndarray) -> np.ndarray:
-    """``Hc = P0^{-1} N^T (N P0^{-1} N^T)^{-1} N``, ``N = [I, -M[:pq]]``: the
-    projector ``I - H``, a zero matrix at ``n_hat == n``."""
-    import scipy.linalg
-
+def _complement(model: IOModel, n_hat: int, C_inv: np.ndarray) -> np.ndarray:
+    """``Hc = C^{-T} X (X^T X)^{-1} N`` with ``X = C^{-1} N^T``, ``P0 = C C^T``
+    and ``N = [I, -M[:pq]]``: the projector ``I - H``, a zero matrix at
+    ``n_hat == n``."""
     M = build_lift_matrix(model, n_hat)
-    d, pq = M.shape[0], M.shape[0] - M.shape[1]
-    if P0.shape != (d, d):
-        raise ValidationError(f"P0 has shape {P0.shape}, expected {(d, d)}")
+    pq = M.shape[0] - M.shape[1]
     N = np.hstack([np.eye(pq), -M[:pq]])
+    X = C_inv @ N.T
     try:
-        PN = scipy.linalg.solve(P0, N.T, assume_a="pos")
-        return PN @ scipy.linalg.solve(N @ PN, N, assume_a="pos")
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        return C_inv.T @ X @ np.linalg.solve(X.T @ X, N)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError("P0 is not numerically positive definite") from exc
 
 
@@ -73,12 +72,12 @@ def projected_limit(model: IOModel, n_hat: int, theta0: np.ndarray,
                     P0: np.ndarray) -> ProjectedLimit:
     """Prior-penalty-minimal equivalent model of order ``n_hat >= n``."""
     theta_true = trivial_embed(model, n_hat).theta
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0, C_inv = _prior(theta0, P0)
     if theta0.shape != theta_true.shape:
         raise ValidationError(
             f"theta0 has shape {theta0.shape}, expected {theta_true.shape}"
         )
-    Hc = _complement(model, n_hat, np.asarray(P0, dtype=float))
+    Hc = _complement(model, n_hat, C_inv)
     return ProjectedLimit(theta_star=theta_true + (theta0 - theta_true) @ Hc,
                           H=np.eye(len(Hc)) - Hc)
 
@@ -91,28 +90,30 @@ def theta_equivalence_residual(theta_hat: np.ndarray, model: IOModel,
     return lift_residual(np.asarray(theta_hat, dtype=float), model, n_hat)[1]
 
 
-def predict_asymptote(theta0: np.ndarray, P0: np.ndarray, model: IOModel,
-                      n_hat: int, C_reduced: np.ndarray) -> np.ndarray:
-    """Limit of ``k (theta_k - theta_star)`` for a fit of order ``n_hat >= n``.
+def predict_asymptote(limit: ProjectedLimit, theta0: np.ndarray, P0: np.ndarray,
+                      C_reduced: np.ndarray) -> np.ndarray:
+    """Limit of ``k (theta_k - theta_star)`` for the fit whose
+    :func:`projected_limit` from ``theta0`` and ``P0`` is ``limit``.
 
-    ``C_reduced`` is the (estimated) Gram limit of the reduced regressors.
-    The limit is ``(theta0 - theta_true) P0^{-1} S^T C^{-1} S`` with ``S``
-    the lower ``H[pq:]`` of :class:`ProjectedLimit`'s projector (the lift's
-    lower block is the identity); at ``n_hat == n``, ``S = I``.
+    ``C_reduced`` is the (estimated) Gram limit of the reduced regressors,
+    whose dimension fixes ``pq``.  The limit is ``(theta0 - theta_true)
+    P0^{-1} S^T C^{-1} S`` with ``S = H[pq:]`` (the lift's lower block is the
+    identity), and ``(theta0 - theta_true) P0^{-1} H^T = (theta0 -
+    theta_star) P0^{-1}``; at ``n_hat == n``, ``S = I``.
     """
-    import scipy.linalg
-
-    P0 = np.asarray(P0, dtype=float)
-    Hc = _complement(model, n_hat, P0)
-    pq = model.p * (n_hat - model.n)
-    S = (np.eye(len(Hc)) - Hc)[pq:]
-    E = np.asarray(theta0, dtype=float) - trivial_embed(model, n_hat).theta
+    theta0, C_inv = _prior(theta0, P0)
+    C_reduced = np.asarray(C_reduced, dtype=float)
+    if (limit.theta_star.shape != theta0.shape or C_reduced.ndim != 2
+            or not C_reduced.shape[0] == C_reduced.shape[1] <= len(limit.H)):
+        raise ValidationError(f"limit {limit.theta_star.shape}, theta0 {theta0.shape} and "
+                              f"reduced Gram {C_reduced.shape} do not fit together")
     try:
-        X = scipy.linalg.solve(P0, E.T, assume_a="pos").T @ S.T
-        X = scipy.linalg.solve(np.asarray(C_reduced, dtype=float), X.T, assume_a="pos").T
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError("P0 or the reduced Gram limit is numerically singular") from exc
-    return X @ S
+        L_inv = np.linalg.inv(np.linalg.cholesky(C_reduced))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("the reduced Gram limit is not numerically positive definite") from exc
+    pq = len(limit.H) - len(C_reduced)
+    X = ((theta0 - limit.theta_star) @ C_inv.T @ C_inv)[:, pq:]
+    return X @ L_inv.T @ L_inv @ limit.H[pq:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,18 +206,17 @@ def run_tracked_identification(model: IOModel, n_hat: int, inputs,
     traj = simulate(model, np.zeros((model.n, model.p)), u, horizon=total, k0=-n_hat)
     Phi, Y, _ = regressor_matrix(traj, n_hat, np.arange(0, horizon))
 
-    state = initial_state(n_hat, model.p, model.m, theta0=theta0, P0=P0,
+    start = initial_state(n_hat, model.p, model.m, theta0=theta0, P0=P0,
                           p0_scale=p0_scale)
-    theta_start = state.theta.copy()
-    P_start = state.P.copy()
-    theta_ref = projected_limit(model, n_hat, theta_start, P_start).theta_star
+    limit = projected_limit(model, n_hat, start.theta, start.P)
+    theta_ref = limit.theta_star
 
-    state, record = rls_fold(state, Phi, Y, theta_ref=theta_ref)
+    state, record = rls_fold(start, Phi, Y, theta_ref=theta_ref)
     K = Phi.shape[0]
 
     gram = estimate_gram_limit(Phi[:, model.p * (n_hat - model.n):])
     try:
-        predicted = predict_asymptote(theta_start, P_start, model, n_hat, gram.C)
+        predicted = predict_asymptote(limit, start.theta, start.P, gram.C)
     except NumericalError:
         # not persistently exciting (e.g. zero input): no rate prediction
         predicted = np.full_like(theta_ref, np.nan)

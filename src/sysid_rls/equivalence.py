@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model_core import IOModel, _transition_blocks
+from .model_core import IOModel, _companion, _transition_blocks
 
 DEFAULT_TOL = 1e-8
 # Rank threshold of the Krylov staircase, relative to ||[C Gc]||_2, per unit
@@ -233,8 +233,7 @@ def _uncontrollable_subspace(high: IOModel, tol: float) -> tuple[np.ndarray, np.
     which an orthonormalised Krylov staircase on ``(C, Gc)`` spans.
     """
     p, N = high.p, high.n
-    C = np.eye(p * N, k=-p)
-    C[:, -p:] = -np.vstack(high.F[::-1])
+    C = _companion(high)
     Gc = np.vstack([high.G[N - k] - high.F[N - k - 1] @ high.G[0] for k in range(N)])
     floor = _RANK_PER_TOL * max(tol, DEFAULT_TOL) * np.linalg.norm(np.hstack([C, Gc]), 2)
     basis = np.zeros((p * N, 0))

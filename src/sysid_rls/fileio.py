@@ -117,13 +117,13 @@ def _parse_rows(path: Path, width: int, m: int):
         reader = csv.reader(fh)
         try:
             next(reader)
-            rows = [r for r in reader if r]
+            rows = [(reader.line_num, r) for r in reader if r]
         except csv.Error as exc:
             raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     ks, us, ys = [], [], []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != width:
             raise ValidationError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
         try:

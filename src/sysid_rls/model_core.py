@@ -145,12 +145,16 @@ class IOModel:
         """Spectral radius of the output dynamics (1.0 is the stability edge)."""
         if self.n == 0:
             return 0.0
-        pn = self.p * self.n
-        A = np.zeros((pn, pn))
-        A[: self.p, :] = -self.F_stack
-        if self.n > 1:
-            A[self.p:, : pn - self.p] = np.eye(pn - self.p)
-        return float(np.max(np.abs(np.linalg.eigvals(A))))
+        return float(np.max(np.abs(np.linalg.eigvals(_companion(self)))))
+
+
+def _companion(model: IOModel) -> np.ndarray:
+    """Block companion of the output dynamics (``n >= 1``): identities below
+    the block diagonal, ``-Fn .. -F1`` down the last block column."""
+    p, n = model.p, model.n
+    C = np.eye(p * n, k=-p)
+    C[:, -p:] = -np.vstack(model.F[::-1])
+    return C
 
 
 @dataclass(frozen=True, eq=False)

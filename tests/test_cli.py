@@ -495,3 +495,15 @@ def test_cell_over_the_csv_field_limit_is_exit_2_naming_the_line(workdir, capsys
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and f"{bad}:4: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "excite"])
+@pytest.mark.parametrize("line,message", [("1,1.0,abc", "could not convert string to float: 'abc'"),
+                                          ("1,1.0", "expected 3 cells, got 2")])
+def test_bad_row_after_blank_lines_names_its_own_line(workdir, capsys, command, line, message):
+    bad = workdir / "blank.csv"
+    bad.write_text(f"k,u_1,y_1\n0,1.0,0.5\n\n\n{line}\n")
+    rc = main([command, "--data", str(bad), "--order", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{bad}:5: {message}" in err

@@ -14,6 +14,7 @@ from sysid_rls import (
     theta_equivalence_residual,
     trivial_embed,
 )
+from sysid_rls import convergence
 from sysid_rls.rls import RlsState, rls_fold
 
 from support import kkt_projected_limit, random_spd, random_stable_model
@@ -94,6 +95,21 @@ class TestProjectedLimit:
             pl = projected_limit(model, n_hat, theta0, P0)
             oracle = kkt_projected_limit(trivial_embed(model, n_hat).theta, theta0, P0, M)
             assert np.max(np.abs(pl.theta_star - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize("n_hat", [1, 2])
+    def test_indefinite_prior_is_numerical_error(self, n_hat):
+        d = 2 * n_hat + 1
+        with pytest.raises(NumericalError, match="positive definite"):
+            projected_limit(SCALAR, n_hat, np.zeros((1, d)), -np.eye(d))
+
+    def test_tracked_run_computes_its_target_once(self, monkeypatch):
+        calls = []
+        complement = convergence._complement
+        monkeypatch.setattr(convergence, "_complement",
+                            lambda *args: calls.append(args) or complement(*args))
+        u = np.random.default_rng(12).standard_normal((102, 1))
+        run_tracked_identification(SCALAR, 2, u, 100)
+        assert len(calls) == 1
 
     def test_minimizes_regularizer_over_feasible_set(self):
         import scipy.linalg
@@ -193,12 +209,14 @@ class TestAsymptotePredictions:
     def test_zero_initial_error(self):
         C = np.eye(3)
         ones = IOModel.scalar([1.0], [1.0, 1.0])  # theta = [[1, 1, 1]]
-        pred = predict_asymptote(np.ones((1, 3)), np.eye(3), ones, 1, C)
+        limit = projected_limit(ones, 1, np.ones((1, 3)), np.eye(3))
+        pred = predict_asymptote(limit, np.ones((1, 3)), np.eye(3), C)
         np.testing.assert_array_equal(pred, np.zeros((1, 3)))
 
     def test_scalar_arithmetic(self):
         zero = IOModel.scalar([], [0.0])  # order 0, theta = [[0]]
-        pred = predict_asymptote(np.array([[1.0]]), np.array([[1.0]]), zero, 0,
+        limit = projected_limit(zero, 0, np.array([[1.0]]), np.array([[1.0]]))
+        pred = predict_asymptote(limit, np.array([[1.0]]), np.array([[1.0]]),
                                  np.array([[2.0]]))
         np.testing.assert_allclose(pred, [[0.5]])
 
@@ -206,7 +224,8 @@ class TestAsymptotePredictions:
         rng = np.random.default_rng(7)
         m = random_stable_model(rng, 1, 1, 1)
         C = random_spd(rng, 4)
-        pred = predict_asymptote(trivial_embed(m, 2).theta, np.eye(5), m, 2, C)
+        theta0 = trivial_embed(m, 2).theta
+        pred = predict_asymptote(projected_limit(m, 2, theta0, np.eye(5)), theta0, np.eye(5), C)
         np.testing.assert_allclose(pred, np.zeros((1, 5)), atol=1e-12)
 
     def test_overparam_zero_at_any_equivalent_prior(self):
@@ -217,7 +236,8 @@ class TestAsymptotePredictions:
         m = SCALAR
         pl = projected_limit(m, 2, np.zeros((1, 5)), np.eye(5))
         C = random_spd(rng, 4)
-        pred = predict_asymptote(pl.theta_star, np.eye(5), m, 2, C)
+        pred = predict_asymptote(projected_limit(m, 2, pl.theta_star, np.eye(5)), pl.theta_star,
+                                 np.eye(5), C)
         np.testing.assert_allclose(pred, np.zeros((1, 5)), atol=1e-12)
         u = rng.standard_normal((502, 1))
         trace = run_tracked_identification(m, 2, u, 500, theta0=pl.theta_star,
@@ -225,10 +245,37 @@ class TestAsymptotePredictions:
         assert trace.final_dist <= 1e-10
         assert float(np.max(trace.residual_norm)) <= 1e-10
 
+    def test_matches_closed_form(self):
+        # (theta0 - theta_true) P0^{-1} S^T C^{-1} S with S = H[pq:], by inverses
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n, p, m_dim = (int(x) for x in rng.integers([0, 1, 1], [3, 3, 3]))
+            model = random_stable_model(rng, n, p, m_dim)
+            n_hat = n + int(rng.integers(0, 3))
+            d, pq = p * n_hat + m_dim * (n_hat + 1), p * (n_hat - n)
+            theta0 = rng.standard_normal((p, d))
+            P0, C = random_spd(rng, d), random_spd(rng, d - pq)
+            limit = projected_limit(model, n_hat, theta0, P0)
+            S = limit.H[pq:]
+            E = theta0 - trivial_embed(model, n_hat).theta
+            expected = E @ np.linalg.inv(P0) @ S.T @ np.linalg.inv(C) @ S
+            np.testing.assert_allclose(predict_asymptote(limit, theta0, P0, C), expected,
+                                       rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("theta0,C", [(np.zeros((2, 5)), np.eye(4)),
+                                          (np.zeros((1, 5)), np.eye(6)),
+                                          (np.zeros((1, 5)), np.ones((4, 3))),
+                                          (np.zeros((1, 5)), np.ones(4))])
+    def test_mismatched_shapes_rejected(self, theta0, C):
+        limit = projected_limit(SCALAR, 2, np.zeros((1, 5)), np.eye(5))
+        with pytest.raises(ValidationError):
+            predict_asymptote(limit, theta0, np.eye(5), C)
+
     def test_singular_gram_rejected(self):
         with pytest.raises(NumericalError):
             zero = IOModel(n=0, p=1, m=2, F=[], G=[np.zeros((1, 2))])
-            predict_asymptote(np.ones((1, 2)), np.eye(2), zero, 0, np.zeros((2, 2)))
+            limit = projected_limit(zero, 0, np.ones((1, 2)), np.eye(2))
+            predict_asymptote(limit, np.ones((1, 2)), np.eye(2), np.zeros((2, 2)))
 
 
 class TestErrorDynamicsIdentities:

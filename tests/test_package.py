@@ -24,13 +24,14 @@ def test_all_lists_every_public_import():
 
 # Each case runs in a fresh interpreter, since this one has loaded scipy
 # through other tests.  The script writes small inputs, runs the CLI
-# in-process and prints the scipy modules it left loaded.
+# in-process and prints the scipy modules it left loaded.  The package
+# depends on numpy alone, so no command may load any.
 HYGIENE_SCRIPT = r"""
 import json, sys
 from pathlib import Path
 import sysid_rls.cli
 from sysid_rls import IOModel, InputSpec, generate_input, lift_once, simulate
-from sysid_rls.fileio import save_model, save_trajectory
+from sysid_rls.fileio import save_model, save_trajectory, write_json
 
 out = Path(sys.argv[1])
 siso = lift_once(IOModel.scalar([0.5], [0.0, 1.0]), [[0.3]])
@@ -39,6 +40,8 @@ mimo = IOModel(n=1, p=2, m=1, F=[[[0.5, 0.1], [0.0, 0.2]]], G=[[[0.0], [1.0]], [
 save_model(mimo, out / "mimo.json")
 u = generate_input(InputSpec(kind="white", seed=1), 60, 1)
 save_trajectory(simulate(siso, [0.1, 0.2], u), out / "traj.csv")
+write_json(out / "cfg.json", {"true_model": "siso.json", "fit_orders": [2, 3], "horizon": 40,
+                              "input": {"kind": "white", "seed": 3}})
 argv = {
     "import": None,
     "fit": ["fit", "--data", str(out / "traj.csv"), "--order", "2",
@@ -50,6 +53,7 @@ argv = {
     "reduce-mimo": ["reduce", str(out / "mimo.json"), "--out", str(out / "rm.json")],
     "converge": ["converge", "--model", str(out / "siso.json"), "--fit-order", "3",
                  "--horizon", "40"],
+    "experiment": ["experiment", str(out / "cfg.json"), "--out-dir", str(out / "exp")],
 }[sys.argv[2]]
 if argv is not None and sysid_rls.cli.main(argv) != 0:
     sys.exit(f"{argv} failed")
@@ -68,12 +72,6 @@ def _scipy_modules_after(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["import", "fit", "excite", "equiv", "reduce-siso",
-                                  "reduce-mimo"])
+                                  "reduce-mimo", "converge", "experiment"])
 def test_commands_that_never_solve_with_scipy_leave_it_unloaded(case, tmp_path):
     assert _scipy_modules_after(case, tmp_path) == set()
-
-
-def test_converge_loads_scipy_linalg_but_not_scipy_optimize(tmp_path):
-    loaded = _scipy_modules_after("converge", tmp_path)
-    assert "scipy.linalg" in loaded
-    assert "scipy.optimize" not in loaded
