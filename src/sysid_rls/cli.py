@@ -134,7 +134,7 @@ def cmd_excite(args) -> int:
         print(f"excitation curve written to {args.emit}")
     print(f"{label}: {len(ks)} samples")
     print(f"  lambda_min of Gram partial sum: {lmin[-1]:.6e}")
-    print(f"  lambda_min of average Gram:     {report.gram_avg_min_eig:.6e}")
+    print(f"  lambda_min of average Gram:     {report.limit.min_eig:.6e}")
     return 0
 
 

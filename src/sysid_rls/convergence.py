@@ -47,11 +47,13 @@ class ProjectedLimit:
     equivalence constraint ``(theta_star - theta_lifted) M = 0`` and
     minimizes the prior penalty among all equivalent models.  At
     ``n_hat == n``, ``H`` is the identity and ``theta_star`` the true
-    coefficients.
+    coefficients.  ``prior_pull`` is ``(theta0 - theta_star) P0^{-1}``
+    (p x d), which :func:`predict_asymptote` reads.
     """
 
     theta_star: np.ndarray
     H: np.ndarray
+    prior_pull: np.ndarray
 
 
 def _complement(model: IOModel, n_hat: int, C_inv: np.ndarray) -> np.ndarray:
@@ -78,8 +80,9 @@ def projected_limit(model: IOModel, n_hat: int, theta0: np.ndarray,
             f"theta0 has shape {theta0.shape}, expected {theta_true.shape}"
         )
     Hc = _complement(model, n_hat, C_inv)
-    return ProjectedLimit(theta_star=theta_true + (theta0 - theta_true) @ Hc,
-                          H=np.eye(len(Hc)) - Hc)
+    theta_star = theta_true + (theta0 - theta_true) @ Hc
+    return ProjectedLimit(theta_star=theta_star, H=np.eye(len(Hc)) - Hc,
+                          prior_pull=(theta0 - theta_star) @ C_inv.T @ C_inv)
 
 
 def theta_equivalence_residual(theta_hat: np.ndarray, model: IOModel,
@@ -90,30 +93,27 @@ def theta_equivalence_residual(theta_hat: np.ndarray, model: IOModel,
     return lift_residual(np.asarray(theta_hat, dtype=float), model, n_hat)[1]
 
 
-def predict_asymptote(limit: ProjectedLimit, theta0: np.ndarray, P0: np.ndarray,
-                      C_reduced: np.ndarray) -> np.ndarray:
+def predict_asymptote(limit: ProjectedLimit, C_reduced: np.ndarray) -> np.ndarray:
     """Limit of ``k (theta_k - theta_star)`` for the fit whose
-    :func:`projected_limit` from ``theta0`` and ``P0`` is ``limit``.
+    :func:`projected_limit` is ``limit``.
 
     ``C_reduced`` is the (estimated) Gram limit of the reduced regressors,
     whose dimension fixes ``pq``.  The limit is ``(theta0 - theta_true)
     P0^{-1} S^T C^{-1} S`` with ``S = H[pq:]`` (the lift's lower block is the
     identity), and ``(theta0 - theta_true) P0^{-1} H^T = (theta0 -
-    theta_star) P0^{-1}``; at ``n_hat == n``, ``S = I``.
+    theta_star) P0^{-1}``, the limit's ``prior_pull``; at ``n_hat == n``,
+    ``S = I``.
     """
-    theta0, C_inv = _prior(theta0, P0)
     C_reduced = np.asarray(C_reduced, dtype=float)
-    if (limit.theta_star.shape != theta0.shape or C_reduced.ndim != 2
-            or not C_reduced.shape[0] == C_reduced.shape[1] <= len(limit.H)):
-        raise ValidationError(f"limit {limit.theta_star.shape}, theta0 {theta0.shape} and "
-                              f"reduced Gram {C_reduced.shape} do not fit together")
+    if C_reduced.ndim != 2 or not C_reduced.shape[0] == C_reduced.shape[1] <= len(limit.H):
+        raise ValidationError(f"reduced Gram {C_reduced.shape} does not fit a limit of "
+                              f"dimension {len(limit.H)}")
     try:
         L_inv = np.linalg.inv(np.linalg.cholesky(C_reduced))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("the reduced Gram limit is not numerically positive definite") from exc
     pq = len(limit.H) - len(C_reduced)
-    X = ((theta0 - limit.theta_star) @ C_inv.T @ C_inv)[:, pq:]
-    return X @ L_inv.T @ L_inv @ limit.H[pq:]
+    return limit.prior_pull[:, pq:] @ L_inv.T @ L_inv @ limit.H[pq:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +158,7 @@ class ConvergenceTrace:
             "predicted_asymptote": self.predicted_asymptote.tolist(),
             "empirical_scaled_error": self.empirical_scaled_final.tolist(),
             "asymptote_rel_error": self.asymptote_rel_error,
-            "gram_min_eig": float(np.linalg.eigvalsh(self.gram.C)[0]),
+            "gram_min_eig": self.gram.min_eig,
             "gram_stabilization": self.gram.stabilization,
         })
 
@@ -216,7 +216,7 @@ def run_tracked_identification(model: IOModel, n_hat: int, inputs,
 
     gram = estimate_gram_limit(Phi[:, model.p * (n_hat - model.n):])
     try:
-        predicted = predict_asymptote(limit, start.theta, start.P, gram.C)
+        predicted = predict_asymptote(limit, gram.C)
     except NumericalError:
         # not persistently exciting (e.g. zero input): no rate prediction
         predicted = np.full_like(theta_ref, np.nan)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,19 @@ def _lift_and_target(base: IOModel, n_hat: int) -> tuple[np.ndarray, np.ndarray]
     return M, np.concatenate(blocks[q], axis=1)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``.  The entries are first divided by a power of
+    two above the largest, so no square overflows; the division is exact, so
+    in range this is ``np.linalg.norm``'s result."""
+    flat = a.ravel()
+    top = float(np.maximum.reduce(np.abs(flat), initial=0.0))
+    if not 0.0 < top < math.inf:
+        return top
+    scale = math.ldexp(1.0, math.frexp(top)[1])
+    flat = flat / scale
+    return math.sqrt(flat @ flat) * scale
+
+
 @dataclass(frozen=True)
 class EquivalenceCertificate:
     """Verdict plus the residual that produced it."""
@@ -104,8 +118,8 @@ def lift_residual(theta: np.ndarray, base: IOModel, n_hat: int) -> tuple[float, 
         raise ValidationError(
             f"theta has shape {theta.shape}, expected {(base.p, M.shape[0])}"
         )
-    raw = float(np.linalg.norm(theta @ M - target))
-    return raw, raw / (1.0 + max(np.linalg.norm(theta), np.linalg.norm(target)))
+    raw = _frobenius(theta @ M - target)
+    return raw, raw / (1.0 + max(_frobenius(theta), _frobenius(target)))
 
 
 def is_equivalent(a: IOModel, b: IOModel, tol: float = DEFAULT_TOL) -> EquivalenceCertificate:
@@ -201,8 +215,7 @@ def _reduction_chain(high: IOModel, F1: np.ndarray):
 
 def _condition_residual(high: IOModel, F1: np.ndarray) -> float:
     _, _, cond_F, cond_G = _reduction_chain(high, F1)
-    scale = 1.0 + float(np.linalg.norm(high.theta))
-    return float(np.sqrt(np.linalg.norm(cond_F) ** 2 + np.linalg.norm(cond_G) ** 2)) / scale
+    return _frobenius(np.hstack([cond_F, cond_G])) / (1.0 + _frobenius(high.theta))
 
 
 def _build_reduced(high: IOModel, F1: np.ndarray) -> IOModel:

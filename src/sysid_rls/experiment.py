@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -75,10 +75,7 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     tm = d["true_model"]
     if isinstance(tm, str):
-        path = Path(tm)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        model = load_model(path)
+        model = load_model(Path(base_dir or "") / tm)
     elif isinstance(tm, dict):
         model = IOModel.from_dict(tm)
     else:
@@ -158,7 +155,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     start = time.monotonic()
     model = config.true_model
     max_order = max(config.fit_orders)
-    u_full = generate_input(config.input, config.horizon + max_order, model.m)
+    spec = config.input
+    if spec.kind == "file":  # from the config's directory, as true_model and theta0 are
+        spec = replace(spec, path=str(Path(config.base_dir or "") / spec.path))
+    u_full = generate_input(spec, config.horizon + max_order, model.m)
 
     runs = []
     for order in config.fit_orders:

@@ -58,9 +58,7 @@ def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
     """
     if value == "zeros":
         return None
-    path = Path(value)
-    if base_dir is not None and not path.is_absolute():
-        path = Path(base_dir) / path
+    path = Path(base_dir or "") / value
     if not path.is_file():
         raise ValidationError(f"theta0 file {path} does not exist")
     try:
@@ -69,6 +67,8 @@ def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
         raise ValidationError(f"theta0 file {path}: {exc}") from exc
     if theta.shape != (p, d):
         raise ValidationError(f"theta0 file {path}: shape {theta.shape}, expected {(p, d)}")
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError(f"theta0 file {path}: entries must be finite")
     return theta
 
 

@@ -70,9 +70,12 @@ def initial_state(order: int, p: int, m: int, theta0: np.ndarray | None = None,
     theta = np.zeros((p, d)) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     if theta.shape != (p, d):
         raise ValidationError(f"theta0 has shape {theta.shape}, expected {(p, d)}")
-    P = p0_scale * np.eye(d) if P0 is None else np.asarray(P0, dtype=float).copy()
+    # only the diagonal is scaled: an infinite scale makes no inf * 0 = nan warning
+    P = np.diag(np.full(d, float(p0_scale))) if P0 is None else np.array(P0, dtype=float)
     if P.shape != (d, d):
         raise ValidationError(f"P0 has shape {P.shape}, expected {(d, d)}")
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(P))):
+        raise ValidationError("theta0 and P0 must be finite")
     return RlsState(theta=theta, P=P, k=0)
 
 

@@ -146,20 +146,15 @@ def reference_gram_curve(Phi):
     """Per-row Gram partial sum written out with ``np.outer`` and one
     ``eigvalsh`` per row, as :func:`excitation_report` reads it.
 
-    Returns the minimum eigenvalue after every row, the partial sum after
-    the half-way row ``max(1, K // 2)`` and its minimum eigenvalue, and the
-    final partial sum.
+    Returns the minimum eigenvalue after every row and the final partial sum.
     """
     K, d = Phi.shape
-    half = max(1, K // 2)
     gram = np.zeros((d, d))
     curve = []
     for i in range(K):
         gram += np.outer(Phi[i], Phi[i])
         curve.append(np.linalg.eigvalsh(gram)[0])
-        if i + 1 == half:
-            gram_half, min_eig_half = gram.copy(), np.linalg.eigvalsh(gram)[0]
-    return np.array(curve), gram_half, min_eig_half, gram
+    return np.array(curve), gram
 
 
 @dataclass(frozen=True, eq=False)

@@ -143,7 +143,7 @@ def test_criterion_05_rank_obstruction():
     Phi_red = Phi_full[:, model.p * (n_hat - model.n):]
     rep_full = excitation_report(Phi_full)
     rep_red = excitation_report(Phi_red)
-    trace_full = float(np.trace(rep_full.gram_avg) * steps)
+    trace_full = float(np.trace(rep_full.limit.C) * steps)
     pinned = float(np.max(rep_full.min_eig_curve)) <= 1e-6 * trace_full
     ratio = float(rep_red.min_eig_curve[9_999] / rep_red.min_eig_curve[999])
     report("05 rank-obstruction", pinned and ratio >= 10.0,

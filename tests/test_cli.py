@@ -135,6 +135,16 @@ class TestFitCommand:
         assert rc == 2
         assert "theta0 file" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", ["NaN", "1e400"])
+    def test_nonfinite_theta0_entry_names_the_file(self, workdir, capsys, entry):
+        (workdir / "theta0.json").write_text(f"[[{entry}, 0.0, 0.0]]")
+        rc = main(["fit", "--data", str(workdir / "traj.csv"), "--order", "1",
+                   "--theta0", str(workdir / "theta0.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "theta0 file" in err and "theta0.json" in err and BLOW_UP not in err
+
     def test_missing_data_file(self, workdir):
         assert main(["fit", "--data", str(workdir / "nope.csv"), "--order", "1"]) == 2
 
@@ -241,6 +251,17 @@ class TestConvergeCommand:
         err = capsys.readouterr().err
         assert "missing.json" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", ["NaN", "1e400"])
+    def test_nonfinite_theta0_entry_names_the_file(self, workdir, capsys, entry):
+        (workdir / "theta0.json").write_text(f"[[{entry}, 0.0, 0.0]]")
+        rc = main(["converge", "--model", str(workdir / "model.json"),
+                   "--fit-order", "1", "--horizon", "100",
+                   "--theta0", str(workdir / "theta0.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "theta0 file" in err and "theta0.json" in err and "Traceback" not in err
+
     def test_diverging_model_is_numerical_failure(self, workdir, capsys):
         save_model(IOModel.scalar([1.5], [0.0, 1.0]), workdir / "unstable.json")
         rc = main(["converge", "--model", str(workdir / "unstable.json"),
@@ -325,6 +346,22 @@ class TestExperimentCommand:
                      "--out-dir", str(workdir / "out0")]) == 0
         assert ((workdir / "out" / "trace_order1.csv").read_bytes()
                 != (workdir / "out0" / "trace_order1.csv").read_bytes())
+
+    def test_relative_input_path_resolved_from_config_dir(self, workdir, monkeypatch, capsys):
+        cfg_dir = workdir / "cfg"
+        cfg_dir.mkdir()
+        (cfg_dir / "traj.csv").write_bytes((workdir / "traj.csv").read_bytes())
+        cfg = {"true_model": "../model.json", "fit_orders": [1], "horizon": 200,
+               "input": {"kind": "file", "path": "traj.csv"}}
+        (cfg_dir / "cfg.json").write_text(json.dumps(cfg))
+        other = workdir / "elsewhere"
+        other.mkdir()
+        monkeypatch.chdir(other)  # traj.csv is not in the working directory
+        rc = main(["experiment", "../cfg/cfg.json", "--out-dir", str(workdir / "out")])
+        assert rc == 0
+        assert "1/1 orders succeeded" in capsys.readouterr().out
+        # the hashed config keeps the path as written
+        assert load_config(cfg_dir / "cfg.json").to_dict()["input"]["path"] == "traj.csv"
 
     def test_no_out_dir(self, workdir):
         cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 100,

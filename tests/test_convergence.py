@@ -210,14 +210,13 @@ class TestAsymptotePredictions:
         C = np.eye(3)
         ones = IOModel.scalar([1.0], [1.0, 1.0])  # theta = [[1, 1, 1]]
         limit = projected_limit(ones, 1, np.ones((1, 3)), np.eye(3))
-        pred = predict_asymptote(limit, np.ones((1, 3)), np.eye(3), C)
+        pred = predict_asymptote(limit, C)
         np.testing.assert_array_equal(pred, np.zeros((1, 3)))
 
     def test_scalar_arithmetic(self):
         zero = IOModel.scalar([], [0.0])  # order 0, theta = [[0]]
         limit = projected_limit(zero, 0, np.array([[1.0]]), np.array([[1.0]]))
-        pred = predict_asymptote(limit, np.array([[1.0]]), np.array([[1.0]]),
-                                 np.array([[2.0]]))
+        pred = predict_asymptote(limit, np.array([[2.0]]))
         np.testing.assert_allclose(pred, [[0.5]])
 
     def test_overparam_zero_when_prior_is_lifted_truth(self):
@@ -225,7 +224,7 @@ class TestAsymptotePredictions:
         m = random_stable_model(rng, 1, 1, 1)
         C = random_spd(rng, 4)
         theta0 = trivial_embed(m, 2).theta
-        pred = predict_asymptote(projected_limit(m, 2, theta0, np.eye(5)), theta0, np.eye(5), C)
+        pred = predict_asymptote(projected_limit(m, 2, theta0, np.eye(5)), C)
         np.testing.assert_allclose(pred, np.zeros((1, 5)), atol=1e-12)
 
     def test_overparam_zero_at_any_equivalent_prior(self):
@@ -236,8 +235,7 @@ class TestAsymptotePredictions:
         m = SCALAR
         pl = projected_limit(m, 2, np.zeros((1, 5)), np.eye(5))
         C = random_spd(rng, 4)
-        pred = predict_asymptote(projected_limit(m, 2, pl.theta_star, np.eye(5)), pl.theta_star,
-                                 np.eye(5), C)
+        pred = predict_asymptote(projected_limit(m, 2, pl.theta_star, np.eye(5)), C)
         np.testing.assert_allclose(pred, np.zeros((1, 5)), atol=1e-12)
         u = rng.standard_normal((502, 1))
         trace = run_tracked_identification(m, 2, u, 500, theta0=pl.theta_star,
@@ -259,7 +257,7 @@ class TestAsymptotePredictions:
             S = limit.H[pq:]
             E = theta0 - trivial_embed(model, n_hat).theta
             expected = E @ np.linalg.inv(P0) @ S.T @ np.linalg.inv(C) @ S
-            np.testing.assert_allclose(predict_asymptote(limit, theta0, P0, C), expected,
+            np.testing.assert_allclose(predict_asymptote(limit, C), expected,
                                        rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("theta0,C", [(np.zeros((2, 5)), np.eye(4)),
@@ -267,15 +265,15 @@ class TestAsymptotePredictions:
                                           (np.zeros((1, 5)), np.ones((4, 3))),
                                           (np.zeros((1, 5)), np.ones(4))])
     def test_mismatched_shapes_rejected(self, theta0, C):
-        limit = projected_limit(SCALAR, 2, np.zeros((1, 5)), np.eye(5))
+        # a theta0 that does not fit the model is rejected by projected_limit
         with pytest.raises(ValidationError):
-            predict_asymptote(limit, theta0, np.eye(5), C)
+            predict_asymptote(projected_limit(SCALAR, 2, theta0, np.eye(5)), C)
 
     def test_singular_gram_rejected(self):
         with pytest.raises(NumericalError):
             zero = IOModel(n=0, p=1, m=2, F=[], G=[np.zeros((1, 2))])
             limit = projected_limit(zero, 0, np.ones((1, 2)), np.eye(2))
-            predict_asymptote(limit, np.ones((1, 2)), np.eye(2), np.zeros((2, 2)))
+            predict_asymptote(limit, np.zeros((2, 2)))
 
 
 class TestErrorDynamicsIdentities:
@@ -362,6 +360,20 @@ class TestErrorDynamicsIdentities:
 
 
 class TestRunTrackedIdentification:
+    def test_prior_is_factored_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(theta0, P0):
+            calls.append(1)
+            return prior(theta0, P0)
+
+        prior = convergence._prior
+        monkeypatch.setattr(convergence, "_prior", counted)
+        u = np.random.default_rng(12).standard_normal((402, 1))
+        trace = run_tracked_identification(SCALAR, 2, u, 400)
+        assert np.all(np.isfinite(trace.predicted_asymptote))
+        assert len(calls) == 1
+
     def test_zero_input_keeps_prior(self):
         trace = run_tracked_identification(SCALAR, 2, np.zeros((500 + 2, 1)), 500)
         assert trace.dist_to_ref[0] == pytest.approx(trace.dist_to_ref[-1])

@@ -309,6 +309,20 @@ class TestReduceOnce:
         assert not far and far.residual > 1e-4
 
 
+class TestHugeCoefficients:
+    # squaring these entries overflows; the residual norms must not
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g1", [1e200, 1e300])
+    def test_lift_of_huge_gain_is_equivalent_and_reduces(self, g1):
+        base = IOModel.scalar([0.5], [0.0, g1])
+        high = lift_once(base, 0.3)
+        cert = is_equivalent(base, high)
+        assert cert.equivalent and np.isfinite(cert.residual)
+        report = reducibility_check(high)
+        assert report.reducible and report.irreducible_model.n == 1
+        assert is_equivalent(base, report.irreducible_model)
+
+
 class TestReducibilityCheck:
     def test_order_zero_irreducible(self):
         z = IOModel(n=0, p=1, m=1, F=[], G=[np.eye(1)])

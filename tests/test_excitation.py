@@ -12,6 +12,7 @@ from sysid_rls import (
     regressor_matrix,
     simulate,
 )
+from sysid_rls.excitation import PE_FLOOR
 
 from support import (
     random_stable_model,
@@ -113,7 +114,7 @@ class TestExcitationReport:
         phis = rng.standard_normal((10_000, 1))
         rep = excitation_report(phis)
         assert rep.weak_pe and rep.pe
-        assert abs(rep.gram_avg[0, 0] - 1.0) < 0.05
+        assert abs(rep.limit.C[0, 0] - 1.0) < 0.05
 
     def test_monotone_curve(self):
         rng = np.random.default_rng(4)
@@ -151,36 +152,31 @@ class TestExcitationReport:
 
 
 class TestPartialGramCurve:
-    # 1024 rows per cumsum chunk: these counts put the report's half-way split
-    # and both of its parts on either side of a chunk boundary
+    # 1024 rows per cumsum chunk: these counts put the curve's half-way point
+    # and its end on either side of a chunk boundary
     @pytest.mark.parametrize("K", [1, 2, 3, 1024, 2049, 2051, 2600])
     @pytest.mark.parametrize("d", [1, 7])
     def test_report_matches_per_row_reference(self, K, d):
         Phi = np.random.default_rng(K + d).standard_normal((K, d))
-        curve, gram_half, min_eig_half, gram = reference_gram_curve(Phi)
+        curve, gram = reference_gram_curve(Phi)
         rep = excitation_report(Phi)
         assert np.array_equal(rep.min_eig_curve, curve)
-        assert np.array_equal(rep.gram_avg, gram / K)
-        assert rep.gram_avg_min_eig == np.linalg.eigvalsh(gram / K)[0]
-        half = max(1, K // 2)
-        gram_avg = gram / K
-        assert rep.stabilization == float(
-            np.linalg.norm(gram_avg - gram_half / half) / (1.0 + np.linalg.norm(gram_avg)))
-        threshold = 10.0 * np.finfo(float).eps * max(float(np.trace(gram)), 1.0)
+        limit = estimate_gram_limit(Phi)
+        assert np.array_equal(rep.limit.C, limit.C)
+        assert rep.limit.min_eig == np.linalg.eigvalsh(limit.C)[0]
+        assert rep.limit.stabilization == limit.stabilization
+        # the Gram limit and the curve's final sum agree to round-off
+        np.testing.assert_allclose(rep.limit.C, gram / K, rtol=1e-12, atol=1e-12)
+        threshold = PE_FLOOR * max(K * float(np.trace(limit.C)), 1.0)
         assert rep.weak_pe_threshold == threshold
+        min_eig_half = curve[max(1, K // 2) - 1]
         growing = curve[-1] >= 1.2 * min_eig_half or min_eig_half <= 0.0
         assert rep.weak_pe == bool(curve[-1] > threshold and growing)
 
     @pytest.mark.parametrize("K", [1, 1024, 1025, 2049])
-    def test_helper_matches_per_row_reference_with_carried_gram(self, K):
+    def test_helper_matches_per_row_reference(self, K):
         Phi = np.random.default_rng(K).standard_normal((K, 3))
-        curve, gram_half, min_eig_half, gram = reference_gram_curve(Phi)
-        half = max(1, K // 2)
-        head, carried = partial_gram_min_eigs(Phi[:half])
-        assert head[-1] == min_eig_half and np.array_equal(carried, gram_half)
-        assert np.array_equal(head, curve[:half])
-        tail, final = partial_gram_min_eigs(Phi[half:], carried)
-        assert np.array_equal(tail, curve[half:]) and np.array_equal(final, gram)
+        assert np.array_equal(partial_gram_min_eigs(Phi), reference_gram_curve(Phi)[0])
 
 
 class TestGramLimit:
@@ -204,6 +200,16 @@ class TestGramLimit:
         gl = estimate_gram_limit(phis)
         assert np.linalg.norm(gl.C - np.eye(3)) < 0.05 * 3
         assert gl.stabilization < 0.05
+
+    # constant rows: the Gram K v v^T is singular for d >= 2, and these seeds
+    # leave its computed smallest eigenvalue above 10 eps times the trace
+    @pytest.mark.parametrize("seed", [14, 81, 365])
+    def test_constant_regressor_round_off_is_not_excitation(self, seed):
+        rng = np.random.default_rng(seed)
+        d, K = int(rng.integers(2, 6)), int(rng.integers(50, 600))
+        rep = excitation_report(np.tile(rng.standard_normal(d), (K, 1)))
+        assert d >= 2
+        assert not rep.weak_pe and not rep.pe
 
     def test_rank_one_pe_only_in_dim_one(self):
         phis = np.ones((500, 1))

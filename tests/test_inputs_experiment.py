@@ -75,7 +75,7 @@ class TestInputSpecs:
         Phi, _, _ = regressor_matrix(traj, 3, np.arange(0, 4000))
         rep = excitation_report(Phi)
         assert not rep.pe
-        assert rep.gram_avg_min_eig < 1e-6
+        assert rep.limit.min_eig < 1e-6
 
     def test_file_input_round_trip(self, tmp_path):
         traj = simulate(SCALAR, [0.0], np.arange(12.0))

@@ -183,6 +183,19 @@ class TestBatchSolve:
         with pytest.raises(ValidationError, match="must be finite"):
             cost(theta0, Phi, Y, theta0, P0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_initial_state_rejects_nonfinite_prior(self, value):
+        theta0 = np.zeros((1, 3))
+        theta0[0, 1] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            initial_state(1, 1, 1, theta0=theta0)
+        P0 = np.eye(3)
+        P0[1, 1] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            initial_state(1, 1, 1, P0=P0)
+        with pytest.raises(ValidationError, match="must be finite"):
+            initial_state(1, 1, 1, p0_scale=value)
+
     @pytest.mark.parametrize("p0", [1e3, 1e6, 1e9])
     def test_overparameterized_fit_reaches_theta_star_at_large_priors(self, p0):
         # an order-1 model fitted at order 3: Phi^T Phi is singular in the
