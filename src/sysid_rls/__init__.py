@@ -35,14 +35,7 @@ from .rls import (
     regressor_matrix,
     rls_fold,
 )
-from .excitation import (
-    ExcitationReport,
-    GramLimit,
-    estimate_gram_limit,
-    excitation_report,
-    lift_identity_check,
-    partial_gram_min_eigs,
-)
+from .excitation import GramLimit, estimate_gram_limit, lift_identity_check, partial_gram_min_eigs
 from .convergence import (
     ConvergenceTrace,
     ProjectedLimit,
@@ -63,8 +56,7 @@ __all__ = [
     "trivial_embed",
     "FoldRecord", "RlsState", "batch_solve", "cost", "initial_state",
     "regressor_matrix", "rls_fold",
-    "ExcitationReport", "GramLimit", "estimate_gram_limit", "excitation_report",
-    "lift_identity_check", "partial_gram_min_eigs",
+    "GramLimit", "estimate_gram_limit", "lift_identity_check", "partial_gram_min_eigs",
     "ConvergenceTrace", "ProjectedLimit", "predict_asymptote",
     "projected_limit", "run_tracked_identification", "theta_equivalence_residual",
     "InputSpec", "generate_input", "parse_input_spec",

@@ -11,6 +11,7 @@ says "irreducible" only when that is proven, "no witness found" otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from . import __version__
 from .convergence import run_tracked_identification, write_convergence_trace
 from .equivalence import is_equivalent, reduce_once, reducibility_check
 from .errors import NumericalError, ValidationError
-from .excitation import excitation_report
+from .excitation import estimate_gram_limit, partial_gram_min_eigs
 from .experiment import load_config, run_experiment
 from .fileio import (
     load_model,
@@ -53,26 +54,21 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of the prior covariance scale."""
+def _finite_float(text: str, positive: bool) -> float:
+    """argparse type of the prior covariance scale (``positive``) and of
+    ``--tol`` (non-negative); a NaN fails every comparison."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    if not ((0.0 < value if positive else 0.0 <= value) and value < math.inf):
+        kind = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} finite number, got {text!r}")
     return value
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of ``--tol`` (a NaN one fails every comparison)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a non-negative finite number, got {text!r}")
-    return value
+_positive_float = functools.partial(_finite_float, positive=True)
+_tolerance = functools.partial(_finite_float, positive=False)
 
 
 def cmd_fit(args) -> int:
@@ -126,15 +122,16 @@ def cmd_excite(args) -> int:
         # the reduced regressor is the full block's trailing columns
         Phi = Phi[:, traj.p * (order - n):]
         label = f"reduced regressor (true order {n}, fit order {order})"
-    report = excitation_report(Phi)
-    lmin = report.min_eig_curve
+    limit = estimate_gram_limit(Phi)
     if args.emit:
+        lmin = partial_gram_min_eigs(Phi)
         write_csv(args.emit, ["k", "lambda_min_partial", "lambda_min_avg"],
                   [ks, lmin, lmin / np.arange(1, len(ks) + 1)])
         print(f"excitation curve written to {args.emit}")
     print(f"{label}: {len(ks)} samples")
-    print(f"  lambda_min of Gram partial sum: {lmin[-1]:.6e}")
-    print(f"  lambda_min of average Gram:     {report.limit.min_eig:.6e}")
+    print(f"  lambda_min of average Gram:     {limit.min_eig:.6e}")
+    print(f"  weakly persistently exciting:   {'yes' if limit.weak_pe else 'no'} (heuristic)")
+    print(f"  persistently exciting:          {'yes' if limit.pe else 'no'} (heuristic)")
     return 0
 
 

@@ -213,9 +213,11 @@ def _reduction_chain(high: IOModel, F1: np.ndarray):
     return F_red, G_red, cond_F, cond_G
 
 
-def _condition_residual(high: IOModel, F1: np.ndarray) -> float:
+def _condition_residual(high: IOModel, F1: np.ndarray, scale: float) -> float:
+    """Defect of the reduction conditions at ``F1``, relative to ``scale =
+    1 + ||high.theta||_F``, which a search computes once for all witnesses."""
     _, _, cond_F, cond_G = _reduction_chain(high, F1)
-    return _frobenius(np.hstack([cond_F, cond_G])) / (1.0 + _frobenius(high.theta))
+    return _frobenius(np.hstack([cond_F, cond_G])) / scale
 
 
 def _build_reduced(high: IOModel, F1: np.ndarray) -> IOModel:
@@ -317,21 +319,18 @@ def _candidate_witnesses(high: IOModel, tol: float):
     return witnesses, r < p or (p == 1 and len(units) <= _MAX_CHOICES)
 
 
-def reduce_once(model: IOModel, tol: float = DEFAULT_TOL, candidate=None) -> ReductionResult:
+def reduce_once(model: IOModel, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Search for an equivalent model of order n-1.
 
-    Without ``candidate`` every witness of :func:`_candidate_witnesses` is
-    tried; a given ``candidate`` witness F1 is the only one tried.  A witness
-    must pass the condition residual and then :func:`is_equivalent` on the
-    model it builds.
+    Every witness of :func:`_candidate_witnesses` is tried; one must pass
+    the condition residual and then :func:`is_equivalent` on the model it
+    builds.
     """
     if model.n < 1:
         raise ValidationError("cannot reduce a model of order 0")
-    if candidate is None:
-        witnesses, proven = _candidate_witnesses(model, tol)
-    else:
-        witnesses, proven = [np.atleast_2d(np.asarray(candidate, dtype=float))], False
-    residuals = [_condition_residual(model, F1) for F1 in witnesses]
+    witnesses, proven = _candidate_witnesses(model, tol)
+    scale = 1.0 + _frobenius(model.theta)
+    residuals = [_condition_residual(model, F1, scale) for F1 in witnesses]
     # the smallest residual first: of several exact witnesses, the best
     # conditioned one leaves the reduced model the least round-off
     order = np.argsort(residuals, kind="stable")

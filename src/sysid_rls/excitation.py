@@ -37,33 +37,23 @@ _GRAM_CHUNK = 1024
 
 @dataclass(frozen=True, eq=False)
 class GramLimit:
-    """Estimated Gram limit ``C``, its smallest eigenvalue and a
-    stabilization diagnostic.
+    """Estimated Gram limit ``C``, its smallest eigenvalue, a stabilization
+    diagnostic and the heuristic excitation verdicts.
 
     ``stabilization`` is the relative Frobenius distance between the running
     averages at the full and half sample counts; small values indicate the
-    limit estimate has settled.
+    limit estimate has settled.  ``weak_pe``: the Gram sum's smallest
+    eigenvalue ``K min_eig`` exceeds ``PE_FLOOR`` times its trace and has
+    grown by at least ``DEFAULT_GROWTH_RATIO`` since the half-way sum.
+    ``pe``: ``min_eig`` exceeds that floor per sample and ``stabilization``
+    is within ``DEFAULT_PE_SLOPE_TOL``.
     """
 
     C: np.ndarray
     min_eig: float
     stabilization: float
-
-
-@dataclass(frozen=True, eq=False)
-class ExcitationReport:
-    """Minimum-eigenvalue growth curve with heuristic excitation verdicts.
-
-    ``min_eig_curve[i]`` is the minimum eigenvalue of the Gram partial sum
-    after ``i + 1`` rows (nondecreasing).  ``limit`` is the
-    :func:`estimate_gram_limit` of the same regressors.
-    """
-
-    min_eig_curve: np.ndarray
-    limit: GramLimit
     weak_pe: bool
     pe: bool
-    weak_pe_threshold: float
 
 
 def lift_identity_check(traj: Trajectory, model: IOModel, n_hat: int,
@@ -119,37 +109,20 @@ def partial_gram_min_eigs(Phi: np.ndarray) -> np.ndarray:
     return min_eigs
 
 
-def excitation_report(regressors) -> ExcitationReport:
-    """Partial-sum eigenvalue curve plus heuristic weak-PE / PE verdicts.
-
-    weak PE: the final min eigenvalue exceeds ``weak_pe_threshold``
-    (``PE_FLOOR`` times the trace of the final Gram sum, ``K trace(C)``) and
-    has grown by at least ``DEFAULT_GROWTH_RATIO`` since the half-way point.
-    PE: the Gram limit ``C`` has min eigenvalue above the threshold scaled
-    per sample and is Cauchy-stabilizing within ``DEFAULT_PE_SLOPE_TOL``
-    relative Frobenius distance.
-    """
-    Phi = _as_matrix(regressors)
-    K = Phi.shape[0]
-    min_eig_curve = partial_gram_min_eigs(Phi)
-    limit = estimate_gram_limit(Phi)
-    min_eig_half = float(min_eig_curve[max(1, K // 2) - 1])
-    final_min_eig = float(min_eig_curve[-1])
-    weak_pe_threshold = PE_FLOOR * max(K * float(np.trace(limit.C)), 1.0)
-    still_growing = (final_min_eig >= DEFAULT_GROWTH_RATIO * min_eig_half
-                     or min_eig_half <= 0.0)
-    weak_pe = final_min_eig > weak_pe_threshold and still_growing
-    pe = limit.min_eig > weak_pe_threshold / K and limit.stabilization <= DEFAULT_PE_SLOPE_TOL
-    return ExcitationReport(min_eig_curve=min_eig_curve, limit=limit, weak_pe=weak_pe, pe=pe,
-                            weak_pe_threshold=weak_pe_threshold)
-
-
 def estimate_gram_limit(regressors) -> GramLimit:
-    """Final running-average Gram matrix of the outer products."""
+    """Final running-average Gram matrix of the outer products, with the
+    weak-PE and PE verdicts read from it and from the half-way average."""
     Phi = _as_matrix(regressors)
     K = Phi.shape[0]
     half = max(1, K // 2)
     C_full = (Phi.T @ Phi) / K
     C_half = (Phi[:half].T @ Phi[:half]) / half
     stab = float(np.linalg.norm(C_full - C_half) / (1.0 + np.linalg.norm(C_full)))
-    return GramLimit(C=C_full, min_eig=float(np.linalg.eigvalsh(C_full)[0]), stabilization=stab)
+    min_eig = float(np.linalg.eigvalsh(C_full)[0])
+    # smallest eigenvalues of the Gram sums after K and after half rows
+    final, at_half = K * min_eig, half * float(np.linalg.eigvalsh(C_half)[0])
+    floor = PE_FLOOR * max(K * float(np.trace(C_full)), 1.0)
+    still_growing = final >= DEFAULT_GROWTH_RATIO * at_half or at_half <= 0.0
+    return GramLimit(C=C_full, min_eig=min_eig, stabilization=stab,
+                     weak_pe=final > floor and still_growing,
+                     pe=min_eig > floor / K and stab <= DEFAULT_PE_SLOPE_TOL)

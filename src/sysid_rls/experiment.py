@@ -107,6 +107,11 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ValidationError("config.p0_scale: must be positive and finite")
 
     out_dir = d.get("out_dir")
+    if "out_dir" in d:
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ValidationError("config.out_dir: expected a nonempty directory path")
+        # from the config's directory, as true_model, theta0 and input.path are
+        out_dir = str(Path(base_dir or "") / out_dir)
     return ExperimentConfig(
         true_model=model, fit_orders=tuple(orders), input=spec, horizon=horizon,
         theta0=theta0, p0_scale=p0_scale, out_dir=out_dir, base_dir=base_dir,
@@ -151,7 +156,10 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     in the manifest and does not disturb the other orders' outputs.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL, or a character the file system cannot encode
+        raise ValidationError(f"output directory {str(out_dir)!r}: {exc}") from exc
     start = time.monotonic()
     model = config.true_model
     max_order = max(config.fit_orders)

@@ -105,18 +105,6 @@ class IOModel:
         return cls(n=n, p=p, m=m, F=F, G=G)
 
     @property
-    def F_stack(self) -> np.ndarray:
-        """``[F1 ... Fn]`` of shape (p, p*n)."""
-        if self.n == 0:
-            return np.zeros((self.p, 0))
-        return np.hstack(self.F)
-
-    @property
-    def G_stack(self) -> np.ndarray:
-        """``[G0 ... Gn]`` of shape (p, m*(n+1))."""
-        return np.hstack(self.G)
-
-    @property
     def theta(self) -> np.ndarray:
         """Flattened coefficients ``[F1 .. Fn G0 .. Gn]``."""
         return np.concatenate(self.F + self.G, axis=1)

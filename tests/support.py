@@ -9,6 +9,16 @@ import numpy as np
 from sysid_rls import IOModel, Trajectory, TransitionPair, ValidationError, simulate
 
 
+def stacked_F(model: IOModel) -> np.ndarray:
+    """``[F1 ... Fn]`` of shape (p, p*n)."""
+    return np.hstack(model.F) if model.n else np.zeros((model.p, 0))
+
+
+def stacked_G(model: IOModel) -> np.ndarray:
+    """``[G0 ... Gn]`` of shape (p, m*(n+1))."""
+    return np.hstack(model.G)
+
+
 def random_stable_model(rng: np.random.Generator, n: int, p: int, m: int,
                         radius: float = 0.85) -> IOModel:
     """Random coefficients with the output dynamics scaled inside ``radius``.
@@ -144,7 +154,8 @@ def reference_reduced_regressor(traj, k: int, n: int, n_hat: int) -> np.ndarray:
 
 def reference_gram_curve(Phi):
     """Per-row Gram partial sum written out with ``np.outer`` and one
-    ``eigvalsh`` per row, as :func:`excitation_report` reads it.
+    ``eigvalsh`` per row: the oracle for :func:`partial_gram_min_eigs` and
+    for the verdicts :func:`estimate_gram_limit` reads at two of its rows.
 
     Returns the minimum eigenvalue after every row and the final partial sum.
     """
@@ -188,7 +199,7 @@ def consolidate(high: IOModel, base: IOModel) -> ConsolidatedCoeffs:
     q = high.n - base.n
     pairs = reference_transition_prefix(base, q - 1)
     F_cons = np.hstack(high.F[q:]) if n > 0 else np.zeros((p, 0))
-    G_cons = high.G_stack.copy()
+    G_cons = stacked_G(high)
     for i in range(1, q + 1):
         pair = pairs[q - i]
         F_cons = F_cons - high.F[i - 1] @ pair.Fj
@@ -206,7 +217,7 @@ def reference_simulate(model: IOModel, initial_outputs, inputs) -> np.ndarray:
     horizon = u.shape[0]
     y = np.zeros((horizon, p))
     y[:n] = np.asarray(initial_outputs, dtype=float).reshape(n, p)
-    F_stack, G_stack = model.F_stack, model.G_stack
+    F_stack, G_stack = stacked_F(model), stacked_G(model)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n, horizon):
             Yw = y[k - n:k][::-1].reshape(-1)
@@ -226,7 +237,7 @@ def verify_trajectory(model: IOModel, traj: Trajectory) -> float:
     if traj.p != model.p or traj.m != model.m:
         raise ValidationError("trajectory dimensions do not match the model")
     worst = 0.0
-    F_stack, G_stack = model.F_stack, model.G_stack
+    F_stack, G_stack = stacked_F(model), stacked_G(model)
     for k in range(n, len(traj)):
         Yw = traj.y[k - n:k][::-1].reshape(-1)
         Uw = traj.u[k - n:k + 1][::-1].reshape(-1)
@@ -241,7 +252,7 @@ def shifted_F(model: IOModel, j: int) -> np.ndarray:
     out = np.zeros((p, p * n))
     if j <= n - 1:
         width = p * (n - j)
-        out[:, :width] = model.F_stack[:, p * j:]
+        out[:, :width] = stacked_F(model)[:, p * j:]
     return out
 
 
@@ -249,9 +260,9 @@ def reference_transition_prefix(model: IOModel, jmax: int) -> list[TransitionPai
     """Transition pairs for all 0 <= j <= jmax by the block recursion
     ``X_j = shift_j(X) - sum_{i=1}^{min(j, n)} F_i X_{j-i}``, independent of
     the impulse-response form :func:`sysid_rls.transition_pair` uses."""
-    pairs = [TransitionPair(0, model.F_stack, model.G_stack)]
+    pairs = [TransitionPair(0, stacked_F(model), stacked_G(model))]
     p, m, n = model.p, model.m, model.n
-    G0_stack = model.G_stack
+    G0_stack = stacked_G(model)
     for j in range(1, jmax + 1):
         Fj = shifted_F(model, j)
         Gj = np.hstack([G0_stack, np.zeros((p, j * m))])

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from sysid_rls import IOModel, InputSpec, generate_input, lift_once, load_config, simulate
+from sysid_rls import (
+    IOModel,
+    InputSpec,
+    estimate_gram_limit,
+    generate_input,
+    lift_once,
+    load_config,
+    regressor_matrix,
+    simulate,
+)
+from sysid_rls import cli, excitation
 from sysid_rls.cli import main
 from sysid_rls.fileio import load_model, load_trajectory, save_model, save_trajectory
 from sysid_rls.rls import valid_regressor_indices
@@ -184,6 +194,22 @@ class TestExciteCommand:
         assert np.array_equal(rows[:, 0], ks)
         assert np.array_equal(rows[:, 1], curve)
         assert np.array_equal(rows[:, 2], curve / np.arange(1, len(ks) + 1))
+
+    def test_plain_excite_prints_verdicts_without_the_curve(self, workdir, monkeypatch, capsys):
+        def no_curve(Phi):
+            raise AssertionError("the per-row curve runs only for --emit")
+        monkeypatch.setattr(cli, "partial_gram_min_eigs", no_curve)
+        monkeypatch.setattr(excitation, "partial_gram_min_eigs", no_curve)
+        rc = main(["excite", "--data", str(workdir / "traj.csv"), "--order", "3",
+                   "--true-order", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        traj = load_trajectory(workdir / "traj.csv")
+        limit = estimate_gram_limit(regressor_matrix(traj, 3)[0][:, 2:])
+        assert limit.weak_pe
+        assert "  weakly persistently exciting:   yes (heuristic)" in out
+        pe = "yes" if limit.pe else "no"
+        assert f"  persistently exciting:          {pe} (heuristic)" in out
 
     def test_true_order_validation(self, workdir):
         rc = main(["excite", "--data", str(workdir / "traj.csv"), "--order", "2",
@@ -368,6 +394,34 @@ class TestExperimentCommand:
                "input": {"kind": "white", "seed": 3}}
         (workdir / "cfg.json").write_text(json.dumps(cfg))
         assert main(["experiment", str(workdir / "cfg.json")]) == 2
+
+    @pytest.mark.parametrize("out_dir,message", [
+        (5, "config.out_dir"), (["a"], "config.out_dir"), ("", "config.out_dir"),
+        (None, "config.out_dir"), ("a\x00b", "embedded null byte"),
+    ])
+    def test_bad_out_dir_is_validation_error(self, workdir, capsys, out_dir, message):
+        cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 100,
+               "out_dir": out_dir}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(workdir / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_relative_out_dir_resolved_from_config_dir(self, workdir, monkeypatch, capsys):
+        cfg_dir = workdir / "cfg"
+        cfg_dir.mkdir()
+        cfg = {"true_model": "../model.json", "fit_orders": [1], "horizon": 100,
+               "out_dir": "out"}
+        (cfg_dir / "cfg.json").write_text(json.dumps(cfg))
+        other = workdir / "elsewhere"
+        other.mkdir()
+        monkeypatch.chdir(other)
+        assert main(["experiment", "../cfg/cfg.json"]) == 0
+        assert (cfg_dir / "out" / "manifest.json").exists()
+        assert not (other / "out").exists()
+        # --out-dir on the command line stays relative to the working directory
+        assert main(["experiment", "../cfg/cfg.json", "--out-dir", "cli"]) == 0
+        assert (other / "cli" / "manifest.json").exists()
 
     def test_bad_number_in_config_input(self, workdir, capsys):
         cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 100,

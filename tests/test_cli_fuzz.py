@@ -106,7 +106,7 @@ def config_dicts(draw):
         "theta0": draw(st.sampled_from(["zeros", "zeros", THETA0, MISSING])),
         "p0_scale": draw(mostly(st.sampled_from([1e3, 1.0]),
                                 st.sampled_from([0.0, -1.0, math.nan, 1e300]))),
-        "out_dir": "out",
+        "out_dir": draw(mostly(st.just("out"), JUNK_JSON)),
     }
     return _mutate(draw, d)
 

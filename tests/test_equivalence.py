@@ -13,19 +13,30 @@ from sysid_rls import (
     transition_pair,
     trivial_embed,
 )
-from sysid_rls.equivalence import _lift_and_target
+from sysid_rls.equivalence import _build_reduced, _condition_residual, _lift_and_target
 
 from support import (
     consolidate,
     random_contraction,
     random_stable_model,
     simulation_equivalence_oracle,
+    stacked_G,
 )
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
 # order-2 equivalent of SCALAR built with D = 0.3
 LIFTED = IOModel.scalar([0.8, 0.15], [0.0, 1.0, 0.3])
+
+
+def check_witness(high, F1, tol=1e-8):
+    """The two checks :func:`reduce_once` applies to one witness ``F1``: its
+    condition residual within ``tol``, then the lift identity on the model
+    it builds.  Returns the residual, that model and the verdict."""
+    F1 = np.atleast_2d(np.asarray(F1, dtype=float))
+    residual = _condition_residual(high, F1, 1.0 + np.linalg.norm(high.theta))
+    reduced = _build_reduced(high, F1)
+    return residual, reduced, residual <= tol and bool(is_equivalent(high, reduced, max(tol, 1e-7)))
 
 
 class TestLiftMatrix:
@@ -95,7 +106,7 @@ class TestConsolidate:
         rng = np.random.default_rng(2)
         high = random_stable_model(rng, 3, 1, 1)
         cons = consolidate(high, base)
-        np.testing.assert_allclose(cons.G_cons, high.G_stack, atol=1e-14)
+        np.testing.assert_allclose(cons.G_cons, stacked_G(high), atol=1e-14)
 
     def test_matches_lift_matrix_identity(self):
         # consolidation (direct recursion) equals theta_high @ M entrywise
@@ -229,18 +240,17 @@ class TestReduceOnce:
         model = IOModel.scalar([0.8, 0.3], [0.5, 1.0, 0.7])
         result = reduce_once(model)
         assert not result
-        from sysid_rls.equivalence import _condition_residual
-
         grid = np.linspace(-5, 5, 20001)
-        best = min(_condition_residual(model, np.array([[model.F[0][0, 0] - d]]))
+        scale = 1.0 + np.linalg.norm(model.theta)
+        best = min(_condition_residual(model, np.array([[model.F[0][0, 0] - d]]), scale)
                    for d in grid)
         assert best > 1e-3
 
     def test_verify_candidate(self):
-        good = reduce_once(LIFTED, candidate=[[0.5]])
-        assert good and good.reduced.n == 1
-        bad = reduce_once(LIFTED, candidate=[[0.4]])
-        assert not bad and bad.residual > 1e-3
+        residual, reduced, ok = check_witness(LIFTED, [[0.5]])
+        assert ok and reduced.n == 1
+        residual, _, ok = check_witness(LIFTED, [[0.4]])
+        assert not ok and residual > 1e-3
 
     def test_exact_recursion_reproduced(self):
         # reducing with the known witness reproduces the base coefficients
@@ -248,9 +258,9 @@ class TestReduceOnce:
         base = random_stable_model(rng, 2, 2, 2)
         D = random_contraction(rng, 2)
         high = lift_once(base, D)
-        result = reduce_once(high, candidate=base.F[0])
-        assert result
-        np.testing.assert_allclose(result.reduced.theta, base.theta, atol=1e-12)
+        _, reduced, ok = check_witness(high, base.F[0])
+        assert ok
+        np.testing.assert_allclose(reduced.theta, base.theta, atol=1e-12)
 
     def test_newton_search_mimo(self):
         rng = np.random.default_rng(8)

@@ -6,13 +6,12 @@ from sysid_rls import (
     Trajectory,
     ValidationError,
     estimate_gram_limit,
-    excitation_report,
     lift_identity_check,
     partial_gram_min_eigs,
     regressor_matrix,
     simulate,
 )
-from sysid_rls.excitation import PE_FLOOR
+from sysid_rls.excitation import DEFAULT_GROWTH_RATIO, DEFAULT_PE_SLOPE_TOL, PE_FLOOR
 
 from support import (
     random_stable_model,
@@ -104,22 +103,25 @@ class TestLiftIdentity:
 
 
 class TestExcitationReport:
+    """The excitation record: :func:`estimate_gram_limit`'s verdicts and the
+    :func:`partial_gram_min_eigs` curve."""
+
     def test_zero_regressors(self):
-        rep = excitation_report(np.zeros((50, 3)))
-        assert not rep.weak_pe and not rep.pe
-        np.testing.assert_array_equal(rep.min_eig_curve, np.zeros(50))
+        limit = estimate_gram_limit(np.zeros((50, 3)))
+        assert not limit.weak_pe and not limit.pe
+        np.testing.assert_array_equal(partial_gram_min_eigs(np.zeros((50, 3))), np.zeros(50))
 
     def test_white_noise_scalar_pe(self):
         rng = np.random.default_rng(3)
         phis = rng.standard_normal((10_000, 1))
-        rep = excitation_report(phis)
-        assert rep.weak_pe and rep.pe
-        assert abs(rep.limit.C[0, 0] - 1.0) < 0.05
+        limit = estimate_gram_limit(phis)
+        assert limit.weak_pe and limit.pe
+        assert abs(limit.C[0, 0] - 1.0) < 0.05
 
     def test_monotone_curve(self):
         rng = np.random.default_rng(4)
-        rep = excitation_report(rng.standard_normal((300, 4)))
-        assert np.all(np.diff(rep.min_eig_curve) >= -1e-9)
+        curve = partial_gram_min_eigs(rng.standard_normal((300, 4)))
+        assert np.all(np.diff(curve) >= -1e-9)
 
     def test_rank_obstruction_overparameterized(self):
         # full regressor of an over-ordered fit stays pinned near zero while
@@ -131,12 +133,10 @@ class TestExcitationReport:
         ks = np.arange(0, 2000)
         Phi_full, _, _ = regressor_matrix(traj, 3, ks)
         Phi_red = Phi_full[:, 2:]
-        rep_full = excitation_report(Phi_full)
-        rep_red = excitation_report(Phi_red)
-        assert not rep_full.weak_pe
-        assert rep_full.min_eig_curve[-1] <= 1e-6
-        assert rep_red.weak_pe
-        assert rep_red.min_eig_curve[-1] > 1.0
+        assert not estimate_gram_limit(Phi_full).weak_pe
+        assert partial_gram_min_eigs(Phi_full)[-1] <= 1e-6
+        assert estimate_gram_limit(Phi_red).weak_pe
+        assert partial_gram_min_eigs(Phi_red)[-1] > 1.0
         # Gram rank bounded by the reduced dimension
         S = Phi_full.T @ Phi_full
         svals = np.linalg.svd(S, compute_uv=False)
@@ -144,11 +144,11 @@ class TestExcitationReport:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            excitation_report([np.zeros(2), np.zeros(3)])
+            estimate_gram_limit([np.zeros(2), np.zeros(3)])
 
     def test_empty(self):
         with pytest.raises(ValidationError):
-            excitation_report(np.zeros((0, 2)))
+            estimate_gram_limit(np.zeros((0, 2)))
 
 
 class TestPartialGramCurve:
@@ -157,21 +157,21 @@ class TestPartialGramCurve:
     @pytest.mark.parametrize("K", [1, 2, 3, 1024, 2049, 2051, 2600])
     @pytest.mark.parametrize("d", [1, 7])
     def test_report_matches_per_row_reference(self, K, d):
+        # the verdicts read the Gram limit where the per-row curve reads its
+        # rows K and max(1, K // 2): both routes give the same answer
         Phi = np.random.default_rng(K + d).standard_normal((K, d))
         curve, gram = reference_gram_curve(Phi)
-        rep = excitation_report(Phi)
-        assert np.array_equal(rep.min_eig_curve, curve)
+        assert np.array_equal(partial_gram_min_eigs(Phi), curve)
         limit = estimate_gram_limit(Phi)
-        assert np.array_equal(rep.limit.C, limit.C)
-        assert rep.limit.min_eig == np.linalg.eigvalsh(limit.C)[0]
-        assert rep.limit.stabilization == limit.stabilization
+        assert limit.min_eig == np.linalg.eigvalsh(limit.C)[0]
         # the Gram limit and the curve's final sum agree to round-off
-        np.testing.assert_allclose(rep.limit.C, gram / K, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(limit.C, gram / K, rtol=1e-12, atol=1e-12)
         threshold = PE_FLOOR * max(K * float(np.trace(limit.C)), 1.0)
-        assert rep.weak_pe_threshold == threshold
         min_eig_half = curve[max(1, K // 2) - 1]
-        growing = curve[-1] >= 1.2 * min_eig_half or min_eig_half <= 0.0
-        assert rep.weak_pe == bool(curve[-1] > threshold and growing)
+        growing = curve[-1] >= DEFAULT_GROWTH_RATIO * min_eig_half or min_eig_half <= 0.0
+        assert limit.weak_pe == bool(curve[-1] > threshold and growing)
+        assert limit.pe == bool(curve[-1] > threshold
+                                and limit.stabilization <= DEFAULT_PE_SLOPE_TOL)
 
     @pytest.mark.parametrize("K", [1, 1024, 1025, 2049])
     def test_helper_matches_per_row_reference(self, K):
@@ -185,8 +185,7 @@ class TestGramLimit:
         phis = np.tile(v, (400, 1))
         gl = estimate_gram_limit(phis)
         np.testing.assert_allclose(gl.C, np.outer(v, v), atol=1e-12)
-        rep = excitation_report(phis)
-        assert not rep.pe  # rank-1 average Gram
+        assert not gl.pe  # rank-1 average Gram
 
     def test_alternating_sign(self):
         v = np.array([0.5, 1.5])
@@ -207,11 +206,10 @@ class TestGramLimit:
     def test_constant_regressor_round_off_is_not_excitation(self, seed):
         rng = np.random.default_rng(seed)
         d, K = int(rng.integers(2, 6)), int(rng.integers(50, 600))
-        rep = excitation_report(np.tile(rng.standard_normal(d), (K, 1)))
+        limit = estimate_gram_limit(np.tile(rng.standard_normal(d), (K, 1)))
         assert d >= 2
-        assert not rep.weak_pe and not rep.pe
+        assert not limit.weak_pe and not limit.pe
 
     def test_rank_one_pe_only_in_dim_one(self):
         phis = np.ones((500, 1))
-        rep = excitation_report(phis)
-        assert rep.pe  # dimension one: vv^T is positive definite
+        assert estimate_gram_limit(phis).pe  # dimension one: vv^T is positive definite

@@ -9,7 +9,7 @@ from sysid_rls import (
     InputSpec,
     IOModel,
     ValidationError,
-    excitation_report,
+    estimate_gram_limit,
     generate_input,
     load_config,
     parse_input_spec,
@@ -73,9 +73,9 @@ class TestInputSpecs:
         u = generate_input(spec, 4000 + 3, 1)
         traj = simulate(SCALAR, np.zeros((1, 1)), u, k0=-3)
         Phi, _, _ = regressor_matrix(traj, 3, np.arange(0, 4000))
-        rep = excitation_report(Phi)
-        assert not rep.pe
-        assert rep.limit.min_eig < 1e-6
+        limit = estimate_gram_limit(Phi)
+        assert not limit.pe
+        assert limit.min_eig < 1e-6
 
     def test_file_input_round_trip(self, tmp_path):
         traj = simulate(SCALAR, [0.0], np.arange(12.0))

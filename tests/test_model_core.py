@@ -19,6 +19,8 @@ from support import (
     reference_simulate,
     reference_transition_prefix,
     shifted_F,
+    stacked_F,
+    stacked_G,
     verify_trajectory,
 )
 
@@ -166,8 +168,8 @@ class TestTransitionPair:
         rng = np.random.default_rng(4)
         m = random_stable_model(rng, 2, 2, 1)
         pair = transition_pair(m, 0)
-        np.testing.assert_array_equal(pair.Fj, m.F_stack)
-        np.testing.assert_array_equal(pair.Gj, m.G_stack)
+        np.testing.assert_array_equal(pair.Fj, stacked_F(m))
+        np.testing.assert_array_equal(pair.Gj, stacked_G(m))
 
     def test_scalar_one_step(self):
         pair = transition_pair(SCALAR, 1)

@@ -48,6 +48,7 @@ argv = {
             "--emit-trace", str(out / "fit.csv")],
     "excite": ["excite", "--data", str(out / "traj.csv"), "--order", "2", "--true-order", "1",
                "--emit", str(out / "ex.csv")],
+    "excite-plain": ["excite", "--data", str(out / "traj.csv"), "--order", "2"],
     "equiv": ["equiv", str(out / "siso.json"), str(out / "siso.json")],
     "reduce-siso": ["reduce", str(out / "siso.json"), "--out", str(out / "r.json")],
     "reduce-mimo": ["reduce", str(out / "mimo.json"), "--out", str(out / "rm.json")],
@@ -71,7 +72,7 @@ def _scipy_modules_after(case, tmp_path):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("case", ["import", "fit", "excite", "equiv", "reduce-siso",
-                                  "reduce-mimo", "converge", "experiment"])
+@pytest.mark.parametrize("case", ["import", "fit", "excite", "excite-plain", "equiv",
+                                  "reduce-siso", "reduce-mimo", "converge", "experiment"])
 def test_commands_that_never_solve_with_scipy_leave_it_unloaded(case, tmp_path):
     assert _scipy_modules_after(case, tmp_path) == set()
