@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .model_core import IOModel, _companion, _transition_blocks
 
 DEFAULT_TOL = 1e-8
@@ -112,13 +112,20 @@ def lift_residual(theta: np.ndarray, base: IOModel, n_hat: int) -> tuple[float, 
     """Raw and relative Frobenius norm of ``theta @ M - [F_q G_q]``, the
     equivalence residual of a flattened order-``n_hat`` ``theta`` against
     ``base`` (lift ``M``, ``q = n_hat - n >= 0`` step transition blocks); the
-    relative one is scaled by ``1 + max(||theta||, ||[F_q G_q]||)``."""
-    M, target = _lift_and_target(base, n_hat)
-    if theta.shape != (base.p, M.shape[0]):
-        raise ValidationError(
-            f"theta has shape {theta.shape}, expected {(base.p, M.shape[0])}"
-        )
-    raw = _frobenius(theta @ M - target)
+    relative one is scaled by ``1 + max(||theta||, ||[F_q G_q]||)``.
+    Raises :class:`NumericalError` when the transition blocks or the defect
+    overflow, since the residual then decides nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        M, target = _lift_and_target(base, n_hat)
+        if theta.shape != (base.p, M.shape[0]):
+            raise ValidationError(
+                f"theta has shape {theta.shape}, expected {(base.p, M.shape[0])}"
+            )
+        defect = theta @ M - target
+    if not np.isfinite(defect).all():
+        raise NumericalError(f"the order-{n_hat} lift of the order-{base.n} model overflows: "
+                             "the equivalence residual is not finite")
+    raw = _frobenius(defect)
     return raw, raw / (1.0 + max(_frobenius(theta), _frobenius(target)))
 
 
@@ -359,7 +366,6 @@ class ReducibilityReport:
     original: IOModel
     irreducible_model: IOModel
     witnesses: tuple
-    residuals: tuple
     proven: bool
 
     @property
@@ -371,7 +377,6 @@ def reducibility_check(model: IOModel, tol: float = DEFAULT_TOL) -> Reducibility
     """Apply :func:`reduce_once` until failure, collecting the witness chain."""
     current = model
     witnesses = []
-    residuals = []
     proven = True
     while current.n >= 1:
         step = reduce_once(current, tol=tol)
@@ -379,9 +384,8 @@ def reducibility_check(model: IOModel, tol: float = DEFAULT_TOL) -> Reducibility
             proven = step.proven
             break
         witnesses.append(step.witness)
-        residuals.append(step.residual)
         current = step.reduced
     return ReducibilityReport(
         original=model, irreducible_model=current,
-        witnesses=tuple(witnesses), residuals=tuple(residuals), proven=proven,
+        witnesses=tuple(witnesses), proven=proven,
     )

@@ -9,7 +9,6 @@ output-file digests (wall-clock time is recorded but excluded).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ from .fileio import (
     canonical_json,
     load_model,
     load_theta0,
-    read_text,
+    read_json,
     sha256_file,
     sha256_text,
     write_json,
@@ -119,14 +118,7 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file {path} does not exist")
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return config_from_dict(raw, base_dir=path.parent)
+    return config_from_dict(read_json(path, "config"), base_dir=Path(path).parent)
 
 
 @dataclass(frozen=True)

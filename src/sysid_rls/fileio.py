@@ -1,7 +1,10 @@
-"""File formats: model JSON, trajectory CSV, canonical hashing.
+"""File formats: JSON files, trajectory CSV, canonical hashing.
 
-Numbers in CSV files use Python's shortest round-trip decimal representation
-so reruns with identical seeds produce byte-identical files.
+Every JSON file is read by :func:`read_json` and written by
+:func:`write_json`; a trajectory CSV is read by :func:`load_trajectory`, and
+every CSV the package writes goes through :func:`write_csv`.  Numbers in CSV
+files use Python's shortest round-trip decimal representation so reruns with
+identical seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,32 +21,31 @@ from .errors import ValidationError
 from .model_core import IOModel, Trajectory
 
 
-def fmt_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
+def read_json(path, what: str):
+    """The decoded contents of the UTF-8 JSON file at ``path``.
+
+    A missing file, text that is not UTF-8, text that is not JSON, nesting
+    too deep to decode and an integer over the interpreter's digit limit are
+    each a :class:`ValidationError` naming the file; ``what`` says which
+    file it is (``"model"``, ``"config"``, ...).
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"{what} file {path} does not exist")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def save_model(model: IOModel, path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def read_text(path: Path) -> str:
-    """The file's UTF-8 text; a file that does not decode is a
-    :class:`ValidationError` naming it."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    write_json(path, model.to_dict())
 
 
 def load_model(path) -> IOModel:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"model file {path} does not exist")
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    data = read_json(path, "model")
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     return IOModel.from_dict(data)
@@ -59,11 +61,10 @@ def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
     if value == "zeros":
         return None
     path = Path(base_dir or "") / value
-    if not path.is_file():
-        raise ValidationError(f"theta0 file {path} does not exist")
+    data = read_json(path, "theta0")
     try:
-        theta = np.asarray(json.loads(path.read_text()), dtype=float)
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
+        theta = np.asarray(data, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"theta0 file {path}: {exc}") from exc
     if theta.shape != (p, d):
         raise ValidationError(f"theta0 file {path}: shape {theta.shape}, expected {(p, d)}")
@@ -72,23 +73,14 @@ def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
     return theta
 
 
-def trajectory_header(m: int, p: int) -> list[str]:
-    return ["k"] + [f"u_{i + 1}" for i in range(m)] + [f"y_{i + 1}" for i in range(p)]
-
-
 def save_trajectory(traj: Trajectory, path) -> None:
     """CSV with header ``k,u_1..u_m,y_1..y_p``, one row per time step.
 
-    NaN input cells (missing pre-history inputs) are written empty.
+    A missing input (NaN, before the record's first input) is written as
+    ``nan``, which :func:`load_trajectory` reads back as missing.
     """
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trajectory_header(traj.m, traj.p))
-        for i in range(len(traj)):
-            row = [str(traj.k0 + i)]
-            row += ["" if not np.isfinite(v) else fmt_float(v) for v in traj.u[i]]
-            row += [fmt_float(v) for v in traj.y[i]]
-            writer.writerow(row)
+    header = ["k"] + [f"u_{i + 1}" for i in range(traj.m)] + [f"y_{i + 1}" for i in range(traj.p)]
+    write_csv(path, header, [np.arange(traj.k0, traj.k0 + len(traj)), traj.u, traj.y])
 
 
 def _input_cell(cell: str) -> float:
@@ -185,7 +177,7 @@ def _format_block(block: np.ndarray) -> list[str]:
     """Cell text of a (rows, width) block, one comma-joined string per row.
 
     Integer columns go through ``str``, everything else through ``repr`` of a
-    Python float (:func:`fmt_float`).
+    Python float, the shortest string that round-trips to the same float.
     """
     fmt = str if block.dtype.kind in "iu" else repr
     if block.shape[1] == 1:
@@ -198,8 +190,8 @@ def write_csv(path, header: list[str], columns) -> None:
 
     Each column is a 1-D array (one cell per row) or a 2-D block whose row
     gives that many adjacent cells.  Integer arrays are written with ``str``,
-    float arrays with :func:`fmt_float`, so the bytes match ``csv.writer``
-    fed the same cells.  Rows are formatted and written in blocks of
+    float arrays with ``repr`` of a Python float, so the bytes match
+    ``csv.writer`` fed the same cells.  Rows are formatted and written in blocks of
     :data:`CSV_CHUNK_ROWS`, so memory stays bounded for any length.
     """
     blocks = []

@@ -92,6 +92,17 @@ class TestEquivCommand:
         assert exc.value.code == 2
         assert "expected a non-negative finite number" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_lift_is_numerical_failure(self, workdir, capsys):
+        base = IOModel.scalar([1e200], [1.0, 1.0])
+        save_model(base, workdir / "huge.json")
+        save_model(lift_once(lift_once(base, 0.5), 0.3), workdir / "huge3.json")
+        rc = main(["equiv", str(workdir / "huge.json"), str(workdir / "huge3.json")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "overflows" in captured.err and "Warning" not in captured.err
+        assert "EQUIVALENT" not in captured.out
+
     def test_zero_tol_runs(self, workdir, capsys):
         model = str(workdir / "model.json")
         assert main(["equiv", model, model, "--tol", "0"]) == 0
@@ -109,6 +120,16 @@ class TestReduceCommand:
         np.testing.assert_allclose(reduced.theta, SCALAR.theta, atol=1e-10)
         witness = json.loads((workdir / "red_witness.json").read_text())
         np.testing.assert_allclose(witness["witnesses_F1"], [[[0.5]]], atol=1e-10)
+
+    def test_once_writes_next_to_the_model(self, workdir, capsys):
+        rc = main(["reduce", str(workdir / "high.json"), "--once"])
+        assert rc == 0
+        reduced = load_model(workdir / "high_reduced.json")
+        assert reduced.n == 1
+        np.testing.assert_allclose(reduced.theta, SCALAR.theta, atol=1e-10)
+        witness = json.loads((workdir / "high_reduced_witness.json").read_text())
+        np.testing.assert_allclose(witness["witnesses_F1"], [[[0.5]]], atol=1e-10)
+        assert "reduced from order 2 to order 1" in capsys.readouterr().out
 
     def test_irreducible_input(self, workdir, capsys):
         rc = main(["reduce", str(workdir / "model.json")])
@@ -154,6 +175,12 @@ class TestFitCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "theta0 file" in err and "theta0.json" in err and BLOW_UP not in err
+
+    def test_mismatched_ref_model_is_validation_error(self, workdir, capsys):
+        rc = main(["fit", "--data", str(workdir / "traj.csv"), "--order", "2",
+                   "--ref-model", str(workdir / "model.json")])
+        assert rc == 2
+        assert "reference model does not match" in capsys.readouterr().err
 
     def test_missing_data_file(self, workdir):
         assert main(["fit", "--data", str(workdir / "nope.csv"), "--order", "1"]) == 2
@@ -251,6 +278,16 @@ class TestConvergeCommand:
         assert data["final_dist_to_ref"] < 1e-3
         assert data["asymptote_rel_error"] < 0.2
         assert data["seed"] == 7
+
+    def test_emits_trace(self, workdir, capsys):
+        trace = workdir / "t.csv"
+        rc = main(["converge", "--model", str(workdir / "model.json"), "--fit-order", "2",
+                   "--horizon", "50", "--emit", str(trace)])
+        assert rc == 0
+        assert f"trace written to {trace}" in capsys.readouterr().out
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "k,frob_err_to_ref,scaled_err_norm,residual_norm"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(50)]
 
     @pytest.mark.parametrize("argv", [["--horizon", "1"],
                                       ["--input", "white:seed=0:scale=0", "--horizon", "100"]])
@@ -564,7 +601,11 @@ def test_os_error_is_exit_2_naming_the_path(workdir, capsys, argv, path):
     (["excite", "--data", "{w}/bad.csv", "--order", "1"], "{w}/bad.csv"),
     (["equiv", "{w}/bad.json", "{w}/bad.json"], "{w}/bad.json"),
     (["experiment", "{w}/bad.json", "--out-dir", "{w}/out"], "{w}/bad.json"),
-], ids=["fit", "excite", "equiv", "experiment"])
+    (["fit", "--data", "{w}/traj.csv", "--order", "1", "--theta0", "{w}/bad.json"],
+     "{w}/bad.json"),
+    (["converge", "--model", "{w}/model.json", "--fit-order", "1", "--horizon", "50",
+      "--theta0", "{w}/bad.json"], "{w}/bad.json"),
+], ids=["fit", "excite", "equiv", "experiment", "fit-theta0", "converge-theta0"])
 def test_non_utf8_file_is_exit_2_naming_the_path(workdir, capsys, argv, path):
     # the bad byte sits past the first read buffer, inside the data rows
     rows = "".join(f"{k},1.0,0.5\n" for k in range(1000)).encode()
@@ -574,6 +615,36 @@ def test_non_utf8_file_is_exit_2_naming_the_path(workdir, capsys, argv, path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and path.format(w=workdir) in err
+
+
+# each command with one JSON file it reads replaced by {bad}; {w} is the
+# working directory, whose cfg.json names {bad} as its true model
+JSON_READ_CASES = {
+    "equiv-a": ["equiv", "{bad}", "{w}/model.json"],
+    "equiv-b": ["equiv", "{w}/model.json", "{bad}"],
+    "reduce": ["reduce", "{bad}"],
+    "experiment-config": ["experiment", "{bad}", "--out-dir", "{w}/out"],
+    "experiment-true-model": ["experiment", "{w}/cfg.json", "--out-dir", "{w}/out"],
+    "converge-model": ["converge", "--model", "{bad}", "--fit-order", "1", "--horizon", "50"],
+    "converge-theta0": ["converge", "--model", "{w}/model.json", "--fit-order", "1",
+                        "--horizon", "50", "--theta0", "{bad}"],
+    "fit-theta0": ["fit", "--data", "{w}/traj.csv", "--order", "1", "--theta0", "{bad}"],
+    "fit-ref-model": ["fit", "--data", "{w}/traj.csv", "--order", "1", "--ref-model", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000], ids=["deep", "digits"])
+@pytest.mark.parametrize("case", list(JSON_READ_CASES))
+def test_undecodable_json_is_exit_2_naming_the_file_once(workdir, capsys, case, text):
+    # nesting past the recursion limit, and an integer past the digit limit
+    bad = workdir / "bad.json"
+    bad.write_text(text)
+    cfg = {"true_model": "bad.json", "fit_orders": [1], "horizon": 50}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    rc = main([arg.format(w=workdir, bad=bad) for arg in JSON_READ_CASES[case]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count(str(bad)) == 1, err
 
 
 @pytest.mark.parametrize("command", ["fit", "excite"])

@@ -409,6 +409,11 @@ class TestRunTrackedIdentification:
         with pytest.raises(ValidationError):
             run_tracked_identification(m2, 1, np.zeros((100, 1)), 50)
 
+    @pytest.mark.parametrize("n_hat,horizon", [(2, 1), (1, 0)])
+    def test_horizon_below_fit_order_rejected(self, n_hat, horizon):
+        with pytest.raises(ValidationError, match=f"horizon {horizon} is below the fit order"):
+            run_tracked_identification(SCALAR, n_hat, np.zeros((10, 1)), horizon)
+
     def test_too_few_inputs(self):
         with pytest.raises(ValidationError):
             run_tracked_identification(SCALAR, 2, np.zeros((50, 1)), 100)

@@ -3,6 +3,7 @@ import pytest
 
 from sysid_rls import (
     IOModel,
+    NumericalError,
     ValidationError,
     build_lift_matrix,
     is_equivalent,
@@ -331,6 +332,14 @@ class TestHugeCoefficients:
         report = reducibility_check(high)
         assert report.reducible and report.irreducible_model.n == 1
         assert is_equivalent(base, report.irreducible_model)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_lift_is_a_numerical_failure(self):
+        # the order-3 lift is exact, but its transition blocks hold 1e400
+        base = IOModel.scalar([1e200], [1.0, 1.0])
+        high = lift_once(lift_once(base, 0.5), 0.3)
+        with pytest.raises(NumericalError, match="order-3 lift of the order-1 model overflows"):
+            is_equivalent(base, high)
 
 
 class TestReducibilityCheck:

@@ -20,7 +20,6 @@ from sysid_rls import (
 from sysid_rls.experiment import config_from_dict
 from sysid_rls.fileio import (
     CSV_CHUNK_ROWS,
-    fmt_float,
     load_model,
     load_theta0,
     load_trajectory,
@@ -50,6 +49,24 @@ class TestInputSpecs:
             parse_input_spec("white:seed")
         with pytest.raises(ValidationError):
             parse_input_spec("white:foo=1")
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"kind": "sine-mix"}, "at least one frequency"),
+        ({"kind": "sine-mix", "freqs": (0.1, 0.2), "amps": (1.0,)}, "amps must match"),
+        ({"kind": "sine-mix", "freqs": (0.1,), "phases": (0.0, 1.0)}, "phases must match"),
+        ({"kind": "file"}, "needs a path"),
+    ])
+    def test_spec_rejections(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            InputSpec(**kwargs)
+
+    def test_sine_mix_amps_and_phases_enter_the_config_hash(self):
+        spec = InputSpec(kind="sine-mix", freqs=(0.1, 0.2), amps=(1.0, 0.5), phases=(0.0, 1.5))
+        assert spec.to_dict() == {"kind": "sine-mix", "scale": 1.0, "seed": 0,
+                                  "freqs": [0.1, 0.2], "amps": [1.0, 0.5], "phases": [0.0, 1.5]}
+        config = config_from_dict(minimal_config(input=spec.to_dict()))
+        shifted = config_from_dict(minimal_config(input=dict(spec.to_dict(), phases=[0.0, 1.0])))
+        assert config.input == spec and config.config_hash != shifted.config_hash
 
     def test_white_deterministic(self):
         spec = InputSpec(kind="white", seed=3)
@@ -135,12 +152,12 @@ class TestFileFormats:
 
 def csv_writer_reference(path, header, rows):
     """Rows of Python/numpy scalars through ``csv.writer``: ints via ``str``,
-    floats via :func:`fmt_float`."""
+    floats via ``repr`` of a Python float."""
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([str(c) if isinstance(c, (int, np.integer)) else fmt_float(c)
+            writer.writerow([str(c) if isinstance(c, (int, np.integer)) else repr(float(c))
                              for c in row])
 
 
