@@ -25,11 +25,13 @@ from .errors import NumericalError, ValidationError
 from .excitation import estimate_gram_limit, partial_gram_min_eigs
 from .experiment import load_config, run_experiment
 from .fileio import (
+    CSV_CHUNK_ROWS,
     load_model,
     load_theta0,
     load_trajectory,
     save_model,
     write_csv,
+    write_csv_groups,
     write_json,
 )
 from .inputs import generate_input, parse_input_spec
@@ -91,24 +93,34 @@ def cmd_fit(args) -> int:
             raise ValidationError("reference model does not match the fit order/dimensions")
         ref = ref_model.theta
 
-    emit = bool(args.emit_trace)
-    state, record = rls_fold(state, Phi, Y, keep_history=emit)
-    if emit:
-        target = (ref if ref is not None else state.theta).ravel()
-        thetas = record.theta.reshape(len(ks), p * d)
-        # vecdot takes per row the dot np.linalg.norm takes; a sum over
-        # E * E would add in another order and change the trace's last bits
-        E = thetas - target
-        err = np.sqrt(np.vecdot(E, E))
+    # the whole-record fold raises a breakdown before the trace file opens
+    final, _ = rls_fold(state, Phi, Y)
+    if args.emit_trace:
+        target = (ref if ref is not None else final.theta).ravel()
         header = ["k"] + [f"theta_{i}" for i in range(p * d)]
         header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
-        write_csv(args.emit_trace, header,
-                  [ks, thetas, err, record.residual_norm, record.pmin_eig])
+        write_csv_groups(args.emit_trace, header, _trace_groups(state, Phi, Y, ks, target))
         print(f"trace written to {args.emit_trace}")
     np.set_printoptions(precision=6, suppress=True)
     print(f"final estimate after {Phi.shape[0]} samples (order {order}):")
-    print(state.theta)
+    print(final.theta)
     return 0
+
+
+def _trace_groups(state, Phi, Y, ks, target):
+    """The ``fit`` trace's columns, folded again from ``state`` one
+    :data:`CSV_CHUNK_ROWS` chunk at a time, so no whole-record history is
+    held.  Chunks start at multiples of the fold's block, so the figures
+    equal the whole-record fold's bit for bit."""
+    for start in range(0, len(ks), CSV_CHUNK_ROWS):
+        stop = start + CSV_CHUNK_ROWS
+        state, record = rls_fold(state, Phi[start:stop], Y[start:stop], keep_history=True)
+        thetas = record.theta.reshape(len(record.theta), -1)
+        # vecdot takes per row the dot np.linalg.norm takes; a sum over
+        # E * E would add in another order and change the trace's last bits
+        E = thetas - target
+        yield [ks[start:stop], thetas, np.sqrt(np.vecdot(E, E)), record.residual_norm,
+               record.pmin_eig]
 
 
 def cmd_excite(args) -> int:

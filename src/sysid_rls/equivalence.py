@@ -92,6 +92,10 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(flat @ flat) * scale
 
 
+def _overflow(what: str) -> NumericalError:
+    return NumericalError(f"the reduction search overflows: {what} is not finite")
+
+
 @dataclass(frozen=True)
 class EquivalenceCertificate:
     """Verdict plus the residual that produced it."""
@@ -240,6 +244,8 @@ def _polish(high: IOModel, F1: np.ndarray) -> np.ndarray:
     h = 1e-20
     _, _, cond_F, cond_G = _reduction_chain(high, F1 + 1j * h * np.eye(p * p).reshape(-1, p, p))
     res = np.concatenate([cond_F.reshape(p * p, -1), cond_G.reshape(p * p, -1)], axis=1)
+    if not np.isfinite(res).all():
+        raise _overflow("a witness's condition residual")
     step = np.linalg.lstsq(res.imag.T / h, res[0].real, rcond=None)[0]
     return F1 - step.reshape(p, p)
 
@@ -257,7 +263,13 @@ def _uncontrollable_subspace(high: IOModel, tol: float) -> tuple[np.ndarray, np.
     p, N = high.p, high.n
     C = _companion(high)
     Gc = np.vstack([high.G[N - k] - high.F[N - k - 1] @ high.G[0] for k in range(N)])
+    if not np.isfinite(Gc).all():
+        raise _overflow("the companion's input block")
+    # ||C x||_2 <= ||[C Gc]||_2 for a unit x: a finite norm keeps the Krylov
+    # blocks, Z C Z^T and its eigenvalues finite
     floor = _RANK_PER_TOL * max(tol, DEFAULT_TOL) * np.linalg.norm(np.hstack([C, Gc]), 2)
+    if not math.isfinite(floor):
+        raise _overflow("the companion's norm")
     basis = np.zeros((p * N, 0))
     block = Gc
     while block.shape[1] and basis.shape[1] < p * N:
@@ -314,7 +326,10 @@ def _candidate_witnesses(high: IOModel, tol: float):
             if len(values) != p or key in seen:
                 continue
             seen.add(key)
-            Q = np.linalg.svd(functools.reduce(np.matmul, [f for _, f in combo]))[0][:, -p:]
+            factor = functools.reduce(np.matmul, [f for _, f in combo])
+            if not np.isfinite(factor).all():
+                raise _overflow("a product of eigenvalue factors")
+            Q = np.linalg.svd(factor)[0][:, -p:]
             V = Q.T @ Z
             try:
                 X = np.linalg.solve(V[:, :p], (V @ C)[:, :p])
@@ -331,13 +346,20 @@ def reduce_once(model: IOModel, tol: float = DEFAULT_TOL) -> ReductionResult:
 
     Every witness of :func:`_candidate_witnesses` is tried; one must pass
     the condition residual and then :func:`is_equivalent` on the model it
-    builds.
+    builds.  A search whose companion, eigenvalue factors or condition
+    residuals overflow raises :class:`NumericalError`, and so does a failed
+    search that would claim a proof while the lift re-check of its best
+    witness overflows: a proof must rest on numbers that could have
+    confirmed a reduction.
     """
     if model.n < 1:
         raise ValidationError("cannot reduce a model of order 0")
-    witnesses, proven = _candidate_witnesses(model, tol)
-    scale = 1.0 + _frobenius(model.theta)
-    residuals = [_condition_residual(model, F1, scale) for F1 in witnesses]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise
+        witnesses, proven = _candidate_witnesses(model, tol)
+        scale = 1.0 + _frobenius(model.theta)
+        residuals = [_condition_residual(model, F1, scale) for F1 in witnesses]
+    if not all(map(math.isfinite, residuals)):
+        raise _overflow("a witness's condition residual")
     # the smallest residual first: of several exact witnesses, the best
     # conditioned one leaves the reduced model the least round-off
     order = np.argsort(residuals, kind="stable")
@@ -350,7 +372,13 @@ def reduce_once(model: IOModel, tol: float = DEFAULT_TOL) -> ReductionResult:
             return ReductionResult(True, reduced, witnesses[i], residuals[i], True)
     # a witness within tol that the re-check refused proves nothing
     best = residuals[order[0]]
-    return ReductionResult(False, None, None, best, proven and not best <= tol)
+    proven = proven and not best <= tol
+    if proven and not math.isfinite(scale * scale):
+        # a failure proves nothing when the lift re-check of the best witness,
+        # the only way to confirm a reduction, overflows: lift_residual then
+        # raises.  It is run only where products of the model's blocks can.
+        lift_residual(model.theta, _build_reduced(model, witnesses[order[0]]), model.n)
+    return ReductionResult(False, None, None, best, proven)
 
 
 @dataclass(frozen=True, eq=False)

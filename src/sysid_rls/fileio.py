@@ -2,9 +2,11 @@
 
 Every JSON file is read by :func:`read_json` and written by
 :func:`write_json`; a trajectory CSV is read by :func:`load_trajectory`, and
-every CSV the package writes goes through :func:`write_csv`.  Numbers in CSV
-files use Python's shortest round-trip decimal representation so reruns with
-identical seeds produce byte-identical files.
+every CSV the package writes goes through :func:`write_csv_groups`, which
+takes its rows as a stream of column groups (:func:`write_csv` is its
+one-group case).  Numbers in CSV files use Python's shortest round-trip
+decimal representation so reruns with identical seeds produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -186,14 +188,37 @@ def _format_block(block: np.ndarray) -> list[str]:
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns as CSV rows under ``header``.
+    """Write equal-length columns as CSV rows under ``header``: one group of
+    :func:`write_csv_groups`."""
+    write_csv_groups(path, header, [columns])
 
-    Each column is a 1-D array (one cell per row) or a 2-D block whose row
-    gives that many adjacent cells.  Integer arrays are written with ``str``,
-    float arrays with ``repr`` of a Python float, so the bytes match
-    ``csv.writer`` fed the same cells.  Rows are formatted and written in blocks of
-    :data:`CSV_CHUNK_ROWS`, so memory stays bounded for any length.
+
+def write_csv_groups(path, header: list[str], groups) -> None:
+    """Write CSV rows under ``header`` from an iterable of column groups, each
+    group's rows after the previous group's.
+
+    A group is a list of equal-length columns, each a 1-D array (one cell per
+    row) or a 2-D block whose row gives that many adjacent cells.  Integer
+    arrays are written with ``str``, float arrays with ``repr`` of a Python
+    float, so the bytes match ``csv.writer`` fed the same cells and do not
+    depend on how the rows are split into groups.  Groups are taken one at
+    a time, as they are written, and each is formatted and written in blocks
+    of :data:`CSV_CHUNK_ROWS` rows, so a generator of groups keeps memory
+    bounded by one group for any length.
     """
+    with open(path, "w", newline="\n") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for columns in groups:
+            blocks = _column_blocks(columns)
+            n_rows = blocks[0].shape[0] if blocks else 0
+            for start in range(0, n_rows, CSV_CHUNK_ROWS):
+                cells = [_format_block(b[start:start + CSV_CHUNK_ROWS]) for b in blocks]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _column_blocks(columns) -> list[np.ndarray]:
+    """One group's non-empty columns as 2-D integer or float arrays of one
+    length; any other shape is a validation error."""
     blocks = []
     for col in columns:
         arr = np.asarray(col)
@@ -208,12 +233,7 @@ def write_csv(path, header: list[str], columns) -> None:
     rows = {b.shape[0] for b in blocks}
     if len(rows) > 1:
         raise ValidationError(f"CSV columns have different lengths {sorted(rows)}")
-    n_rows = rows.pop() if rows else 0
-    with open(path, "w", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            cells = [_format_block(b[start:start + CSV_CHUNK_ROWS]) for b in blocks]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return blocks
 
 
 def write_json(path, obj) -> None:

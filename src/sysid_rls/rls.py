@@ -252,9 +252,13 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
 
     Shapes and finiteness are checked once, by :func:`_check_rows`, before
     any update.  Blocks start at multiples of ``_FOLD_BLOCK``, so a fold
-    split at one equals the unsplit fold bit for bit.  ``P`` is read as its
-    symmetric part ``0.5 * (P + P.T)`` and re-symmetrized after each block.
-    The history's ``pmin_eig`` comes from one batched ``eigvalsh`` per block.
+    split at one equals the unsplit fold bit for bit; the ``fit`` command's
+    trace relies on this, folding again in chunks of a multiple of
+    ``_FOLD_BLOCK`` rows.  ``P`` is read as its symmetric part ``0.5 * (P +
+    P.T)`` and re-symmetrized after each block.  The history's ``pmin_eig``
+    comes from one batched ``eigvalsh`` per block.  ``dist_to_ref`` is taken
+    per block too, from a C-ordered buffer of the estimates before each of
+    its rows, so only ``keep_history`` allocates the ``(K, p, d)`` history.
     A bordered matrix that fails to factor (its Gram ``S`` is not positive
     definite), a border ``c`` that overflows, or a non-finite estimate
     raises :class:`NumericalError`: the prior is too large for the data.
@@ -275,12 +279,15 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     d = state.dim
     q = d + theta.shape[0]
     Z = np.empty(Y.shape)
-    # hist[i] is the estimate before row i, hist[K] the final one
-    hist = None
-    if theta_ref is not None or keep_history:
-        hist = np.empty((K + 1,) + theta.shape)
-        hist[0] = theta
+    hist = np.empty((K,) + theta.shape) if keep_history else None
     pmin = np.empty(K) if keep_history else None
+    dist = None
+    if theta_ref is not None:
+        dist = np.empty(K)
+        # pre[i] is the estimate before row i of the block, in C order: a
+        # vecdot over the rows of steps itself adds in another order
+        pre = np.empty((_FOLD_BLOCK,) + theta.shape)
+        pre[0] = theta
     # a block of b rows fills buf[:b+q, :b+q] with [[S, R], [R^T, c I]];
     # diag views buf's diagonal, which every such corner shares
     buf = np.zeros((_FOLD_BLOCK + q,) * 2)
@@ -320,16 +327,15 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(P))):
             raise _blow_up(start, "the estimate is no longer finite")
         if hist is not None:
-            hist[start + 1:stop + 1] = steps
-    dist = thetas = None
-    if theta_ref is not None:
-        D = (hist[:K] - theta_ref).reshape(K, -1)
-        dist = np.sqrt(np.vecdot(D, D))
-    if keep_history:
-        thetas = hist[1:]
+            hist[start:stop] = steps
+        if dist is not None:
+            pre[1:b] = steps[:-1]
+            D = (pre[:b] - theta_ref).reshape(b, -1)
+            dist[start:stop] = np.sqrt(np.vecdot(D, D))
+            pre[0] = theta
     new = RlsState(theta=theta, P=P, k=state.k + K)
     record = FoldRecord(residual_norm=np.sqrt(np.vecdot(Z, Z)), dist_to_ref=dist,
-                        theta=thetas, pmin_eig=pmin)
+                        theta=hist, pmin_eig=pmin)
     return new, record
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,27 @@ import pytest
 from sysid_rls import (
     IOModel,
     InputSpec,
+    Trajectory,
     estimate_gram_limit,
     generate_input,
+    initial_state,
     lift_once,
     load_config,
     regressor_matrix,
+    rls_fold,
     simulate,
+    trivial_embed,
 )
-from sysid_rls import cli, excitation
+from sysid_rls import cli, excitation, rls
 from sysid_rls.cli import main
-from sysid_rls.fileio import load_model, load_trajectory, save_model, save_trajectory
+from sysid_rls.fileio import (
+    CSV_CHUNK_ROWS,
+    load_model,
+    load_trajectory,
+    save_model,
+    save_trajectory,
+    write_csv,
+)
 from sysid_rls.rls import valid_regressor_indices
 
 from support import reference_gram_curve, reference_reduced_regressor
@@ -24,6 +36,22 @@ from support import reference_gram_curve, reference_reduced_regressor
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
 # how rls_fold reports a prior the data cannot bring down
 BLOW_UP = "the prior covariance is too large for the data"
+
+
+# p = 2, m = 2: at fit order 3 the regressor has d = 14 entries
+MIMO = IOModel(n=1, p=2, m=2, F=[np.array([[0.5, 0.1], [-0.2, -0.3]])],
+               G=[np.array([[1.0, 0.0], [0.5, 1.0]]), np.array([[0.2, -0.4], [0.0, 0.3]])])
+
+
+def _mimo_record(path, rows, lost=0):
+    """A ``rows``-long record of ``MIMO`` on white input whose first ``lost``
+    rows have an empty first input cell."""
+    u = generate_input(InputSpec(kind="white", seed=5), rows, 2)
+    traj = simulate(MIMO, np.zeros((1, 2)), u)
+    u = traj.u.copy()
+    u[:lost, 0] = np.nan
+    save_trajectory(Trajectory(k0=traj.k0, u=u, y=traj.y), path)
+    return path
 
 
 @pytest.fixture
@@ -136,6 +164,18 @@ class TestReduceCommand:
         assert rc == 0
         assert "irreducible" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("once", [[], ["--once"]])
+    def test_overflowing_search_is_numerical_failure(self, workdir, capsys, once):
+        # an exact lift of an order-1 model, which equiv cannot check either
+        high = lift_once(lift_once(IOModel.scalar([1e200], [1.0, 1.0]), 0.5), 0.3)
+        save_model(high, workdir / "huge3.json")
+        rc = main(["reduce", str(workdir / "huge3.json")] + once)
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "overflows" in captured.err and "Warning" not in captured.err
+        assert "irreducible" not in captured.out and "no witness" not in captured.out
+
 
 class TestFitCommand:
     def test_trace_columns_and_recovery(self, workdir, capsys):
@@ -191,6 +231,62 @@ class TestFitCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert BLOW_UP in err and "block from row 0" in err
+
+    def test_diverging_fit_leaves_no_trace_file(self, workdir, capsys):
+        trace = workdir / "trace.csv"
+        rc = main(["fit", "--data", str(workdir / "traj.csv"), "--order", "1",
+                   "--p0-scale", "1e200", "--emit-trace", str(trace)])
+        assert rc == 3
+        assert BLOW_UP in capsys.readouterr().err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_streamed_trace_equals_whole_record_trace(self, tmp_path, capsys, with_ref):
+        # several chunks and a partial one; windows touching the three
+        # leading rows lack an input, so the trace starts past k = order
+        data = _mimo_record(tmp_path / "traj.csv", 2 * CSV_CHUNK_ROWS + 300, lost=3)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        argv = ["fit", "--data", str(data), "--order", "3", "--emit-trace", str(got)]
+        if with_ref:
+            save_model(trivial_embed(MIMO, 3), tmp_path / "ref.json")
+            argv += ["--ref-model", str(tmp_path / "ref.json")]
+        assert main(argv) == 0
+        # the whole-record construction: one fold with history, one write
+        traj = load_trajectory(data)
+        Phi, Y, ks = regressor_matrix(traj, 3, valid_regressor_indices(traj, 3))
+        assert ks[0] == 6
+        state, record = rls_fold(initial_state(3, 2, 2), Phi, Y, keep_history=True)
+        target = trivial_embed(MIMO, 3).theta if with_ref else state.theta
+        thetas = record.theta.reshape(len(ks), -1)
+        E = thetas - target.ravel()
+        header = ["k"] + [f"theta_{i}" for i in range(thetas.shape[1])]
+        header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
+        write_csv(want, header, [ks, thetas, np.sqrt(np.vecdot(E, E)), record.residual_norm,
+                                 record.pmin_eig])
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_trace_chunks_split_the_fold_at_block_starts(self):
+        # the streamed trace is bit-identical to one whole-record fold only
+        # while every chunk starts a fold block
+        assert CSV_CHUNK_ROWS % rls._FOLD_BLOCK == 0
+
+    def test_trace_memory_does_not_grow_with_the_history(self, tmp_path, capsys):
+        # a whole-record history holds K p d floats; the streamed trace may
+        # grow only with the O(K d) record and regressor block
+        p, d = 2, 14
+        main(["fit", "--data", str(_mimo_record(tmp_path / "warm.csv", 200)), "--order", "3",
+              "--emit-trace", str(tmp_path / "warm_trace.csv")])
+        peaks = []
+        for rows in (8192, 16384):
+            data = _mimo_record(tmp_path / f"traj{rows}.csv", rows)
+            tracemalloc.start()
+            try:
+                assert main(["fit", "--data", str(data), "--order", "3",
+                             "--emit-trace", str(tmp_path / "trace.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8192 * p * d * 8
 
 
 class TestExciteCommand:

@@ -341,6 +341,23 @@ class TestHugeCoefficients:
         with pytest.raises(NumericalError, match="order-3 lift of the order-1 model overflows"):
             is_equivalent(base, high)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model,message", [
+        # an exact lift whose roots 0.5 and 0.3 sit far below the rounding
+        # of its 1e200 coefficient: no reduction could be re-checked
+        (lift_once(lift_once(IOModel.scalar([1e200], [1.0, 1.0]), 0.5), 0.3),
+         "order-3 lift of the order-2 model overflows"),
+        # p = 2 with 1e200 feedback blocks: the eigenvalue factors overflow
+        (lift_once(IOModel(n=1, p=2, m=1, F=[1e200 * np.eye(2)], G=[np.ones((2, 1))] * 2),
+                   0.5 * np.eye(2)),
+         "reduction search overflows: a product of eigenvalue factors"),
+        # F1 G0 overflows in the companion's input block
+        (IOModel.scalar([1e200], [1e200, 1.0]), "reduction search overflows: the companion"),
+    ])
+    def test_overflowing_search_is_a_numerical_failure(self, model, message):
+        with pytest.raises(NumericalError, match=message):
+            reducibility_check(model)
+
 
 class TestReducibilityCheck:
     def test_order_zero_irreducible(self):

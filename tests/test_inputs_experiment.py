@@ -26,6 +26,7 @@ from sysid_rls.fileio import (
     save_model,
     save_trajectory,
     write_csv,
+    write_csv_groups,
 )
 from support import random_stable_model
 
@@ -192,6 +193,25 @@ class TestWriteCsv:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+    def test_groups_write_the_bytes_of_one_group(self, tmp_path):
+        # group edges inside and across CSV_CHUNK_ROWS blocks, and an empty group
+        n = 2 * CSV_CHUNK_ROWS + 5
+        rng = np.random.default_rng(7)
+        ks = np.arange(n)
+        block = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-200, 200, (n, 1))
+        edges = [0, 3, 3, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 4, n]
+        groups = ([ks[a:b], block[a:b], block[a:b, 0]] for a, b in zip(edges, edges[1:]))
+
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv_groups(got, ["k", "a", "b", "c"], groups)
+        write_csv(want, ["k", "a", "b", "c"], [ks, block, block[:, 0]])
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_group_length_mismatch_rejected(self, tmp_path):
+        groups = [[np.zeros(2), np.zeros(2)], [np.zeros(3), np.zeros(1)]]
+        with pytest.raises(ValidationError, match="different lengths"):
+            write_csv_groups(tmp_path / "x.csv", ["a", "b"], groups)
 
 
 class TestLoadTheta0:

@@ -365,11 +365,26 @@ class TestRlsFold:
         for K in FOLD_KS:
             _assert_near_reference(*_fold_case(order, p, m, K, seed=20 + p + K))
 
+    @pytest.mark.parametrize("order,p,m", [(1, 1, 1), (3, 2, 2)])
+    def test_distances_are_the_history_norms_bit_for_bit(self, order, p, m):
+        # taken per block without a history, each distance is still the dot
+        # of one C-ordered row of (estimate before the row - reference)
+        for K in FOLD_KS:
+            state, Phi, Y, theta_ref = _fold_case(order, p, m, K, seed=30 + p + K)
+            _, plain = rls_fold(state, Phi, Y, theta_ref=theta_ref)
+            _, full = rls_fold(state, Phi, Y, keep_history=True)
+            before = np.concatenate([state.theta[None], full.theta[:-1]])
+            D = (before - theta_ref).reshape(K, -1)
+            assert np.array_equal(plain.dist_to_ref, np.sqrt(np.vecdot(D, D)))
+
     def test_records_only_what_was_asked(self):
-        state, Phi, Y, _ = _fold_case(1, 1, 1, 5, seed=3)
+        state, Phi, Y, theta_ref = _fold_case(1, 1, 1, 5, seed=3)
         _, record = rls_fold(state, Phi, Y)
         assert record.residual_norm.shape == (5,)
         assert record.dist_to_ref is None and record.theta is None and record.pmin_eig is None
+        _, record = rls_fold(state, Phi, Y, theta_ref=theta_ref)
+        assert record.dist_to_ref.shape == (5,)
+        assert record.theta is None and record.pmin_eig is None
         _, record = rls_fold(state, Phi, Y, keep_history=True)
         assert record.dist_to_ref is None
         assert record.theta.shape == (5, 1, state.dim) and record.pmin_eig.shape == (5,)
