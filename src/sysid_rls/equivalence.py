@@ -44,6 +44,9 @@ DEFAULT_TOL = 1e-8
 _RANK_PER_TOL = 100.0
 # Bound on the eigenvalue choices one reduction step enumerates.
 _MAX_CHOICES = 1000
+# A failed eigenvalue search proves nothing unless this times ||C||_F (>= ||C||_2), the
+# eigenvalues' rounding error eps ||C|| with a margin of 100, is at most the tolerance.
+_EIG_ROUNDING = 100.0 * np.finfo(float).eps
 
 
 def build_lift_matrix(base: IOModel, n_hat: int) -> np.ndarray:
@@ -205,49 +208,46 @@ class ReductionResult:
 
 
 def _reduction_chain(high: IOModel, F1: np.ndarray):
-    """Reduced coefficient blocks and condition residuals for a witness F1."""
+    """Reduced coefficient blocks and condition residuals for stacked
+    witnesses ``F1`` of shape (..., p, p), each block stacked the same way."""
     p, m, n_hat = high.p, high.m, high.n
     D = high.F[0] - F1
-    # F0 is the identity by convention, which makes the order-0 target work.
-    F_red = []
-    last_F = np.eye(p)
+    F_red, G_red = [], [high.G[0]]
     for i in range(1, n_hat):
-        last_F = high.F[i - 1] - D @ last_F if i > 1 else F1
-        F_red.append(last_F)
-    G_red = [high.G[0]]
-    last_G = high.G[0]
-    for j in range(1, n_hat):
-        last_G = high.G[j] - D @ last_G
-        G_red.append(last_G)
+        F_red.append(high.F[i - 1] - D @ F_red[-1] if i > 1 else F1)
+        G_red.append(high.G[i] - D @ G_red[-1])
+    # F0 is the identity by convention, which makes the order-0 target work.
     cond_F = D @ (F_red[-1] if F_red else np.eye(p)) - high.F[n_hat - 1]
     cond_G = D @ G_red[-1] - high.G[n_hat]
     return F_red, G_red, cond_F, cond_G
 
 
-def _condition_residual(high: IOModel, F1: np.ndarray, scale: float) -> float:
-    """Defect of the reduction conditions at ``F1``, relative to ``scale =
-    1 + ||high.theta||_F``, which a search computes once for all witnesses."""
-    _, _, cond_F, cond_G = _reduction_chain(high, F1)
-    return _frobenius(np.hstack([cond_F, cond_G])) / scale
+def _witness_chain(high: IOModel, F1: np.ndarray, scale: float):
+    """From one chain over stacked witnesses ``F1`` (W, p, p): each one's
+    condition defect relative to ``scale = 1 + ||theta||_F``, and a builder
+    of witness i's reduced model."""
+    F_red, G_red, cond_F, cond_G = _reduction_chain(high, F1)
+    residuals = [_frobenius(c) / scale for c in np.concatenate([cond_F, cond_G], axis=2)]
 
+    def reduced(i: int) -> IOModel:
+        return IOModel(n=high.n - 1, p=high.p, m=high.m,
+                       F=[f[i] for f in F_red], G=[G_red[0]] + [g[i] for g in G_red[1:]])
 
-def _build_reduced(high: IOModel, F1: np.ndarray) -> IOModel:
-    F_red, G_red, _, _ = _reduction_chain(high, F1)
-    return IOModel(n=high.n - 1, p=high.p, m=high.m, F=F_red, G=G_red)
+    return residuals, reduced
 
 
 def _polish(high: IOModel, F1: np.ndarray) -> np.ndarray:
-    """``F1`` after one Gauss-Newton step on the reduction conditions.  The
-    chain is polynomial in ``F1``, so a complex step gives its Jacobian
-    exactly, one batched chain for all ``p * p`` directions."""
-    p = high.p
-    h = 1e-20
-    _, _, cond_F, cond_G = _reduction_chain(high, F1 + 1j * h * np.eye(p * p).reshape(-1, p, p))
-    res = np.concatenate([cond_F.reshape(p * p, -1), cond_G.reshape(p * p, -1)], axis=1)
+    """Stacked witnesses ``F1`` (w, p, p) after one Gauss-Newton step each on
+    the reduction conditions.  The chain is polynomial in ``F1``, so a complex
+    step gives its Jacobian exactly: one chain over (w, p * p, p, p)."""
+    w, p, h = len(F1), high.p, 1e-20
+    directions = 1j * h * np.eye(p * p).reshape(-1, p, p)
+    _, _, cond_F, cond_G = _reduction_chain(high, F1[:, None] + directions)
+    res = np.concatenate([cond_F.reshape(w, p * p, -1), cond_G.reshape(w, p * p, -1)], axis=2)
     if not np.isfinite(res).all():
         raise _overflow("a witness's condition residual")
-    step = np.linalg.lstsq(res.imag.T / h, res[0].real, rcond=None)[0]
-    return F1 - step.reshape(p, p)
+    steps = [np.linalg.lstsq(r.imag.T / h, r[0].real, rcond=None)[0] for r in res]
+    return F1 - np.reshape(steps, F1.shape)
 
 
 def _uncontrollable_subspace(high: IOModel, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +267,8 @@ def _uncontrollable_subspace(high: IOModel, tol: float) -> tuple[np.ndarray, np.
         raise _overflow("the companion's input block")
     # ||C x||_2 <= ||[C Gc]||_2 for a unit x: a finite norm keeps the Krylov
     # blocks, Z C Z^T and its eigenvalues finite
-    floor = _RANK_PER_TOL * max(tol, DEFAULT_TOL) * np.linalg.norm(np.hstack([C, Gc]), 2)
+    top = np.linalg.svd(np.hstack([C, Gc]), compute_uv=False)[0]  # the 2-norm
+    floor = _RANK_PER_TOL * max(tol, DEFAULT_TOL) * top
     if not math.isfinite(floor):
         raise _overflow("the companion's norm")
     basis = np.zeros((p * N, 0))
@@ -297,13 +298,14 @@ def _candidate_witnesses(high: IOModel, tol: float):
     a real eigenvalue twice.
 
     Failure proves irreducibility when ``Z`` is too small to hold a solvent,
-    and for ``p = 1``, where every real eigenvalue of ``Z C Z^T`` is tried.
+    and for ``p = 1``, where every real eigenvalue of ``Z C Z^T`` is tried,
+    if they are resolved (the third value; see :data:`_EIG_ROUNDING`).
     """
     p = high.p
     C, Z = _uncontrollable_subspace(high, tol)
     r = Z.shape[0]
     near_real = np.sqrt(max(tol, DEFAULT_TOL))
-    witnesses = [high.F[0]]
+    witnesses, raw = [high.F[0]], []
     units = []  # (eigenvalues, real factor of Lam)
     if r >= p:
         Lam = Z @ C @ Z.T
@@ -335,29 +337,32 @@ def _candidate_witnesses(high: IOModel, tol: float):
                 X = np.linalg.solve(V[:, :p], (V @ C)[:, :p])
             except np.linalg.LinAlgError:
                 continue
-            # at a repeated root the Jacobian is singular and the step wild
-            witnesses += [high.F[0] + X, _polish(high, high.F[0] + X)]
-
-    return witnesses, r < p or (p == 1 and len(units) <= _MAX_CHOICES)
+            raw.append(high.F[0] + X)
+    if raw:
+        # at a repeated root the Jacobian is singular and the step wild
+        witnesses += itertools.chain(*zip(raw, _polish(high, np.array(raw))))
+    resolved = r < p or _EIG_ROUNDING * _frobenius(C) <= max(tol, DEFAULT_TOL)
+    return np.array(witnesses), r < p or (p == 1 and len(units) <= _MAX_CHOICES), resolved
 
 
 def reduce_once(model: IOModel, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Search for an equivalent model of order n-1.
 
-    Every witness of :func:`_candidate_witnesses` is tried; one must pass
-    the condition residual and then :func:`is_equivalent` on the model it
-    builds.  A search whose companion, eigenvalue factors or condition
-    residuals overflow raises :class:`NumericalError`, and so does a failed
-    search that would claim a proof while the lift re-check of its best
-    witness overflows: a proof must rest on numbers that could have
-    confirmed a reduction.
+    One chain over every witness of :func:`_candidate_witnesses` gives their
+    condition residuals and reduced models; one witness must pass the
+    residual and then :func:`is_equivalent` on its model.  A search whose
+    companion, eigenvalue factors or condition residuals overflow raises
+    :class:`NumericalError`, and so does a failed search that would claim a
+    proof while the lift re-check of its best witness overflows: a proof
+    must rest on numbers that could have confirmed a reduction, and on
+    eigenvalues resolved well below ``tol``.
     """
     if model.n < 1:
         raise ValidationError("cannot reduce a model of order 0")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise
-        witnesses, proven = _candidate_witnesses(model, tol)
+        witnesses, proven, resolved = _candidate_witnesses(model, tol)
         scale = 1.0 + _frobenius(model.theta)
-        residuals = [_condition_residual(model, F1, scale) for F1 in witnesses]
+        residuals, reduced = _witness_chain(model, witnesses, scale)
     if not all(map(math.isfinite, residuals)):
         raise _overflow("a witness's condition residual")
     # the smallest residual first: of several exact witnesses, the best
@@ -366,10 +371,10 @@ def reduce_once(model: IOModel, tol: float = DEFAULT_TOL) -> ReductionResult:
     for i in order:
         if not residuals[i] <= tol:
             break
-        reduced = _build_reduced(model, witnesses[i])
+        candidate = reduced(i)
         # the lift identity re-checks what the conditions accepted
-        if is_equivalent(model, reduced, tol=max(tol, 1e-7)):
-            return ReductionResult(True, reduced, witnesses[i], residuals[i], True)
+        if is_equivalent(model, candidate, tol=max(tol, 1e-7)):
+            return ReductionResult(True, candidate, witnesses[i], residuals[i], True)
     # a witness within tol that the re-check refused proves nothing
     best = residuals[order[0]]
     proven = proven and not best <= tol
@@ -377,8 +382,8 @@ def reduce_once(model: IOModel, tol: float = DEFAULT_TOL) -> ReductionResult:
         # a failure proves nothing when the lift re-check of the best witness,
         # the only way to confirm a reduction, overflows: lift_residual then
         # raises.  It is run only where products of the model's blocks can.
-        lift_residual(model.theta, _build_reduced(model, witnesses[order[0]]), model.n)
-    return ReductionResult(False, None, None, best, proven)
+        lift_residual(model.theta, reduced(order[0]), model.n)
+    return ReductionResult(False, None, None, best, proven and resolved)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,27 +41,36 @@ def _as_blocks(blocks, count: int, shape: tuple[int, int], what: str) -> tuple[n
         raise ValidationError(
             f"{what} must be a list of {count} blocks, got {type(blocks).__name__}"
         )
-    out = []
-    for i, b in enumerate(blocks):
-        try:
-            arr = np.atleast_2d(np.asarray(b, dtype=float))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{what}[{i}] is not a numeric matrix ({exc})") from exc
-        if arr.shape != shape:
-            raise ValidationError(f"{what}[{i}] has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{what}[{i}] has non-finite coefficients")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        out.append(arr)
-    if len(out) != count:
-        raise ValidationError(f"expected {count} {what} blocks, got {len(out)}")
-    return tuple(out)
+    try:  # one stacked check; only a list it refuses is read block by block
+        stack = np.array(blocks, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stack = np.empty(0)
+    if stack.shape != (count, *shape) or not np.isfinite(stack).all():
+        out = []
+        for i, b in enumerate(blocks):
+            try:
+                arr = np.atleast_2d(np.asarray(b, dtype=float))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{what}[{i}] is not a numeric matrix ({exc})") from exc
+            if arr.shape != shape:
+                raise ValidationError(f"{what}[{i}] has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{what}[{i}] has non-finite coefficients")
+            out.append(arr)
+        if len(out) != count:
+            raise ValidationError(f"expected {count} {what} blocks, got {len(out)}")
+        stack = np.array(out).reshape(count, *shape)
+    stack.setflags(write=False)
+    return tuple(stack)
 
 
 @dataclass(frozen=True, eq=False)
 class IOModel:
     """Immutable coefficient container for one input/output model.
+
+    Each coefficient list is checked as one stacked copy whose read-only views
+    are the blocks; a list it refuses (ragged, non-numeric, non-finite, of the
+    wrong count, or ``p = 1`` rows or numbers) is read block by block instead.
 
     Attributes
     ----------
@@ -222,7 +231,8 @@ def _transition_blocks(model: IOModel, offsets) -> list[tuple[np.ndarray, np.nda
     Block row t of ``R`` is ``[a_t .. a_{t-n}] = [I 0 .. 0] A^t`` for the
     observer-form companion ``A`` (``-F1 .. -Fn`` down its first block
     column, identities above the diagonal, one zero block of padding), so
-    ``[R; R A^L]`` doubles the rows held in O(log j) products.  With ``T``
+    ``[R; R A^L]`` doubles the rows held in O(log j) products, each written
+    in place into the next rows of ``R``, allocated once.  With ``T``
     stacking ``[F_{d+1} .. Fn 0 .. | G_d .. Gn 0 ..]`` for d = 0..n,
     ``R_t T = [Ft | h_t tail_t]``: ``h_t = sum_i a_{t-i} Gi`` is the t-th
     Markov block and ``tail_t`` the last n input blocks of ``Gt``, so
@@ -236,11 +246,13 @@ def _transition_blocks(model: IOModel, offsets) -> list[tuple[np.ndarray, np.nda
     count, pn, size = max(offsets) + 1, p * n, p * (n + 1)
     step = np.eye(size, k=p)
     step[:pn, :p] = -np.array(model.F).reshape(pn, p)
-    R = np.eye(p, size)
-    while len(R) < count * p:
-        if len(R) > p:
+    R, held = np.eye(count * p, size), p  # rows past the first p are overwritten
+    while held < count * p:
+        if held > p:
             step = step @ step
-        R = np.vstack([R, R[: count * p - len(R)] @ step])
+        grow = min(held, count * p - held)
+        np.matmul(R[:grow], step, out=R[held:held + grow])
+        held += grow
     theta = model.theta
     T = np.zeros((size, theta.shape[1]))
     for d in range(n + 1):

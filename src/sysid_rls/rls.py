@@ -96,9 +96,12 @@ def regressor_matrix(traj: Trajectory, order: int, ks=None) -> tuple[np.ndarray,
     idx = ks - traj.k0
     if idx.min() < order or idx.max() >= len(traj):
         raise ValidationError("requested indices fall outside the fully-windowed range")
-    cols = [-traj.y[idx - lag] for lag in range(1, order + 1)]
-    cols += [traj.u[idx - lag] for lag in range(0, order + 1)]
-    Phi = np.hstack(cols)
+    p, m = traj.p, traj.m
+    Phi = np.empty((idx.size, p * order + m * (order + 1)))  # filled in place, lag by lag
+    for lag in range(1, order + 1):
+        np.negative(traj.y[idx - lag], out=Phi[:, p * (lag - 1):p * lag])
+    for lag in range(order + 1):
+        Phi[:, p * order + m * lag:p * order + m * (lag + 1)] = traj.u[idx - lag]
     if not np.all(np.isfinite(Phi)):
         raise _missing_window_value(traj, idx, order)
     Y = traj.y[idx]

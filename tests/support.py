@@ -273,3 +273,29 @@ def reference_transition_prefix(model: IOModel, jmax: int) -> list[TransitionPai
             Gj = Gj - model.F[i - 1] @ padded
         pairs.append(TransitionPair(j, Fj, Gj))
     return pairs
+
+
+def vstack_transition_blocks(model: IOModel, offsets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(Fj, Gj)`` for each offset j, by the impulse-response doubling of
+    :func:`sysid_rls.model_core._transition_blocks` with ``R`` grown by
+    ``np.vstack`` at every doubling: the in-place fill must match it bit for
+    bit, since it computes the same products in the same order."""
+    p, m, n = model.p, model.m, model.n
+    count, pn, size = max(offsets) + 1, p * n, p * (n + 1)
+    step = np.eye(size, k=p)
+    step[:pn, :p] = -np.array(model.F).reshape(pn, p)
+    R = np.eye(p, size)
+    while len(R) < count * p:
+        if len(R) > p:
+            step = step @ step
+        R = np.vstack([R, R[: count * p - len(R)] @ step])
+    theta = model.theta
+    T = np.zeros((size, theta.shape[1]))
+    for d in range(n + 1):
+        T[d * p:(d + 1) * p, : pn - d * p] = theta[:, d * p: pn]
+        T[d * p:(d + 1) * p, pn: theta.shape[1] - d * m] = theta[:, pn + d * m:]
+    Z = R @ T
+    markov = Z[:, pn: pn + m].reshape(count, p, m).transpose(1, 0, 2).reshape(p, count * m)
+    return [(Z[j * p:(j + 1) * p, :pn],
+             np.concatenate([markov[:, : j * m], Z[j * p:(j + 1) * p, pn:]], axis=1))
+            for j in offsets]

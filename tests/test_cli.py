@@ -164,6 +164,18 @@ class TestReduceCommand:
         assert rc == 0
         assert "irreducible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("high", [
+        lift_once(lift_once(IOModel.scalar([1e20], [1.0, 1.0]), 0.5), 0.3),
+        lift_once(IOModel.scalar([1e10], [1.0, 1.0]), 0.3),
+    ])
+    def test_unresolved_search_is_no_witness(self, workdir, capsys, high):
+        # the common roots sit below the eigenvalues' resolution eps * ||C||
+        save_model(high, workdir / "big.json")
+        assert main(["reduce", str(workdir / "big.json")]) == 0
+        out = capsys.readouterr().out
+        assert f"no witness found; model kept at order {high.n}" in out
+        assert "irreducible" not in out
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("once", [[], ["--once"]])
     def test_overflowing_search_is_numerical_failure(self, workdir, capsys, once):

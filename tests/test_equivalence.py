@@ -14,7 +14,7 @@ from sysid_rls import (
     transition_pair,
     trivial_embed,
 )
-from sysid_rls.equivalence import _build_reduced, _condition_residual, _lift_and_target
+from sysid_rls.equivalence import _lift_and_target, _witness_chain
 
 from support import (
     consolidate,
@@ -35,8 +35,8 @@ def check_witness(high, F1, tol=1e-8):
     condition residual within ``tol``, then the lift identity on the model
     it builds.  Returns the residual, that model and the verdict."""
     F1 = np.atleast_2d(np.asarray(F1, dtype=float))
-    residual = _condition_residual(high, F1, 1.0 + np.linalg.norm(high.theta))
-    reduced = _build_reduced(high, F1)
+    residuals, reduced = _witness_chain(high, F1[None], 1.0 + np.linalg.norm(high.theta))
+    residual, reduced = residuals[0], reduced(0)
     return residual, reduced, residual <= tol and bool(is_equivalent(high, reduced, max(tol, 1e-7)))
 
 
@@ -243,8 +243,7 @@ class TestReduceOnce:
         assert not result
         grid = np.linspace(-5, 5, 20001)
         scale = 1.0 + np.linalg.norm(model.theta)
-        best = min(_condition_residual(model, np.array([[model.F[0][0, 0] - d]]), scale)
-                   for d in grid)
+        best = min(_witness_chain(model, (model.F[0][0, 0] - grid)[:, None, None], scale)[0])
         assert best > 1e-3
 
     def test_verify_candidate(self):
@@ -357,6 +356,35 @@ class TestHugeCoefficients:
     def test_overflowing_search_is_a_numerical_failure(self, model, message):
         with pytest.raises(NumericalError, match=message):
             reducibility_check(model)
+
+
+class TestUnresolvedEigenvalues:
+    # eps * ||C||_F is 2.9e-8 at s = 1e8 and 2.9e-7 at 1e9: the common roots
+    # 0.5 and 0.3 are then located no better than the tolerance, and a
+    # search that misses them proves nothing
+    @pytest.mark.parametrize("s,order", [(1e9, 2), (1e10, 2), (1e12, 2),
+                                         (1e20, 3), (1e100, 3), (1e150, 3)])
+    @pytest.mark.filterwarnings("error")
+    def test_failed_search_below_resolution_is_not_proven(self, s, order):
+        high = lift_once(lift_once(IOModel.scalar([s], [1.0, 1.0]), 0.5), 0.3)
+        report = reducibility_check(high)
+        assert report.irreducible_model.n == order and not report.proven
+
+    @pytest.mark.parametrize("g", [1.0, 1e6, 1e8])
+    def test_input_scale_leaves_the_eigenvalues_resolved(self, g):
+        # the eigenvalues are those of the companion of A(z) alone: a large
+        # input gain must not cost an irreducible model its proof
+        model = IOModel.scalar([0.5, 0.2], [g, 2.0 * g, 3.0 * g])
+        for high in (model, lift_once(model, 0.3)):
+            report = reducibility_check(high)
+            assert report.irreducible_model.n == 2 and report.proven
+
+    @pytest.mark.parametrize("s", [1e2, 1e8])
+    def test_resolved_lifts_still_reduce_and_prove(self, s):
+        base = IOModel.scalar([s], [1.0, 1.0])
+        report = reducibility_check(lift_once(lift_once(base, 0.5), 0.3))
+        assert report.irreducible_model.n == 1 and report.proven
+        assert is_equivalent(base, report.irreducible_model)
 
 
 class TestReducibilityCheck:

@@ -22,6 +22,7 @@ from support import (
     stacked_F,
     stacked_G,
     verify_trajectory,
+    vstack_transition_blocks,
 )
 
 
@@ -54,6 +55,63 @@ class TestIOModel:
         m = IOModel(n=0, p=2, m=1, F=[], G=[np.ones((2, 1))])
         assert m.theta.shape == (2, 1)
         assert m.companion_spectral_radius() == 0.0
+
+    # every list the stacked conversion refuses is read block by block, and
+    # the message names the block at fault as before
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n=2, p=2, m=1, F=[np.eye(2), [[1.0, 2.0], [3.0]]], G=[np.ones((2, 1))] * 3),
+         "F[1] is not a numeric matrix (setting an array element with a sequence."),
+        (dict(n=2, p=2, m=1, F=[np.eye(2), np.eye(3)], G=[np.ones((2, 1))] * 3),
+         "F[1] has shape (3, 3), expected (2, 2)"),
+        (dict(n=1, p=2, m=1, F=[np.eye(3)], G=[np.ones((2, 1))] * 2),
+         "F[0] has shape (3, 3), expected (2, 2)"),
+        (dict(n=1, p=2, m=1, F=[[[1.0, np.nan], [0.0, 1.0]]], G=[np.ones((2, 1))] * 2),
+         "F[0] has non-finite coefficients"),
+        (dict(n=1, p=1, m=1, F=[[[0.5]]], G=[[[1.0]], [[np.inf]]]),
+         "G[1] has non-finite coefficients"),
+        (dict(n=1, p=1, m=1, F=[None], G=[[[1.0]], [[1.0]]]),
+         "F[0] has non-finite coefficients"),
+        (dict(n=1, p=1, m=1, F=[[["x"]]], G=[[[1.0]], [[1.0]]]),
+         "F[0] is not a numeric matrix (could not convert string to float: 'x')"),
+        (dict(n=1, p=1, m=1, F=[[[1j]]], G=[[[1.0]], [[1.0]]]),
+         "F[0] is not a numeric matrix (float() argument must be a string or a real "
+         "number, not 'complex')"),
+        (dict(n=1, p=1, m=1, F=[0.5 + 1j], G=[1.0, 1.0]),
+         "F[0] is not a numeric matrix (float() argument must be a string or a real "
+         "number, not 'complex')"),
+        (dict(n=1, p=1, m=1, F=[[[10 ** 400]]], G=[[[1.0]], [[1.0]]]),
+         "F[0] is not a numeric matrix (int too large to convert to float)"),
+        (dict(n=2, p=1, m=1, F=[[[0.5]]], G=[[[1.0]]] * 3), "expected 2 F blocks, got 1"),
+        (dict(n=1, p=1, m=1, F=[[[0.5]]], G=[[[1.0]]] * 3), "expected 2 G blocks, got 3"),
+        (dict(n=1, p=1, m=1, F="0.5", G=[[[1.0]]] * 2), "F must be a list of 1 blocks, got str"),
+    ])
+    def test_refused_block_is_named(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            IOModel(**kwargs)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("F,G", [
+        ([0.5, -0.25], [1.0, 2.0, 3.0]),
+        ([[0.5], [-0.25]], [[1.0], [2.0], [3.0]]),
+        ((c for c in [0.5, -0.25]), iter([[[1.0]], [[2.0]], [[3.0]]])),
+        (np.array([[[0.5]], [[-0.25]]]), [np.array([[1.0]]), [[2.0]], 3.0]),
+    ])
+    def test_scalar_shorthand_is_accepted(self, F, G):
+        m = IOModel(n=2, p=1, m=1, F=F, G=G)
+        np.testing.assert_array_equal(m.theta, [[0.5, -0.25, 1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("shorthand", [False, True])
+    def test_blocks_are_private_read_only_copies(self, shorthand):
+        F = [np.array([[0.5]]), np.array([[-0.25]])]
+        G = [np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]])]
+        m = IOModel(n=2, p=1, m=1, F=[f[0] if shorthand else f for f in F], G=G)
+        for f in F + G:
+            f += 7.0
+        np.testing.assert_array_equal(m.theta, [[0.5, -0.25, 1.0, 2.0, 3.0]])
+        for block in m.F + m.G:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 2.0
 
 
 class TestSimulate:
@@ -212,6 +270,20 @@ class TestTransitionPair:
             results = list(pool.map(lambda j: transition_pair(m, 40).Fj, range(32)))
         for got in results:
             np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_in_place_doubling_matches_vstack_oracle(n, p):
+    # the impulse response filled in place is the vstack-grown one bit for
+    # bit, for each count of rows held at the last doubling
+    model = random_stable_model(np.random.default_rng([n, p, 3]), n, p, p)
+    powers = {2 ** k + d for k in range(10) for d in (-1, 0, 1)}
+    for offsets in [[j] for j in range(601)] + [list(range(601)), sorted(powers)]:
+        got = model_core._transition_blocks(model, offsets)
+        for (Fj, Gj), (ref_F, ref_G) in zip(got, vstack_transition_blocks(model, offsets)):
+            assert Fj.shape == ref_F.shape and Gj.shape == ref_G.shape, offsets
+            assert np.array_equal(Fj, ref_F) and np.array_equal(Gj, ref_G), offsets
 
 
 def _rel_err(got, ref):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,6 +70,22 @@ class TestBuildRegressor:
             phi, y = reference_regressor(traj, int(k), 3)
             np.testing.assert_array_equal(Phi[i], phi)
             np.testing.assert_array_equal(Y[i], y)
+
+
+    def test_peak_memory_is_about_the_matrix_itself(self):
+        # the regressor block is filled in place: no per-lag column arrays
+        # are held next to it (they doubled the peak)
+        rng = np.random.default_rng(1)
+        traj = Trajectory(k0=0, u=rng.standard_normal((20_003, 2)),
+                          y=rng.standard_normal((20_003, 2)))
+        tracemalloc.start()
+        try:
+            Phi, _, _ = regressor_matrix(traj, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Phi.shape == (20_000, 14)
+        assert peak < 1.5 * Phi.nbytes, peak / Phi.nbytes
 
 
 class TestResidualAndCost:
