@@ -4,15 +4,22 @@ Every JSON file is read by :func:`read_json` and written by
 :func:`write_json`; a trajectory CSV is read by :func:`load_trajectory`, and
 every CSV the package writes goes through :func:`write_csv_groups`, which
 takes its rows as a stream of column groups (:func:`write_csv` is its
-one-group case).  Numbers in CSV files use Python's shortest round-trip
-decimal representation so reruns with identical seeds produce byte-identical
-files.
+one-group case).  A number in a CSV file has the text ``repr`` gives a
+float (the shortest round-trip decimal) or ``str`` an integer, so reruns
+with identical seeds produce byte-identical files.  The writer finds those
+digits for a whole block of cells at once with array arithmetic
+(:func:`_float_cells`, :func:`_int_cells`) and gathers the bytes of each
+step's rows in one pass (:func:`_format_rows`); ``repr`` / ``str`` write
+only the cells whose digits it cannot certify.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import io
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -168,23 +175,260 @@ def load_trajectory(path) -> Trajectory:
     return Trajectory(k0=k0, u=us, y=ys)
 
 
-# Rows formatted and written per block by write_csv: enough that the per-block
-# numpy and join calls cost little per row, few enough that one block's
-# strings stay far below a megabyte (a 2e4-row trace peaks 0.4 MB above a
-# row-at-a-time writer at 1024 rows, 1.8 MB at 2048).
+# Rows per group of the streamed ``fit`` trace (see ``cli``).
 CSV_CHUNK_ROWS = 1024
 
+# Cells formatted per step of write_csv_groups: enough that the step's
+# hundred or so numpy calls cost little per cell, few enough that its arrays
+# stay small for any table width (the byte gather's index alone takes 8
+# bytes per output byte).  Writing a 20,000 x 32 block peaks 1.7 MB above
+# its input under tracemalloc; one step per 1024 rows would peak at 13 MB.
+_STEP_CELLS = 4096
 
-def _format_block(block: np.ndarray) -> list[str]:
-    """Cell text of a (rows, width) block, one comma-joined string per row.
+# A cell's digits are certified only when every rounding decision they rest
+# on lies at least this far, in units of the last place of the 17-18 digit
+# scaled value V, from where it would flip; V and its interval are computed
+# with an error under 1e-13 in the same units.
+_MARGIN = 1e-9
 
-    Integer columns go through ``str``, everything else through ``repr`` of a
-    Python float, the shortest string that round-trips to the same float.
+# Decimal scale q = 16 - floor((e - 1) log10 2) over the binary exponents e
+# (|x| = f 2**e, 0.5 <= f < 1) of the floats the digit path takes:
+# 2**-1021 <= |x| <= max.
+_Q_MIN, _Q_MAX = -291, 324
+
+# Byte columns of a cell's 32-byte alphabet: 20 digits (a float's 18-digit
+# M, an integer's value, right-aligned), the 4 digits of its decimal
+# exponent, the literals "-.e+0", a zero pad byte and the cell's separator.
+_MINUS, _DOT, _E, _PLUS, _ZERO, _PAD, _SEP = range(24, 31)
+_TEXT = 24  # longest cell text: "-1.2345678901234567e-308"
+
+# A layout is (form, sign, digit count nd), numbered ((form * 2 + neg) * 17
+# + nd - 1).  Forms 0..19 are positional with decpt = form - 3; 20..23
+# exponential with exponent sign and width (e+dd, e+ddd, e-dd, e-ddd); 24 an
+# integer.
+_INT_FORM = 24
+_LAYOUTS = 25 * 2 * 17
+
+
+def _layout_pattern(layout: int) -> list[int]:
+    """Alphabet bytes spelling a cell of ``layout`` as ``repr`` (float forms)
+    or ``str`` (integer form) does, padded to the longest text, then the
+    separator."""
+    nd, neg, form = layout % 17 + 1, layout // 17 % 2, layout // 34
+    digits = list(range(2, 2 + nd))  # a float's digits lead its 18-digit M
+    if form == _INT_FORM:
+        body = list(range(20 - nd, 20))
+    elif form >= 20:
+        exp_neg, wide = divmod(form - 20, 2)
+        body = (digits[:1] + ([_DOT] + digits[1:] if nd > 1 else [])
+                + [_E, _MINUS if exp_neg else _PLUS] + [21, 22, 23][1 - wide:])
+    else:
+        decpt = form - 3
+        if decpt <= 0:
+            body = [_ZERO, _DOT] + [_ZERO] * -decpt + digits
+        elif decpt < nd:
+            body = digits[:decpt] + [_DOT] + digits[decpt:]
+        else:
+            body = digits + [_ZERO] * (decpt - nd) + [_DOT, _ZERO]
+    text = [_MINUS] * neg + body
+    return text + [_PAD] * (_TEXT - len(text)) + [_SEP]
+
+
+def _pow5_parts(q: int) -> tuple[float, float, float, float]:
+    """``5**q`` as a double-double ``hi + lo`` (each correctly rounded), and
+    ``hi`` split in halves of at most 26 bits for Dekker's product."""
+    num, den = (5 ** q, 1) if q >= 0 else (1, 5 ** -q)
+    hi = num / den
+    hn, hd = hi.as_integer_ratio()
+    lo = (num * hd - hn * den) / (den * hd)
+    s = hi * 134217729.0
+    big = s - (s - hi)
+    return hi, lo, big, hi - big
+
+
+class _DigitTables:
+    """The block formatter's tables.  Each power of five and each layout
+    pattern is built the first time a step needs it, so a small file pays
+    only for the few it uses, and nothing is built at import."""
+
+    def __init__(self):
+        digit = np.frombuffer(b"0123456789", np.uint8)
+        quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+        for place in range(4):
+            quads[..., place] = digit.reshape([-1 if i == place else 1 for i in range(4)])
+        self.quads = quads.view(np.uint32).ravel()
+        self.pow10 = 10 ** np.arange(18, dtype=np.int64)
+        # layout of a float cell with nd = 1, positive, by its decpt - 1
+        # in -308..308
+        exp10 = np.arange(-308, 309)
+        form = np.where((exp10 > -5) & (exp10 < 16), exp10 + 4,
+                        20 + 2 * (exp10 < 0) + (np.abs(exp10) >= 100))
+        self.layout_base = 34 * form
+        # alphabet words 6 and 7: "-.e+", then "0", the pad byte and the
+        # separator, "," or (in a row's last cell) "\n"
+        self.literals = np.frombuffer(b"-.e+0\0,\x000\0\n\0", np.uint32)
+        self._pow5 = [np.empty(_Q_MAX - _Q_MIN + 1) for _ in range(4)]
+        self._have_pow5 = np.zeros(_Q_MAX - _Q_MIN + 1, bool)
+        self._patterns = np.empty((_LAYOUTS, _TEXT + 1), np.intp)
+        self._have_pattern = np.zeros(_LAYOUTS, bool)
+
+    def pow5(self, q: np.ndarray) -> list[np.ndarray]:
+        """(hi, lo, hi's high half, hi's low half) of ``5**q``, each shaped
+        like ``q``."""
+        rows = q - _Q_MIN
+        missing = ~self._have_pow5[rows]
+        if missing.any():
+            for r in set(rows[missing].tolist()):
+                for part, value in zip(self._pow5, _pow5_parts(r + _Q_MIN)):
+                    part[r] = value
+                self._have_pow5[r] = True
+        return [np.take(part, rows) for part in self._pow5]
+
+    def patterns(self, layout: np.ndarray) -> np.ndarray:
+        """The byte pattern of each cell's layout, one row per cell."""
+        missing = ~self._have_pattern[layout]
+        if missing.any():
+            for i in set(layout[missing].tolist()):
+                self._patterns[i] = _layout_pattern(i)
+                self._have_pattern[i] = True
+        return np.take(self._patterns, layout, axis=0)
+
+
+@functools.cache
+def _digit_tables() -> _DigitTables:
+    return _DigitTables()
+
+
+def _float_cells(x: np.ndarray, t: _DigitTables):
+    """Shortest round-trip digits of a float block, as ``repr`` chooses them.
+
+    The reals that round to ``a = |x|`` form an interval around it; scaled by
+    ``10**q``, ``a`` becomes ``V`` with 17 or 18 integer digits and the
+    interval ``[L, U]``, all three formed in double-double arithmetic.  The
+    shortest decimals in the interval are the multiples of the largest
+    ``10**j`` between ``lo = floor(L) + 1`` and ``hi = floor(U)``; ``repr``
+    takes the one nearest ``V``, ``M = c 10**j``.  Returns per cell ``M``
+    scaled to 18 digits (so ``c`` is its leading digits), the decimal
+    exponent's magnitude ``|decpt - 1|``, the layout, and whether the cell
+    is not certified: zero, subnormal or not finite, or with ``U``, ``L`` or
+    the rounding of ``V / 10**j`` within :data:`_MARGIN` of an integer or a
+    tie.
     """
-    fmt = str if block.dtype.kind in "iu" else repr
-    if block.shape[1] == 1:
-        return list(map(fmt, block[:, 0].tolist()))
-    return [",".join(map(fmt, row)) for row in block.tolist()]
+    a = np.abs(x).ravel()
+    bad = ~((a >= 2.0 ** -1021) & (a < np.inf))  # nan compares false
+    a[bad] = 1.0
+    bits = a.view(np.int64)
+    e = (bits >> 52) - 1022
+    k10 = ((e - 1) * 78913) >> 18  # floor((e - 1) log10 2): 78913 / 2**18 ~ log10 2
+    q = 16 - k10
+    hi, lo, hi_big, hi_small = t.pow5(q)
+    # V = p + tail: Dekker's exact product of a 2**q by hi, plus a 2**q lo;
+    # p >= 2**53 is an integer and |tail| <= 16
+    x1 = (bits + (q << 52)).view(np.float64)
+    p = x1 * hi
+    s = x1 * 134217729.0
+    x_big = s - (s - x1)
+    x_small = x1 - x_big
+    tail = x_big * hi_big - p + x_big * hi_small + x_small * hi_big + x_small * hi_small
+    tail += x1 * lo
+    # U - p and L - p: V plus and minus half the gap to the next float,
+    # 2**(e - 54) 10**q (at most 23), which below an exact power of two
+    # halves
+    half_gap = (hi.view(np.int64) + ((e - 54 + q) << 52)).view(np.float64)
+    ends = np.empty((2, a.size))
+    np.add(tail, half_gap, out=ends[0])
+    half_gap[(bits & (2 ** 52 - 1)) == 0] *= 0.5
+    np.subtract(tail, half_gap, out=ends[1])
+    floors = np.floor(ends)
+    bad |= (np.abs(ends - floors - 0.5) > 0.5 - _MARGIN).any(axis=0)
+    floor_up, floor_down = floors
+    width = floor_up - floor_down - 1  # hi - lo, below 46
+    over = floor_up - tail  # hi - V
+    hi_int = p.astype(np.int64) + floor_up.astype(np.int64)
+    # [lo, hi] holds fewer than 100 integers, so a multiple of 10**j with
+    # j >= 2 lies in it only when hi mod 100 <= hi - lo and hi // 100 ends
+    # in j - 2 zeros; hi - r is the largest such multiple
+    h = hi_int // 100
+    last2 = hi_int - 100 * h
+    last = last2 - last2 // 10 * 10
+    j = (last <= width).astype(np.int64)
+    r = np.where(j == 1, last, 0)
+    wide = np.flatnonzero(last2 <= width)
+    if wide.size:
+        h, zeros = h[wide], np.full(wide.size, 2)
+        for places in (8, 4, 2, 1):
+            quo = h // 10 ** places
+            ends_in_zeros = quo * 10 ** places == h
+            np.copyto(h, quo, where=ends_in_zeros)
+            zeros += places * ends_in_zeros
+        j[wide], r[wide] = zeros, last2[wide]
+    # M = hi - r - k 10**j, k steps from hi - r down towards V, at most to lo
+    step = np.take(t.pow10, j).astype(np.float64)
+    k = (over - r) / step
+    bad |= np.abs(k - np.floor(k) - 0.5) < _MARGIN
+    np.clip(np.rint(k), 0, np.floor((width - r) / step), out=k)
+    m = hi_int - (r + k * step).astype(np.int64)
+    big = m >= 10 ** 17  # M has 18 digits, else 17 (it lies within 46 of hi)
+    m *= 10 - 9 * big
+    k10 += big  # decpt - 1
+    # nd - 1 = 16 - j + big: M ends in exactly j zeros
+    layout = np.take(t.layout_base, k10 + 308) + 17 * np.signbit(x).ravel() + (16 - j + big)
+    return tuple(v.reshape(x.shape) for v in (m, np.abs(k10), layout, bad))
+
+
+def _int_cells(v: np.ndarray, t: _DigitTables):
+    """Digits of an integer block as ``str`` writes them; cells of 18 or more
+    digits are not certified."""
+    bad = v >= 10 ** 17
+    if v.dtype.kind == "i":
+        bad |= v <= -10 ** 17
+    c = np.where(bad, 0, v).astype(np.int64)
+    neg = c < 0
+    np.abs(c, out=c)
+    nd = np.searchsorted(t.pow10[1:], c, side="right") + 1
+    return c, np.zeros_like(c), (_INT_FORM * 2 + neg) * 17 + nd - 1, bad
+
+
+def _format_rows(blocks: list[np.ndarray]) -> bytes:
+    """CSV text of one step's rows, the cells of ``blocks`` side by side.
+
+    Each cell's text is gathered by its layout's pattern from its alphabet
+    (digits, exponent digits, literals and separator); pad bytes are
+    dropped.  A cell the digit path does not certify is written with
+    ``repr`` (float) or ``str`` (integer) instead.
+    """
+    t = _digit_tables()
+    # adjacent blocks of one kind formatted as one: fewer calls per step
+    blocks = [np.hstack(list(run)) for _, run in itertools.groupby(blocks, lambda b: b.dtype.kind)]
+    cells = [(_int_cells if b.dtype.kind in "iu" else _float_cells)(b, t) for b in blocks]
+    c, exponent, layout, bad = (np.hstack(part).ravel() for part in zip(*cells))
+    rows, n = blocks[0].shape[0], c.size
+    # 20 digits as five 4-digit words, the exponent's word, literals
+    alphabet = np.empty((n, 8), np.uint32)
+    high = c // 10 ** 8
+    low = c - high * 10 ** 8
+    high_4 = high // 10 ** 4
+    low_4 = low // 10 ** 4
+    highest = high_4 // 10 ** 4
+    for col, quad in enumerate((highest, high_4 - highest * 10 ** 4, high - high_4 * 10 ** 4,
+                                low_4, low - low_4 * 10 ** 4, exponent)):
+        alphabet[:, col] = t.quads[quad]
+    alphabet[:, 6], comma, newline = t.literals
+    seps = alphabet.reshape(rows, -1, 8)[:, :, 7]
+    seps[:, :-1] = comma
+    seps[:, -1] = newline
+    index = t.patterns(layout)
+    index += np.arange(0, 32 * n, 32)[:, None]
+    text = np.take(alphabet.view(np.uint8).ravel(), index)
+    if bad.any():
+        width, start = n // rows, 0
+        for block, (*_, bad_block) in zip(blocks, cells):
+            r, col = np.nonzero(bad_block)
+            fmt = str if block.dtype.kind in "iu" else repr
+            strings = np.array([fmt(v) for v in block[r, col].tolist()], dtype=f"S{_TEXT}")
+            text[r * width + start + col, :_TEXT] = strings.view(np.uint8).reshape(-1, _TEXT)
+            start += block.shape[1]
+    return text[text != 0].tobytes()
 
 
 def write_csv(path, header: list[str], columns) -> None:
@@ -198,22 +442,26 @@ def write_csv_groups(path, header: list[str], groups) -> None:
     group's rows after the previous group's.
 
     A group is a list of equal-length columns, each a 1-D array (one cell per
-    row) or a 2-D block whose row gives that many adjacent cells.  Integer
-    arrays are written with ``str``, float arrays with ``repr`` of a Python
-    float, so the bytes match ``csv.writer`` fed the same cells and do not
-    depend on how the rows are split into groups.  Groups are taken one at
-    a time, as they are written, and each is formatted and written in blocks
-    of :data:`CSV_CHUNK_ROWS` rows, so a generator of groups keeps memory
-    bounded by one group for any length.
+    row) or a 2-D block whose row gives that many adjacent cells.  The bytes
+    match ``csv.writer`` fed the same cells, integers through ``str`` and
+    floats through ``repr`` of a Python float, and do not depend on how the
+    rows are split into groups.  Cells are formatted a block at a time with
+    array arithmetic (:func:`_format_rows`), about :data:`_STEP_CELLS` cells
+    per step; ``repr`` / ``str`` write only the cells it cannot certify.
+    Groups are taken one at a time, as they are written, so a generator of
+    groups keeps memory bounded by one group for any length.
     """
-    with open(path, "w", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode("utf-8"))
         for columns in groups:
             blocks = _column_blocks(columns)
-            n_rows = blocks[0].shape[0] if blocks else 0
-            for start in range(0, n_rows, CSV_CHUNK_ROWS):
-                cells = [_format_block(b[start:start + CSV_CHUNK_ROWS]) for b in blocks]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            if not blocks:
+                continue
+            step = max(1, _STEP_CELLS // sum(b.shape[1] for b in blocks))
+            for start in range(0, blocks[0].shape[0], step):
+                fh.write(_format_rows([b[start:start + step] for b in blocks]))
 
 
 def _column_blocks(columns) -> list[np.ndarray]:

@@ -1,9 +1,12 @@
 import csv
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sysid_rls import (
     InputSpec,
@@ -17,6 +20,7 @@ from sysid_rls import (
     run_experiment,
     simulate,
 )
+from sysid_rls import fileio
 from sysid_rls.experiment import config_from_dict
 from sysid_rls.fileio import (
     CSV_CHUNK_ROWS,
@@ -212,6 +216,103 @@ class TestWriteCsv:
         groups = [[np.zeros(2), np.zeros(2)], [np.zeros(3), np.zeros(1)]]
         with pytest.raises(ValidationError, match="different lengths"):
             write_csv_groups(tmp_path / "x.csv", ["a", "b"], groups)
+
+
+def repr_rows(block):
+    """The CSV rows of a 2-D float block through ``repr``, for corpora too
+    large for :func:`csv_writer_reference`'s per-cell checks."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+
+def float_families():
+    """Floats at every digit count, exponent and layout edge ``repr`` has."""
+    p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    p10 = 10.0 ** np.arange(-323, 309)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                      2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-4, 1e-5,
+                      1e100, 1e-100, 9999999999999998.0, 1e15 + 0.5, 0.1, 0.3, 2.0 / 3.0,
+                      123456789012345680.0, 1e22, 1e23, 5e-5, 9.999999999999999e-05])
+    rng = np.random.default_rng(20)
+    return np.concatenate([
+        edges, -edges,
+        p2, np.nextafter(p2, 0), np.nextafter(p2, np.inf),
+        p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf), -p10,
+        (np.arange(1, 400)[:, None] * 10.0 ** np.arange(-25, 25)).ravel(),
+        np.arange(-4000, 4000) / 8.0,
+        rng.standard_normal(20000) * 10.0 ** rng.uniform(-25, 25, 20000),
+        rng.uniform(size=5000),
+    ])
+
+
+class TestCsvDigits:
+    """The block formatter's bytes against ``repr`` / ``str`` of every cell."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.floats(width=64),
+                              st.integers(-2 ** 63, 2 ** 63 - 1),
+                              st.integers(-2 ** 31, 2 ** 31 - 1)), min_size=1, max_size=40))
+    def test_any_float_and_integer_cells(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            floats, big, small = zip(*rows)
+            write_csv(got, ["x", "i", "j"], [np.array(floats), np.array(big, dtype=np.int64),
+                                             np.array(small, dtype=np.int32)])
+            csv_writer_reference(want, ["x", "i", "j"], rows)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(19).integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+        block = bits.view(np.float64).reshape(-1, 8)
+        write_csv(tmp_path / "got.csv", ["x"] * 8, [block])
+        want = b"x,x,x,x,x,x,x,x\n" + repr_rows(block)
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    def test_families(self, tmp_path):
+        values = float_families()
+        ints = np.concatenate([np.arange(-1000, 1000), [0, 9, 10, 99, 100, 10 ** 16,
+                                                        10 ** 17 - 1, 10 ** 17, -10 ** 17 + 1,
+                                                        -10 ** 17, 2 ** 63 - 1, -2 ** 63]])
+        ints = np.resize(ints, values.size)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_csv(got, ["i", "x"], [ints, values])
+        csv_writer_reference(want, ["i", "x"], zip(ints.tolist(), values.tolist()))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("width", [1, 4, 32])
+    def test_bytes_do_not_depend_on_the_step(self, tmp_path, width):
+        # rows just short of, at and past one and two steps of the writer
+        step = max(1, fileio._STEP_CELLS // width)
+        rng = np.random.default_rng(width)
+        for rows in (1, step - 1, step, step + 1, 2 * step + 1):
+            block = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-30, 30, (rows, 1))
+            block[rows // 2, 0] = np.nan  # one uncertified cell
+            ks = np.arange(rows) - 3
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_csv(got, ["k"] + ["x"] * width, [ks, block])
+            csv_writer_reference(want, ["k"] + ["x"] * width,
+                                 ([int(k), *row] for k, row in zip(ks, block.tolist())))
+            assert got.read_bytes() == want.read_bytes(), rows
+
+    def test_ordinary_floats_take_the_digit_path(self):
+        # repr writes only what the digit path cannot certify: none of these
+        rng = np.random.default_rng(21)
+        block = np.vstack([rng.uniform(size=(64, 32)), rng.standard_normal((64, 32))])
+        bad = fileio._float_cells(block, fileio._digit_tables())[3]
+        assert not bad.any()
+
+    def test_peak_memory_is_bounded_by_the_step(self, tmp_path):
+        # peaks at 1.66e6 bytes with 4096-cell steps and at 2.53e6 with a
+        # per-cell repr writer of 1024-row blocks; formatting a 1024-row
+        # chunk (32,768 cells) in one step peaks at 13.1e6
+        block = np.random.default_rng(22).standard_normal((20000, 32))
+        write_csv(tmp_path / "warm.csv", ["x"] * 32, [block[:100]])
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["x"] * 32, [block])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20
 
 
 class TestLoadTheta0:
