@@ -3,7 +3,8 @@
 One program, installed under both the ``sysid-rls`` and ``modelcheck``
 names, with subcommands ``fit``, ``excite``, ``equiv``, ``reduce``,
 ``converge``, and ``experiment``.  Exit codes: 0 success, 2 validation
-error or a file that cannot be read or written, 3 numerical failure.
+error or a file that cannot be read or written, 3 numerical failure or an
+array that cannot be allocated.
 ``reduce`` runs the one reduction search of :mod:`sysid_rls.equivalence` and
 says "irreducible" only when that is proven, "no witness found" otherwise.
 """
@@ -25,7 +26,6 @@ from .errors import NumericalError, ValidationError
 from .excitation import estimate_gram_limit, partial_gram_min_eigs
 from .experiment import load_config, run_experiment
 from .fileio import (
-    CSV_CHUNK_ROWS,
     load_model,
     load_theta0,
     load_trajectory,
@@ -37,6 +37,7 @@ from .fileio import (
 from .inputs import generate_input, parse_input_spec
 from .rls import (
     DEFAULT_P0_SCALE,
+    TRACE_CHUNK_ROWS,
     initial_state,
     regressor_dim,
     regressor_matrix,
@@ -101,19 +102,19 @@ def cmd_fit(args) -> int:
         header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
         write_csv_groups(args.emit_trace, header, _trace_groups(state, Phi, Y, ks, target))
         print(f"trace written to {args.emit_trace}")
-    np.set_printoptions(precision=6, suppress=True)
     print(f"final estimate after {Phi.shape[0]} samples (order {order}):")
-    print(final.theta)
+    with np.printoptions(precision=6, suppress=True):
+        print(final.theta)
     return 0
 
 
 def _trace_groups(state, Phi, Y, ks, target):
     """The ``fit`` trace's columns, folded again from ``state`` one
-    :data:`CSV_CHUNK_ROWS` chunk at a time, so no whole-record history is
-    held.  Chunks start at multiples of the fold's block, so the figures
-    equal the whole-record fold's bit for bit."""
-    for start in range(0, len(ks), CSV_CHUNK_ROWS):
-        stop = start + CSV_CHUNK_ROWS
+    :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS` chunk at a time, so no
+    whole-record history is held.  Chunks start at multiples of the fold's
+    block, so the figures equal the whole-record fold's bit for bit."""
+    for start in range(0, len(ks), TRACE_CHUNK_ROWS):
+        stop = start + TRACE_CHUNK_ROWS
         state, record = rls_fold(state, Phi[start:stop], Y[start:stop], keep_history=True)
         thetas = record.theta.reshape(len(record.theta), -1)
         # vecdot takes per row the dot np.linalg.norm takes; a sum over
@@ -162,7 +163,9 @@ def cmd_reduce(args) -> int:
     if args.once:
         step = reduce_once(model, tol=args.tol)
         if not step:
-            print(f"no witness found (best residual {step.residual:.3e}); model kept at order {model.n}")
+            note = ("irreducible" if step.proven
+                    else f"no witness found (best residual {step.residual:.3e})")
+            print(f"{note}; model kept at order {model.n}")
             return 0
         reduced, witnesses = step.reduced, [step.witness]
     else:
@@ -294,6 +297,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

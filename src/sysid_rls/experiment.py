@@ -10,7 +10,7 @@ output-file digests (wall-clock time is recorded but excluded).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -130,13 +130,7 @@ class RunManifest:
     manifest_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "runs": list(self.runs),
-            "wall_clock_s": self.wall_clock_s,
-            "manifest_hash": self.manifest_hash,
-        }
+        return asdict(self)
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:

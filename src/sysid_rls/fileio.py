@@ -175,9 +175,6 @@ def load_trajectory(path) -> Trajectory:
     return Trajectory(k0=k0, u=us, y=ys)
 
 
-# Rows per group of the streamed ``fit`` trace (see ``cli``).
-CSV_CHUNK_ROWS = 1024
-
 # Cells formatted per step of write_csv_groups: enough that the step's
 # hundred or so numpy calls cost little per cell, few enough that its arrays
 # stay small for any table width (the byte gather's index alone takes 8

@@ -159,4 +159,3 @@ def generate_input(spec: InputSpec, horizon: int, m: int) -> np.ndarray:
         if not np.all(np.isfinite(u)):
             raise ValidationError(f"{path}: requested window has missing input cells")
         return u
-    raise ValidationError(f"unknown input kind {spec.kind!r}")

@@ -35,6 +35,9 @@ from .model_core import Trajectory
 DEFAULT_P0_SCALE = 1e3
 # rows per block of rls_fold's innovations form
 _FOLD_BLOCK = 64
+# rows per chunk of the streamed ``fit`` trace: a multiple of the block, so
+# the chunked folds equal one whole-record fold bit for bit
+TRACE_CHUNK_ROWS = 16 * _FOLD_BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,16 +258,17 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
 
     Shapes and finiteness are checked once, by :func:`_check_rows`, before
     any update.  Blocks start at multiples of ``_FOLD_BLOCK``, so a fold
-    split at one equals the unsplit fold bit for bit; the ``fit`` command's
-    trace relies on this, folding again in chunks of a multiple of
-    ``_FOLD_BLOCK`` rows.  ``P`` is read as its symmetric part ``0.5 * (P +
-    P.T)`` and re-symmetrized after each block.  The history's ``pmin_eig``
-    comes from one batched ``eigvalsh`` per block.  ``dist_to_ref`` is taken
-    per block too, from a C-ordered buffer of the estimates before each of
-    its rows, so only ``keep_history`` allocates the ``(K, p, d)`` history.
-    A bordered matrix that fails to factor (its Gram ``S`` is not positive
-    definite), a border ``c`` that overflows, or a non-finite estimate
-    raises :class:`NumericalError`: the prior is too large for the data.
+    split at one equals the unsplit fold bit for bit, also from a copied
+    state; the ``fit`` trace relies on this (:data:`TRACE_CHUNK_ROWS`).
+    ``P`` is read as its symmetric part ``0.5 * (P + P.T)`` and stays
+    exactly symmetric, as numpy forms ``Kt^T Kt`` as a BLAS ``syrk`` product.
+    A block's estimates, from before its first row to after its last, are
+    one C-ordered ``(b + 1, p, d)`` array, so only ``keep_history``
+    allocates the ``(K, p, d)`` history.  The history's ``pmin_eig`` comes
+    from one batched ``eigvalsh`` per block.  A bordered matrix that fails
+    to factor (its Gram ``S`` is not positive definite), a border ``c`` that
+    overflows, or a non-finite estimate raises :class:`NumericalError`: the
+    prior is too large for the data.
     """
     theta, P = state.theta, state.P
     Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
@@ -284,13 +288,7 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     Z = np.empty(Y.shape)
     hist = np.empty((K,) + theta.shape) if keep_history else None
     pmin = np.empty(K) if keep_history else None
-    dist = None
-    if theta_ref is not None:
-        dist = np.empty(K)
-        # pre[i] is the estimate before row i of the block, in C order: a
-        # vecdot over the rows of steps itself adds in another order
-        pre = np.empty((_FOLD_BLOCK,) + theta.shape)
-        pre[0] = theta
+    dist = np.empty(K) if theta_ref is not None else None
     # a block of b rows fills buf[:b+q, :b+q] with [[S, R], [R^T, c I]];
     # diag views buf's diagonal, which every such corner shares
     buf = np.zeros((_FOLD_BLOCK + q,) * 2)
@@ -319,23 +317,24 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         # [Kt | E] = L^{-1} R, the transpose of the factor's bottom-left block
         Kt, E = F[b:b + d, :b].T, F[b + d:, :b].T
         Z[start:stop] = np.diagonal(F)[:b, None] * E
-        # the estimate after each row of the block, and its covariance
-        steps = theta + np.cumsum(E[:, :, None] * Kt[:, None, :], axis=0)
+        # the estimates before each row of the block and after its last, C-ordered
+        steps = np.empty((b + 1,) + theta.shape)
+        steps[0] = theta
+        np.cumsum(E[:, :, None] * Kt[:, None, :], axis=0, out=steps[1:])
+        steps[1:] += theta
         if keep_history:
             Ps = P - np.cumsum(Kt[:, :, None] * Kt[:, None, :], axis=0)
             pmin[start:stop] = np.linalg.eigvalsh(Ps)[:, 0]
         theta = steps[-1]
+        # Kt.T @ Kt is a syrk product, exactly symmetric, so P stays so
         P = P - Kt.T @ Kt
-        P = 0.5 * (P + P.T)
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(P))):
             raise _blow_up(start, "the estimate is no longer finite")
         if hist is not None:
-            hist[start:stop] = steps
+            hist[start:stop] = steps[1:]
         if dist is not None:
-            pre[1:b] = steps[:-1]
-            D = (pre[:b] - theta_ref).reshape(b, -1)
+            D = (steps[:-1] - theta_ref).reshape(b, -1)
             dist[start:stop] = np.sqrt(np.vecdot(D, D))
-            pre[0] = theta
     new = RlsState(theta=theta, P=P, k=state.k + K)
     record = FoldRecord(residual_norm=np.sqrt(np.vecdot(Z, Z)), dist_to_ref=dist,
                         theta=hist, pmin_eig=pmin)

@@ -21,16 +21,15 @@ from sysid_rls import (
 from sysid_rls import cli, excitation, rls
 from sysid_rls.cli import main
 from sysid_rls.fileio import (
-    CSV_CHUNK_ROWS,
     load_model,
     load_trajectory,
     save_model,
     save_trajectory,
     write_csv,
 )
-from sysid_rls.rls import valid_regressor_indices
+from sysid_rls.rls import TRACE_CHUNK_ROWS, valid_regressor_indices
 
-from support import reference_gram_curve, reference_reduced_regressor
+from support import random_stable_model, reference_gram_curve, reference_reduced_regressor
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
@@ -61,6 +60,10 @@ def workdir(tmp_path):
     u = generate_input(InputSpec(kind="white", seed=2), 400, 1)
     save_trajectory(simulate(SCALAR, [0.7], u), tmp_path / "traj.csv")
     return tmp_path
+
+# 1.6e18 bytes of input: below numpy's 2**63 size limit, above any 64-bit
+# user address space (2**57 bytes with 5-level paging), so it fails at once
+UNALLOCATABLE = 2 * 10**17
 
 
 class TestEquivCommand:
@@ -164,6 +167,24 @@ class TestReduceCommand:
         assert rc == 0
         assert "irreducible" in capsys.readouterr().out
 
+    def test_once_proves_irreducible(self, workdir, capsys):
+        save_model(IOModel.scalar([0.5], [1.0, 0.3]), workdir / "low.json")
+        assert main(["reduce", str(workdir / "low.json"), "--once"]) == 0
+        assert "irreducible; model kept at order 1" in capsys.readouterr().out
+        assert not (workdir / "low_reduced.json").exists()
+
+    def test_once_without_proof_is_no_witness(self, workdir, capsys):
+        # a large input gain raises the p = 2 search's rank floor, so its
+        # failed search proves nothing
+        model = random_stable_model(np.random.default_rng(11), 2, 2, 1)
+        model = IOModel(n=model.n, p=model.p, m=model.m, F=model.F,
+                        G=tuple(1e6 * g for g in model.G))
+        save_model(model, workdir / "gain.json")
+        assert main(["reduce", str(workdir / "gain.json"), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "no witness found (best residual" in out and "model kept at order 2" in out
+        assert "irreducible" not in out
+
     @pytest.mark.parametrize("high", [
         lift_once(lift_once(IOModel.scalar([1e20], [1.0, 1.0]), 0.5), 0.3),
         lift_once(IOModel.scalar([1e10], [1.0, 1.0]), 0.3),
@@ -256,7 +277,7 @@ class TestFitCommand:
     def test_streamed_trace_equals_whole_record_trace(self, tmp_path, capsys, with_ref):
         # several chunks and a partial one; windows touching the three
         # leading rows lack an input, so the trace starts past k = order
-        data = _mimo_record(tmp_path / "traj.csv", 2 * CSV_CHUNK_ROWS + 300, lost=3)
+        data = _mimo_record(tmp_path / "traj.csv", 2 * TRACE_CHUNK_ROWS + 300, lost=3)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         argv = ["fit", "--data", str(data), "--order", "3", "--emit-trace", str(got)]
         if with_ref:
@@ -277,10 +298,15 @@ class TestFitCommand:
                                  record.pmin_eig])
         assert got.read_bytes() == want.read_bytes()
 
+    def test_estimate_printout_leaves_print_options_alone(self, workdir, capsys):
+        before = np.get_printoptions()
+        assert main(["fit", "--data", str(workdir / "traj.csv"), "--order", "1"]) == 0
+        assert np.get_printoptions() == before
+
     def test_trace_chunks_split_the_fold_at_block_starts(self):
         # the streamed trace is bit-identical to one whole-record fold only
         # while every chunk starts a fold block
-        assert CSV_CHUNK_ROWS % rls._FOLD_BLOCK == 0
+        assert TRACE_CHUNK_ROWS % rls._FOLD_BLOCK == 0
 
     def test_trace_memory_does_not_grow_with_the_history(self, tmp_path, capsys):
         # a whole-record history holds K p d floats; the streamed trace may
@@ -476,6 +502,27 @@ class TestConvergeCommand:
         err = capsys.readouterr().err
         assert BLOW_UP in err and "block from row 0" in err
 
+    @pytest.mark.parametrize("rows,message", [
+        ("".join(f"{k},1.0,0.5\n" for k in range(20)), "has 20 rows, need 51"),
+        ("".join(f"{k},{'' if k == 30 else 1.0},0.5\n" for k in range(80)),
+         "requested window has missing input cells"),
+    ], ids=["short", "empty-cell"])
+    def test_unusable_input_file_names_it(self, workdir, capsys, rows, message):
+        data = workdir / "inputs.csv"
+        data.write_text("k,u_1,y_1\n" + rows)
+        rc = main(["converge", "--model", str(workdir / "model.json"), "--fit-order", "1",
+                   "--horizon", "50", "--input", f"file:path={data}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{data}" in err and message in err and "Traceback" not in err
+
+    def test_unallocatable_horizon_is_numerical_failure(self, workdir, capsys):
+        rc = main(["converge", "--model", str(workdir / "model.json"), "--fit-order", "1",
+                   "--horizon", str(UNALLOCATABLE)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and "Traceback" not in err
+
     def test_bad_input_spec(self, workdir):
         rc = main(["converge", "--model", str(workdir / "model.json"),
                    "--fit-order", "1", "--input", "noise:seed=1",
@@ -622,6 +669,15 @@ class TestExperimentCommand:
             assert r["status"].startswith("error: ") and BLOW_UP in r["status"]
         assert "0/2 orders succeeded" in capsys.readouterr().out
 
+    def test_unallocatable_horizon_is_numerical_failure(self, workdir, capsys):
+        cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": UNALLOCATABLE,
+               "input": {"kind": "white", "seed": 3}}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        rc = main(["experiment", str(workdir / "cfg.json"), "--out-dir", str(workdir / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and "Traceback" not in err
+
     def test_invalid_config(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"fit_orders": [1]}))
         assert main(["experiment", str(workdir / "cfg.json"),
@@ -765,6 +821,20 @@ def test_cell_over_the_csv_field_limit_is_exit_2_naming_the_line(workdir, capsys
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and f"{bad}:4: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("header,message", [
+    ("", ": empty file"),
+    ("k,u_1," + "y" * 140_000, ":1: field larger than field limit"),
+    ("k,u_1,u_2", ": header must be k,u_1..u_m,y_1..y_p"),
+], ids=["empty", "over-field-limit", "no-outputs"])
+def test_unreadable_header_is_exit_2_naming_the_file(workdir, capsys, header, message):
+    bad = workdir / "header.csv"
+    bad.write_text(header + "\n0,1.0,0.5\n" if header else "")
+    rc = main(["fit", "--data", str(bad), "--order", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{bad}{message}" in err
 
 
 @pytest.mark.parametrize("command", ["fit", "excite"])

@@ -23,7 +23,6 @@ from sysid_rls import (
 from sysid_rls import fileio
 from sysid_rls.experiment import config_from_dict
 from sysid_rls.fileio import (
-    CSV_CHUNK_ROWS,
     load_model,
     load_theta0,
     load_trajectory,
@@ -32,6 +31,7 @@ from sysid_rls.fileio import (
     write_csv,
     write_csv_groups,
 )
+from sysid_rls.rls import TRACE_CHUNK_ROWS
 from support import random_stable_model
 
 
@@ -168,7 +168,7 @@ def csv_writer_reference(path, header, rows):
 
 class TestWriteCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
-        n = 2 * CSV_CHUNK_ROWS + 3  # two full blocks and a partial one
+        n = 2 * TRACE_CHUNK_ROWS + 3  # two full blocks and a partial one
         rng = np.random.default_rng(6)
         ints = np.arange(-5, n - 5, dtype=np.int64)
         specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324,
@@ -199,12 +199,12 @@ class TestWriteCsv:
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(4)])
 
     def test_groups_write_the_bytes_of_one_group(self, tmp_path):
-        # group edges inside and across CSV_CHUNK_ROWS blocks, and an empty group
-        n = 2 * CSV_CHUNK_ROWS + 5
+        # group edges inside and across TRACE_CHUNK_ROWS blocks, and an empty group
+        n = 2 * TRACE_CHUNK_ROWS + 5
         rng = np.random.default_rng(7)
         ks = np.arange(n)
         block = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-200, 200, (n, 1))
-        edges = [0, 3, 3, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 4, n]
+        edges = [0, 3, 3, TRACE_CHUNK_ROWS + 1, 2 * TRACE_CHUNK_ROWS + 4, n]
         groups = ([ks[a:b], block[a:b], block[a:b, 0]] for a, b in zip(edges, edges[1:]))
 
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"

@@ -17,7 +17,7 @@ from sysid_rls import (
     rls_fold,
     simulate,
 )
-from sysid_rls.rls import _FOLD_BLOCK, FoldRecord
+from sysid_rls.rls import _FOLD_BLOCK, FoldRecord, RlsState
 
 from support import random_spd, random_stable_model, reference_regressor, reference_rls
 
@@ -393,6 +393,26 @@ class TestRlsFold:
             before = np.concatenate([state.theta[None], full.theta[:-1]])
             D = (before - theta_ref).reshape(K, -1)
             assert np.array_equal(plain.dist_to_ref, np.sqrt(np.vecdot(D, D)))
+
+    @pytest.mark.parametrize("order,p,m", [(1, 1, 1), (3, 1, 1), (3, 2, 2)])  # d = 3, 7, 14
+    def test_resumed_from_copied_state_bit_for_bit(self, order, p, m):
+        # a state held in fresh C-ordered arrays, as a saved and reloaded one
+        # is, resumes the fold at a block start as the unsplit fold goes on,
+        # into a trailing one-row block too
+        for K in [_FOLD_BLOCK + 1, 16 * _FOLD_BLOCK + 1, 16 * _FOLD_BLOCK + 40]:
+            state, Phi, Y, theta_ref = _fold_case(order, p, m, K, seed=40 + p + K)
+            folded, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
+            split = K - K % _FOLD_BLOCK
+            head, first = rls_fold(state, Phi[:split], Y[:split], theta_ref=theta_ref,
+                                   keep_history=True)
+            head = RlsState(theta=head.theta.copy(), P=head.P.copy(), k=head.k)
+            tail, last = rls_fold(head, Phi[split:], Y[split:], theta_ref=theta_ref,
+                                  keep_history=True)
+            for f in ("theta", "P", "k"):
+                assert np.array_equal(getattr(tail, f), getattr(folded, f))
+            for f in ("residual_norm", "dist_to_ref", "theta", "pmin_eig"):
+                joined = np.concatenate([getattr(first, f), getattr(last, f)])
+                assert np.array_equal(joined, getattr(record, f))
 
     def test_records_only_what_was_asked(self):
         state, Phi, Y, theta_ref = _fold_case(1, 1, 1, 5, seed=3)
