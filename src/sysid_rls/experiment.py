@@ -141,18 +141,20 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     suffix covering its own pre-history.  A failure in one order is recorded
     in the manifest and does not disturb the other orders' outputs.
     """
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except ValueError as exc:  # a NUL, or a character the file system cannot encode
-        raise ValidationError(f"output directory {str(out_dir)!r}: {exc}") from exc
     start = time.monotonic()
     model = config.true_model
     max_order = max(config.fit_orders)
     spec = config.input
     if spec.kind == "file":  # from the config's directory, as true_model and theta0 are
         spec = replace(spec, path=str(Path(config.base_dir or "") / spec.path))
+    # before the output directory exists, so an input that cannot be made
+    # leaves no empty directory behind
     u_full = generate_input(spec, config.horizon + max_order, model.m)
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL, or a character the file system cannot encode
+        raise ValidationError(f"output directory {str(out_dir)!r}: {exc}") from exc
 
     runs = []
     for order in config.fit_orders:

@@ -9,8 +9,9 @@ float (the shortest round-trip decimal) or ``str`` an integer, so reruns
 with identical seeds produce byte-identical files.  The writer finds those
 digits for a whole block of cells at once with array arithmetic
 (:func:`_float_cells`, :func:`_int_cells`) and gathers the bytes of each
-step's rows in one pass (:func:`_format_rows`); ``repr`` / ``str`` write
-only the cells whose digits it cannot certify.
+step's rows (:func:`_format_rows`); ``repr`` / ``str`` write only the cells
+whose digits it cannot certify, and every cell of a step too small for the
+array arithmetic to pay.
 """
 
 from __future__ import annotations
@@ -178,9 +179,18 @@ def load_trajectory(path) -> Trajectory:
 # Cells formatted per step of write_csv_groups: enough that the step's
 # hundred or so numpy calls cost little per cell, few enough that its arrays
 # stay small for any table width (the byte gather's index alone takes 8
-# bytes per output byte).  Writing a 20,000 x 32 block peaks 1.7 MB above
-# its input under tracemalloc; one step per 1024 rows would peak at 13 MB.
-_STEP_CELLS = 4096
+# bytes per output byte).  Writing a 20,000 x 32 block peaks 1.2 MB above
+# its input under tracemalloc; one step per 1024 rows would peak at 4.5 MB.
+_STEP_CELLS = 8192
+
+# Cells per slice of a step's byte gather: its index is built one slice at
+# a time.
+_GATHER_CELLS = 2048
+
+# A step of fewer cells than this is written cell by cell through repr /
+# str, which costs less there than the digit path's fixed hundred or so
+# numpy calls: the two break even at about 256 to 384 cells.
+_DIGIT_PATH_CELLS = 256
 
 # A cell's digits are certified only when every rounding decision they rest
 # on lies at least this far, in units of the last place of the 17-18 digit
@@ -264,6 +274,8 @@ class _DigitTables:
         # alphabet words 6 and 7: "-.e+", then "0", the pad byte and the
         # separator, "," or (in a row's last cell) "\n"
         self.literals = np.frombuffer(b"-.e+0\0,\x000\0\n\0", np.uint32)
+        # where each cell's 32-byte alphabet starts in a gather's slice
+        self.cell_offsets = np.arange(0, 32 * _GATHER_CELLS, 32)[:, None]
         self._pow5 = [np.empty(_Q_MAX - _Q_MIN + 1) for _ in range(4)]
         self._have_pow5 = np.zeros(_Q_MAX - _Q_MIN + 1, bool)
         self._patterns = np.empty((_LAYOUTS, _TEXT + 1), np.intp)
@@ -282,13 +294,14 @@ class _DigitTables:
         return [np.take(part, rows) for part in self._pow5]
 
     def patterns(self, layout: np.ndarray) -> np.ndarray:
-        """The byte pattern of each cell's layout, one row per cell."""
+        """The table of byte patterns, one row per layout, with the row of
+        every layout in ``layout`` built."""
         missing = ~self._have_pattern[layout]
         if missing.any():
             for i in set(layout[missing].tolist()):
                 self._patterns[i] = _layout_pattern(i)
                 self._have_pattern[i] = True
-        return np.take(self._patterns, layout, axis=0)
+        return self._patterns
 
 
 @functools.cache
@@ -314,42 +327,27 @@ def _float_cells(x: np.ndarray, t: _DigitTables):
     a = np.abs(x).ravel()
     bad = ~((a >= 2.0 ** -1021) & (a < np.inf))  # nan compares false
     a[bad] = 1.0
-    bits = a.view(np.int64)
-    e = (bits >> 52) - 1022
-    k10 = ((e - 1) * 78913) >> 18  # floor((e - 1) log10 2): 78913 / 2**18 ~ log10 2
-    q = 16 - k10
-    hi, lo, hi_big, hi_small = t.pow5(q)
-    # V = p + tail: Dekker's exact product of a 2**q by hi, plus a 2**q lo;
-    # p >= 2**53 is an integer and |tail| <= 16
-    x1 = (bits + (q << 52)).view(np.float64)
-    p = x1 * hi
-    s = x1 * 134217729.0
-    x_big = s - (s - x1)
-    x_small = x1 - x_big
-    tail = x_big * hi_big - p + x_big * hi_small + x_small * hi_big + x_small * hi_small
-    tail += x1 * lo
-    # U - p and L - p: V plus and minus half the gap to the next float,
-    # 2**(e - 54) 10**q (at most 23), which below an exact power of two
-    # halves
-    half_gap = (hi.view(np.int64) + ((e - 54 + q) << 52)).view(np.float64)
-    ends = np.empty((2, a.size))
-    np.add(tail, half_gap, out=ends[0])
-    half_gap[(bits & (2 ** 52 - 1)) == 0] *= 0.5
-    np.subtract(tail, half_gap, out=ends[1])
+    k10, p, tail, ends = _scaled_value(a, t)
     floors = np.floor(ends)
-    bad |= (np.abs(ends - floors - 0.5) > 0.5 - _MARGIN).any(axis=0)
+    ends -= floors
+    ends -= 0.5
+    bad |= (np.abs(ends, out=ends) > 0.5 - _MARGIN).any(axis=0)
     floor_up, floor_down = floors
-    width = floor_up - floor_down - 1  # hi - lo, below 46
-    over = floor_up - tail  # hi - V
-    hi_int = p.astype(np.int64) + floor_up.astype(np.int64)
+    width = floor_up - floor_down
+    width -= 1  # hi - lo, below 46
+    over = np.subtract(floor_up, tail, out=tail)  # hi - V
+    hi_int = p.astype(np.int64)
+    hi_int += floor_up.astype(np.int64)
+    del p, floors, floor_up, floor_down
     # [lo, hi] holds fewer than 100 integers, so a multiple of 10**j with
     # j >= 2 lies in it only when hi mod 100 <= hi - lo and hi // 100 ends
     # in j - 2 zeros; hi - r is the largest such multiple
     h = hi_int // 100
     last2 = hi_int - 100 * h
-    last = last2 - last2 // 10 * 10
-    j = (last <= width).astype(np.int64)
-    r = np.where(j == 1, last, 0)
+    r = last2 - last2 // 10 * 10
+    is_j1 = r <= width
+    j = is_j1.astype(np.int64)
+    r *= is_j1
     wide = np.flatnonzero(last2 <= width)
     if wide.size:
         h, zeros = h[wide], np.full(wide.size, 2)
@@ -361,16 +359,72 @@ def _float_cells(x: np.ndarray, t: _DigitTables):
         j[wide], r[wide] = zeros, last2[wide]
     # M = hi - r - k 10**j, k steps from hi - r down towards V, at most to lo
     step = np.take(t.pow10, j).astype(np.float64)
-    k = (over - r) / step
+    over -= r
+    k = np.divide(over, step, out=over)
     bad |= np.abs(k - np.floor(k) - 0.5) < _MARGIN
-    np.clip(np.rint(k), 0, np.floor((width - r) / step), out=k)
-    m = hi_int - (r + k * step).astype(np.int64)
+    width -= r
+    width /= step
+    np.clip(np.rint(k), 0, np.floor(width, out=width), out=k)
+    k *= step
+    k += r
+    hi_int -= k.astype(np.int64)
+    m = hi_int
     big = m >= 10 ** 17  # M has 18 digits, else 17 (it lies within 46 of hi)
     m *= 10 - 9 * big
     k10 += big  # decpt - 1
     # nd - 1 = 16 - j + big: M ends in exactly j zeros
-    layout = np.take(t.layout_base, k10 + 308) + 17 * np.signbit(x).ravel() + (16 - j + big)
-    return tuple(v.reshape(x.shape) for v in (m, np.abs(k10), layout, bad))
+    j -= big
+    np.subtract(16, j, out=j)
+    layout = np.take(t.layout_base, k10 + 308)
+    layout += j
+    layout += 17 * np.signbit(x).ravel()
+    return tuple(v.reshape(x.shape) for v in (m, np.abs(k10, out=k10), layout, bad))
+
+
+def _scaled_value(a: np.ndarray, t: _DigitTables):
+    """``floor((e - 1) log10 2)`` of each positive normal float ``a`` (which
+    it overwrites), and its scaled value ``V = p + tail`` with the ends of
+    the interval around it as ``(U - p, L - p)``.  Temporaries are written
+    in place or freed once read, which keeps a step's peak memory low."""
+    bits = a.view(np.int64)
+    at_binade_start = (bits & (2 ** 52 - 1)) == 0
+    e = bits >> 52
+    e -= 1022
+    k10 = e - 1
+    k10 *= 78913
+    k10 >>= 18  # floor((e - 1) log10 2): 78913 / 2**18 ~ log10 2
+    q = 16 - k10
+    hi, lo, hi_big, hi_small = t.pow5(q)
+    # half the gap to the next float, 2**(e - 54) 10**q (at most 23)
+    e -= 54
+    e += q
+    e <<= 52
+    e += hi.view(np.int64)
+    half_gap = e.view(np.float64)
+    # V = p + tail: Dekker's exact product of a 2**q by hi, plus a 2**q lo;
+    # p >= 2**53 is an integer and |tail| <= 16
+    q <<= 52
+    bits += q
+    x1 = a  # a 2**q
+    p = x1 * hi
+    s = x1 * 134217729.0
+    x_big = s - x1
+    np.subtract(s, x_big, out=x_big)
+    x_small = np.subtract(x1, x_big, out=s)
+    tail = x_big * hi_big
+    tail -= p
+    tail += np.multiply(x_big, hi_small, out=x_big)
+    tail += np.multiply(x_small, hi_big, out=hi_big)
+    tail += np.multiply(x_small, hi_small, out=hi_small)
+    tail += np.multiply(x1, lo, out=lo)
+    del x_big, x_small, hi_big, hi_small, lo
+    # U - p and L - p: V plus and minus the half gap, which below an exact
+    # power of two halves
+    ends = np.empty((2, a.size))
+    np.add(tail, half_gap, out=ends[0])
+    half_gap[at_binade_start] *= 0.5
+    np.subtract(tail, half_gap, out=ends[1])
+    return k10, p, tail, ends
 
 
 def _int_cells(v: np.ndarray, t: _DigitTables):
@@ -392,40 +446,73 @@ def _format_rows(blocks: list[np.ndarray]) -> bytes:
     Each cell's text is gathered by its layout's pattern from its alphabet
     (digits, exponent digits, literals and separator); pad bytes are
     dropped.  A cell the digit path does not certify is written with
-    ``repr`` (float) or ``str`` (integer) instead.
+    ``repr`` (float) or ``str`` (integer) instead, and so is every cell of a
+    step of fewer than :data:`_DIGIT_PATH_CELLS`.
     """
-    t = _digit_tables()
     # adjacent blocks of one kind formatted as one: fewer calls per step
-    blocks = [np.hstack(list(run)) for _, run in itertools.groupby(blocks, lambda b: b.dtype.kind)]
+    runs = [list(run) for _, run in itertools.groupby(blocks, lambda b: b.dtype.kind)]
+    blocks = [run[0] if len(run) == 1 else np.hstack(run) for run in runs]
+    rows, width = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
+    text = np.empty((rows * width, _TEXT + 1), np.uint8)
+    if text.shape[0] < _DIGIT_PATH_CELLS:
+        seps = text[:, _TEXT].reshape(rows, width)
+        seps[:, :-1], seps[:, -1] = ord(","), ord("\n")
+        bad = [np.ones(b.shape, bool) for b in blocks]
+    else:
+        bad = _gather_digits(blocks, text, _digit_tables())
+    start = 0
+    for block, bad_block in zip(blocks, bad):
+        r, col = np.nonzero(bad_block)
+        if r.size:
+            fmt = str if block.dtype.kind in "iu" else repr
+            strings = np.array([fmt(v) for v in block[r, col].tolist()], dtype=f"S{_TEXT}")
+            text[r * width + start + col, :_TEXT] = strings.view(np.uint8).reshape(-1, _TEXT)
+        start += block.shape[1]
+    return text[text != 0].tobytes()
+
+
+def _gather_digits(blocks: list[np.ndarray], text: np.ndarray, t: _DigitTables) -> list:
+    """Fill ``text``, one row per cell, with the digit path's bytes; returns
+    each block's mask of the cells it does not certify.
+
+    The byte gather's index (8 bytes per output byte) is built for at most
+    :data:`_GATHER_CELLS` cells at a time, while the digit arithmetic sees
+    the whole step at once.
+    """
     cells = [(_int_cells if b.dtype.kind in "iu" else _float_cells)(b, t) for b in blocks]
-    c, exponent, layout, bad = (np.hstack(part).ravel() for part in zip(*cells))
-    rows, n = blocks[0].shape[0], c.size
+    bad = [part[3] for part in cells]
+    c, exponent, layout = (np.hstack(part).ravel() for part in list(zip(*cells))[:3])
+    del cells
+    n, rows = c.size, blocks[0].shape[0]
     # 20 digits as five 4-digit words, the exponent's word, literals
     alphabet = np.empty((n, 8), np.uint32)
     high = c // 10 ** 8
-    low = c - high * 10 ** 8
+    low = np.subtract(c, high * 10 ** 8, out=c)
+    del c
     high_4 = high // 10 ** 4
+    high -= high_4 * 10 ** 4
     low_4 = low // 10 ** 4
+    low -= low_4 * 10 ** 4
     highest = high_4 // 10 ** 4
-    for col, quad in enumerate((highest, high_4 - highest * 10 ** 4, high - high_4 * 10 ** 4,
-                                low_4, low - low_4 * 10 ** 4, exponent)):
-        alphabet[:, col] = t.quads[quad]
+    high_4 -= highest * 10 ** 4
+    for col, quad in enumerate((highest, high_4, high, low_4, low, exponent)):
+        np.take(t.quads, quad, out=alphabet[:, col])
+    del highest, high_4, high, low_4, low, exponent
     alphabet[:, 6], comma, newline = t.literals
     seps = alphabet.reshape(rows, -1, 8)[:, :, 7]
     seps[:, :-1] = comma
     seps[:, -1] = newline
-    index = t.patterns(layout)
-    index += np.arange(0, 32 * n, 32)[:, None]
-    text = np.take(alphabet.view(np.uint8).ravel(), index)
-    if bad.any():
-        width, start = n // rows, 0
-        for block, (*_, bad_block) in zip(blocks, cells):
-            r, col = np.nonzero(bad_block)
-            fmt = str if block.dtype.kind in "iu" else repr
-            strings = np.array([fmt(v) for v in block[r, col].tolist()], dtype=f"S{_TEXT}")
-            text[r * width + start + col, :_TEXT] = strings.view(np.uint8).reshape(-1, _TEXT)
-            start += block.shape[1]
-    return text[text != 0].tobytes()
+    patterns = t.patterns(layout)
+    # every index is in range; mode="clip" lets take write to out unbuffered
+    index = np.empty((min(n, _GATHER_CELLS), _TEXT + 1), np.intp)
+    for start in range(0, n, _GATHER_CELLS):
+        stop = min(start + _GATHER_CELLS, n)
+        part = index[:stop - start]
+        np.take(patterns, layout[start:stop], axis=0, out=part, mode="clip")
+        part += t.cell_offsets[:stop - start]
+        np.take(alphabet[start:stop].view(np.uint8).ravel(), part, out=text[start:stop],
+                mode="clip")
+    return bad
 
 
 def write_csv(path, header: list[str], columns) -> None:
@@ -444,7 +531,8 @@ def write_csv_groups(path, header: list[str], groups) -> None:
     floats through ``repr`` of a Python float, and do not depend on how the
     rows are split into groups.  Cells are formatted a block at a time with
     array arithmetic (:func:`_format_rows`), about :data:`_STEP_CELLS` cells
-    per step; ``repr`` / ``str`` write only the cells it cannot certify.
+    per step; ``repr`` / ``str`` write only the cells it cannot certify and
+    the cells of a step under :data:`_DIGIT_PATH_CELLS`.
     Groups are taken one at a time, as they are written, so a generator of
     groups keeps memory bounded by one group for any length.
     """

@@ -678,6 +678,23 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "Unable to allocate" in err and "Traceback" not in err
 
+    def test_unallocatable_input_leaves_no_output_directory(self, workdir):
+        cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": UNALLOCATABLE,
+               "input": {"kind": "white", "seed": 3}}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(workdir / "cfg.json"),
+                     "--out-dir", str(workdir / "out")]) == 3
+        assert not (workdir / "out").exists()
+
+    def test_missing_input_file_leaves_no_output_directory(self, workdir, capsys):
+        cfg = {"true_model": "model.json", "fit_orders": [1], "horizon": 100,
+               "input": {"kind": "file", "path": "missing.csv"}}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["experiment", str(workdir / "cfg.json"),
+                     "--out-dir", str(workdir / "out")]) == 2
+        assert "missing.csv" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_invalid_config(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"fit_orders": [1]}))
         assert main(["experiment", str(workdir / "cfg.json"),

@@ -3,6 +3,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,13 +253,18 @@ class TestCsvDigits:
                               st.integers(-2 ** 63, 2 ** 63 - 1),
                               st.integers(-2 ** 31, 2 ** 31 - 1)), min_size=1, max_size=40))
     def test_any_float_and_integer_cells(self, rows):
+        # these steps are small enough for repr / str, so the digit path is
+        # also made to take them
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
             floats, big, small = zip(*rows)
-            write_csv(got, ["x", "i", "j"], [np.array(floats), np.array(big, dtype=np.int64),
-                                             np.array(small, dtype=np.int32)])
+            columns = [np.array(floats), np.array(big, dtype=np.int64),
+                       np.array(small, dtype=np.int32)]
             csv_writer_reference(want, ["x", "i", "j"], rows)
-            assert got.read_bytes() == want.read_bytes()
+            for digit_path_cells in (fileio._DIGIT_PATH_CELLS, 0):
+                with mock.patch.object(fileio, "_DIGIT_PATH_CELLS", digit_path_cells):
+                    write_csv(got, ["x", "i", "j"], columns)
+                assert got.read_bytes() == want.read_bytes(), digit_path_cells
 
     def test_random_bit_patterns(self, tmp_path):
         bits = np.random.default_rng(19).integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
@@ -280,10 +286,14 @@ class TestCsvDigits:
 
     @pytest.mark.parametrize("width", [1, 4, 32])
     def test_bytes_do_not_depend_on_the_step(self, tmp_path, width):
-        # rows just short of, at and past one and two steps of the writer
-        step = max(1, fileio._STEP_CELLS // width)
+        # rows just short of, at and past the smallest step the digit path
+        # formats, one slice of its byte gather and one step of the writer,
+        # and past two steps; a row is the k cell and width floats
+        edges = [max(1, cells // (width + 1)) for cells in
+                 (fileio._DIGIT_PATH_CELLS, fileio._GATHER_CELLS, fileio._STEP_CELLS)]
+        step = edges[-1]
         rng = np.random.default_rng(width)
-        for rows in (1, step - 1, step, step + 1, 2 * step + 1):
+        for rows in sorted({1, 2 * step + 1} | {e + d for e in edges for d in (-1, 0, 1)} - {0}):
             block = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-30, 30, (rows, 1))
             block[rows // 2, 0] = np.nan  # one uncertified cell
             ks = np.arange(rows) - 3
@@ -301,18 +311,27 @@ class TestCsvDigits:
         assert not bad.any()
 
     def test_peak_memory_is_bounded_by_the_step(self, tmp_path):
-        # peaks at 1.66e6 bytes with 4096-cell steps and at 2.53e6 with a
-        # per-cell repr writer of 1024-row blocks; formatting a 1024-row
-        # chunk (32,768 cells) in one step peaks at 13.1e6
-        block = np.random.default_rng(22).standard_normal((20000, 32))
-        write_csv(tmp_path / "warm.csv", ["x"] * 32, [block[:100]])
-        tracemalloc.start()
-        try:
-            write_csv(tmp_path / "t.csv", ["x"] * 32, [block])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 2 ** 20
+        # the 20,000 x 32 block peaks at 1.19e6 bytes with 8192-cell steps
+        # and at 2.53e6 with a per-cell repr writer of 1024-row blocks;
+        # formatting a 1024-row chunk (32,768 cells) in one step peaks at
+        # 4.5e6.  The experiment trace's shape, an int64 k column and three
+        # floats, peaks at 1.14e6.
+        rng = np.random.default_rng(22)
+        block = rng.standard_normal((20000, 32))
+        ks = np.arange(1, 20001)
+        dist = rng.standard_normal(20000) ** 2 / ks
+        tables = [(["x"] * 32, [block]),
+                  (["k", "frob_err_to_ref", "scaled_err_norm", "residual_norm"],
+                   [ks, dist, ks * dist, rng.standard_normal(20000)])]
+        for header, columns in tables:
+            write_csv(tmp_path / "warm.csv", header, [col[:100] for col in columns])
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "t.csv", header, columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * 2 ** 20, header
 
 
 class TestLoadTheta0:
