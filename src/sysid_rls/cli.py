@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convergence import run_tracked_identification, write_convergence_trace
+from .convergence import check_tracked_run, run_tracked_identification, write_convergence_trace
 from .equivalence import is_equivalent, reduce_once, reducibility_check
 from .errors import NumericalError, ValidationError
 from .excitation import estimate_gram_limit, partial_gram_min_eigs
@@ -189,8 +189,8 @@ def cmd_reduce(args) -> int:
 def cmd_converge(args) -> int:
     model = load_model(args.model)
     spec = parse_input_spec(args.input)
-    total = args.horizon + args.fit_order
-    u = generate_input(spec, total, model.m)
+    check_tracked_run(model, args.fit_order, args.horizon)
+    u = generate_input(spec, args.horizon + args.fit_order, model.m)
     theta0 = load_theta0(args.theta0, model.p,
                          regressor_dim(args.fit_order, model.p, model.m))
     trace = run_tracked_identification(model, args.fit_order, u, args.horizon,

@@ -172,6 +172,19 @@ def _finite_or_none(obj):
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
+def check_tracked_run(model: IOModel, n_hat: int, horizon: int) -> None:
+    """Raise the :class:`ValidationError` of a tracked run whose fit order is
+    below the true order or whose horizon is below the fit order.  It sizes
+    nothing, so callers run it before they generate the run's inputs."""
+    if n_hat < model.n:
+        raise ValidationError(
+            f"fit order {n_hat} is below the true order {model.n}; "
+            "under-order identification is unsupported"
+        )
+    if horizon < max(n_hat, 1):
+        raise ValidationError(f"horizon {horizon} is below the fit order {n_hat}")
+
+
 def run_tracked_identification(model: IOModel, n_hat: int, inputs,
                                horizon: int, theta0: np.ndarray | None = None,
                                P0: np.ndarray | None = None,
@@ -191,13 +204,7 @@ def run_tracked_identification(model: IOModel, n_hat: int, inputs,
     :func:`predict_asymptote` are recorded.  One regressor block serves the
     fold and, through its trailing columns, the reduced-regressor Gram limit.
     """
-    if n_hat < model.n:
-        raise ValidationError(
-            f"fit order {n_hat} is below the true order {model.n}; "
-            "under-order identification is unsupported"
-        )
-    if horizon < max(n_hat, 1):
-        raise ValidationError(f"horizon {horizon} is below the fit order {n_hat}")
+    check_tracked_run(model, n_hat, horizon)
     total = horizon + n_hat
     u = np.asarray(inputs, dtype=float)
     if u.shape[0] < total:

@@ -45,8 +45,9 @@ class GramLimit:
     limit estimate has settled.  ``weak_pe``: the Gram sum's smallest
     eigenvalue ``K min_eig`` exceeds ``PE_FLOOR`` times its trace and has
     grown by at least ``DEFAULT_GROWTH_RATIO`` since the half-way sum.
-    ``pe``: ``min_eig`` exceeds that floor per sample and ``stabilization``
-    is within ``DEFAULT_PE_SLOPE_TOL``.
+    ``pe``: ``weak_pe`` holds, as persistent excitation implies weak
+    persistent excitation, ``min_eig`` exceeds that floor per sample and
+    ``stabilization`` is within ``DEFAULT_PE_SLOPE_TOL``.
     """
 
     C: np.ndarray
@@ -123,6 +124,6 @@ def estimate_gram_limit(regressors) -> GramLimit:
     final, at_half = K * min_eig, half * float(np.linalg.eigvalsh(C_half)[0])
     floor = PE_FLOOR * max(K * float(np.trace(C_full)), 1.0)
     still_growing = final >= DEFAULT_GROWTH_RATIO * at_half or at_half <= 0.0
-    return GramLimit(C=C_full, min_eig=min_eig, stabilization=stab,
-                     weak_pe=final > floor and still_growing,
-                     pe=min_eig > floor / K and stab <= DEFAULT_PE_SLOPE_TOL)
+    weak_pe = final > floor and still_growing
+    return GramLimit(C=C_full, min_eig=min_eig, stabilization=stab, weak_pe=weak_pe,
+                     pe=weak_pe and min_eig > floor / K and stab <= DEFAULT_PE_SLOPE_TOL)

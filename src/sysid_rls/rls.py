@@ -25,6 +25,7 @@ innovation Gram bordered by its gain and innovation terms (:func:`rls_fold`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,9 @@ from .model_core import Trajectory
 DEFAULT_P0_SCALE = 1e3
 # rows per block of rls_fold's innovations form
 _FOLD_BLOCK = 64
-# rows per chunk of the streamed ``fit`` trace: a multiple of the block, so
-# the chunked folds equal one whole-record fold bit for bit
+# rows per chunk of the streamed ``fit`` trace, and of rls_fold's per-row
+# records: a multiple of the block, so the chunked folds equal one
+# whole-record fold bit for bit
 TRACE_CHUNK_ROWS = 16 * _FOLD_BLOCK
 
 
@@ -135,15 +137,18 @@ def valid_regressor_indices(traj: Trajectory, order: int) -> np.ndarray:
     """Fully-windowed indices whose input windows contain no missing values.
 
     Records imported from files may have empty (NaN) input cells; every
-    window touching one is dropped.
+    window touching one is dropped.  An order that reaches the record's
+    length is an error before any array is built: none is sized by ``order``.
     """
-    finite = np.all(np.isfinite(traj.u), axis=1).astype(int)
-    window = np.convolve(finite, np.ones(order + 1, dtype=int), mode="valid")
-    ok = window == order + 1
-    ks = traj.k0 + order + np.flatnonzero(ok[: len(traj) - order])
-    if ks.size == 0:
-        raise ValidationError(f"no index has a complete order-{order} input window")
-    return ks
+    if order < len(traj):
+        # missing[i] counts the rows before row i with a missing input cell
+        missing = np.zeros(len(traj) + 1, dtype=int)
+        np.cumsum(~np.all(np.isfinite(traj.u), axis=1), out=missing[1:])
+        ends = np.arange(order, len(traj))
+        ks = traj.k0 + ends[missing[ends + 1] == missing[ends - order]]
+        if ks.size:
+            return ks
+    raise ValidationError(f"no index has a complete order-{order} input window")
 
 
 def _check_rows(Phi, Y, p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +267,15 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     state; the ``fit`` trace relies on this (:data:`TRACE_CHUNK_ROWS`).
     ``P`` is read as its symmetric part ``0.5 * (P + P.T)`` and stays
     exactly symmetric, as numpy forms ``Kt^T Kt`` as a BLAS ``syrk`` product.
-    A block's estimates, from before its first row to after its last, are
-    one C-ordered ``(b + 1, p, d)`` array, so only ``keep_history``
-    allocates the ``(K, p, d)`` history.  The history's ``pmin_eig`` comes
+    The block's views of the bordered matrix are set up once per call, and
+    again only for a short last block.  The estimates of a
+    :data:`TRACE_CHUNK_ROWS` chunk, from before its first row to after its
+    last, are rows of one C-ordered ``(min(K, TRACE_CHUNK_ROWS) + 1, p, d)``
+    buffer: each block's ``cumsum`` writes its steps after the row that
+    holds its start.  The distances to the reference and the history are
+    taken from that buffer once per chunk, whose last estimate then moves
+    to row 0; so only ``keep_history`` allocates the ``(K, p, d)`` history,
+    and the returned ``theta`` is a copy.  The history's ``pmin_eig`` comes
     from one batched ``eigvalsh`` per block.  A bordered matrix that fails
     to factor (its Gram ``S`` is not positive definite), a border ``c`` that
     overflows, or a non-finite estimate raises :class:`NumericalError`: the
@@ -289,53 +300,70 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     hist = np.empty((K,) + theta.shape) if keep_history else None
     pmin = np.empty(K) if keep_history else None
     dist = np.empty(K) if theta_ref is not None else None
+    # row j of a record chunk is the estimate before the chunk's row j; a
+    # block's steps fill the rows after its start, which holds the estimate
+    rec = np.empty((min(K, TRACE_CHUNK_ROWS) + 1,) + theta.shape)
+    rec[0] = theta
+    outer = np.empty((min(K, _FOLD_BLOCK),) + theta.shape)
+    downs = np.empty((min(K, _FOLD_BLOCK), d, d)) if keep_history else None
     # a block of b rows fills buf[:b+q, :b+q] with [[S, R], [R^T, c I]];
     # diag views buf's diagonal, which every such corner shares
     buf = np.zeros((_FOLD_BLOCK + q,) * 2)
     diag = buf.reshape(-1)[::_FOLD_BLOCK + q + 1]
+    b = 0
     for start in range(0, K, _FOLD_BLOCK):
         stop = min(start + _FOLD_BLOCK, K)
-        b = stop - start
+        if stop - start != b:  # the first block, or a short last one
+            b = stop - start
+            A = buf[:b + q, :b + q]
+            S, R, lower, corner = A[:b, :b], A[:b, b:], A[b:, :b], A[b:, b:]
+            W, V = R[:, :d], R[:, d:]
+            # only the corner's diagonal is written per block
+            corner[...] = 0.0
+            inner, border = diag[:b], diag[b:b + q]
         Phi_b = Phi[start:stop]
-        A = buf[:b + q, :b + q]
-        R = A[:b, b:]
-        np.matmul(Phi_b, P, out=R[:, :d])
-        np.subtract(Y[start:stop], Phi_b @ theta.T, out=R[:, d:])
-        np.matmul(R[:, :d], Phi_b.T, out=A[:b, :b])
-        A[b:, :b] = R.T
-        A[b:, b:] = 0.0
-        with np.errstate(over="ignore"):
-            c = 1.0 + 2.0 * np.vdot(R, R)
-        if not np.isfinite(c):
+        np.matmul(Phi_b, P, out=W)
+        np.subtract(Y[start:stop], Phi_b @ theta.T, out=V)
+        np.matmul(W, Phi_b.T, out=S)
+        lower[...] = R.T
+        # a Python float overflows to inf without a warning
+        c = 1.0 + 2.0 * float(np.vdot(R, R))
+        if not math.isfinite(c):
             raise _blow_up(start, "its gain overflows")
-        diag[:b] += 1.0
-        diag[b:b + q] = c
+        inner += 1.0
+        border[...] = c
         try:
             F = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             raise _blow_up(start, "its innovation Gram is not positive definite") from None
         # [Kt | E] = L^{-1} R, the transpose of the factor's bottom-left block
         Kt, E = F[b:b + d, :b].T, F[b + d:, :b].T
-        Z[start:stop] = np.diagonal(F)[:b, None] * E
-        # the estimates before each row of the block and after its last, C-ordered
-        steps = np.empty((b + 1,) + theta.shape)
-        steps[0] = theta
-        np.cumsum(E[:, :, None] * Kt[:, None, :], axis=0, out=steps[1:])
-        steps[1:] += theta
+        np.multiply(np.diagonal(F)[:b, None], E, out=Z[start:stop])
+        r = start % TRACE_CHUNK_ROWS
+        steps = rec[r + 1:r + b + 1]
+        np.multiply(E[:, :, None], Kt[:, None, :], out=outer[:b])
+        np.cumsum(outer[:b], axis=0, out=steps)
+        steps += theta
         if keep_history:
-            Ps = P - np.cumsum(Kt[:, :, None] * Kt[:, None, :], axis=0)
-            pmin[start:stop] = np.linalg.eigvalsh(Ps)[:, 0]
+            Ps = np.multiply(Kt[:, :, None], Kt[:, None, :], out=downs[:b])
+            np.cumsum(Ps, axis=0, out=Ps)
+            pmin[start:stop] = np.linalg.eigvalsh(np.subtract(P, Ps, out=Ps))[:, 0]
         theta = steps[-1]
         # Kt.T @ Kt is a syrk product, exactly symmetric, so P stays so
-        P = P - Kt.T @ Kt
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(P))):
+        P -= Kt.T @ Kt
+        if not (np.isfinite(theta).all() and np.isfinite(P).all()):
             raise _blow_up(start, "the estimate is no longer finite")
-        if hist is not None:
-            hist[start:stop] = steps[1:]
-        if dist is not None:
-            D = (steps[:-1] - theta_ref).reshape(b, -1)
-            dist[start:stop] = np.sqrt(np.vecdot(D, D))
-    new = RlsState(theta=theta, P=P, k=state.k + K)
+        if stop % TRACE_CHUNK_ROWS == 0 or stop == K:
+            # the chunk's per-row records; its last estimate starts the next
+            n = r + b
+            if hist is not None:
+                hist[stop - n:stop] = rec[1:n + 1]
+            if dist is not None:
+                D = np.subtract(rec[:n], theta_ref, out=rec[:n]).reshape(n, -1)
+                np.sqrt(np.vecdot(D, D), out=dist[stop - n:stop])
+            rec[0] = theta
+            theta = rec[0]
+    new = RlsState(theta=theta.copy(), P=P, k=state.k + K)
     record = FoldRecord(residual_norm=np.sqrt(np.vecdot(Z, Z)), dist_to_ref=dist,
                         theta=hist, pmin_eig=pmin)
     return new, record

@@ -2,11 +2,40 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import sysid_rls
 from sysid_rls import IOModel, Trajectory, TransitionPair, ValidationError, simulate
+
+# the child caps its own address space before numpy loads, then runs the CLI
+# as ``python -m sysid_rls.cli`` would
+_CAPPED_CLI = """
+import resource, runpy, sys
+cap = int(sys.argv.pop(1))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS,
+                   (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+runpy.run_module("sysid_rls.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_cli_capped(args, cap_bytes: int = 4 << 30) -> subprocess.CompletedProcess:
+    """Run the CLI with ``args`` in a child process whose address space is
+    capped at ``cap_bytes`` (4 GiB).  An allocation sized by an oversized
+    request then raises ``MemoryError`` in the child, which exits 3, where an
+    uncapped one could fill the machine's memory.  The limit applies to the
+    child only."""
+    src = Path(sysid_rls.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", _CAPPED_CLI, str(cap_bytes), *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def stacked_F(model: IOModel) -> np.ndarray:

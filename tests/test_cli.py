@@ -29,7 +29,12 @@ from sysid_rls.fileio import (
 )
 from sysid_rls.rls import TRACE_CHUNK_ROWS, valid_regressor_indices
 
-from support import random_stable_model, reference_gram_curve, reference_reduced_regressor
+from support import (
+    random_stable_model,
+    reference_gram_curve,
+    reference_reduced_regressor,
+    run_cli_capped,
+)
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
@@ -399,6 +404,22 @@ class TestExciteCommand:
         assert main(["excite", "--data", data, "--order", "2", "--emit", str(full)]) == 0
         assert reduced.read_bytes() == full.read_bytes()
 
+    @pytest.mark.parametrize("case", ["one-row", "impulse"])
+    def test_verdicts_do_not_contradict(self, tmp_path, capsys, case):
+        # persistent excitation implies weak persistent excitation; at one row
+        # the half-record Gram is the full one, and an impulse's Gram stops
+        # growing once the response y_k = -0.5 y_{k-1} + u_{k-1} has decayed
+        if case == "one-row":
+            u, order = np.ones((1, 1)), 0
+        else:
+            u, order = np.zeros((2000, 1)), 1
+            u[3] = 1.0
+        save_trajectory(simulate(SCALAR, [0.0], u), tmp_path / "traj.csv")
+        assert main(["excite", "--data", str(tmp_path / "traj.csv"), "--order", str(order)]) == 0
+        out = capsys.readouterr().out
+        assert "  weakly persistently exciting:   no (heuristic)" in out
+        assert "  persistently exciting:          no (heuristic)" in out
+
 
 class TestConvergeCommand:
     def test_emits_summary(self, workdir):
@@ -528,6 +549,37 @@ class TestConvergeCommand:
                    "--fit-order", "1", "--input", "noise:seed=1",
                    "--horizon", "100"])
         assert rc == 2
+
+
+class TestOversizedRequests:
+    """Requests sized far beyond their data, each run in a child whose
+    address space is capped (:func:`support.run_cli_capped`): one that
+    allocates by the request fails with ``MemoryError`` there, exit 3,
+    instead of filling the machine's memory."""
+
+    def test_small_commands_run_under_the_cap(self, workdir):
+        for args in (["fit", "--data", workdir / "traj.csv", "--order", "2"],
+                     ["excite", "--data", workdir / "traj.csv", "--order", "2"],
+                     ["converge", "--model", workdir / "model.json", "--fit-order", "2",
+                      "--horizon", "200"]):
+            proc = run_cli_capped(args)
+            assert proc.returncode == 0, proc.stderr
+
+    # an order past numpy's index range made numpy raise ValueError, exit 1
+    @pytest.mark.parametrize("command,order", [("fit", 10**9), ("excite", 10**11),
+                                               ("excite", 10**20)])
+    def test_order_beyond_the_record_is_exit_2(self, tmp_path, command, order):
+        u = generate_input(InputSpec(kind="white", seed=3), 50, 1)
+        save_trajectory(simulate(SCALAR, [0.0], u), tmp_path / "traj.csv")
+        proc = run_cli_capped([command, "--data", tmp_path / "traj.csv", "--order", order])
+        assert proc.returncode == 2, proc.stderr
+        assert f"no index has a complete order-{order} input window" in proc.stderr
+
+    def test_fit_order_above_the_horizon_is_exit_2(self, workdir):
+        proc = run_cli_capped(["converge", "--model", workdir / "model.json",
+                               "--fit-order", 3 * 10**9, "--horizon", 5])
+        assert proc.returncode == 2, proc.stderr
+        assert f"horizon 5 is below the fit order {3 * 10**9}" in proc.stderr
 
 
 class TestExperimentCommand:

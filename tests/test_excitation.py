@@ -170,7 +170,7 @@ class TestPartialGramCurve:
         min_eig_half = curve[max(1, K // 2) - 1]
         growing = curve[-1] >= DEFAULT_GROWTH_RATIO * min_eig_half or min_eig_half <= 0.0
         assert limit.weak_pe == bool(curve[-1] > threshold and growing)
-        assert limit.pe == bool(curve[-1] > threshold
+        assert limit.pe == bool(limit.weak_pe and curve[-1] > threshold
                                 and limit.stabilization <= DEFAULT_PE_SLOPE_TOL)
 
     @pytest.mark.parametrize("K", [1, 1024, 1025, 2049])

@@ -17,7 +17,7 @@ from sysid_rls import (
     rls_fold,
     simulate,
 )
-from sysid_rls.rls import _FOLD_BLOCK, FoldRecord, RlsState
+from sysid_rls.rls import _FOLD_BLOCK, TRACE_CHUNK_ROWS, FoldRecord, RlsState
 
 from support import random_spd, random_stable_model, reference_regressor, reference_rls
 
@@ -322,8 +322,10 @@ def _fold_case(order, p, m, K, seed):
     return state, Phi, Y, theta_ref
 
 
-# fold lengths around one block boundary, and one spanning many blocks
-FOLD_KS = [1, _FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1, 16 * _FOLD_BLOCK + 1]
+# fold lengths around one block boundary, one spanning many blocks, and one
+# over three record chunks that ends in a short block
+FOLD_KS = [1, _FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1, 16 * _FOLD_BLOCK + 1,
+           2 * TRACE_CHUNK_ROWS + 100]
 
 
 def _rel_diff(got, want) -> float:
@@ -413,6 +415,24 @@ class TestRlsFold:
             for f in ("residual_norm", "dist_to_ref", "theta", "pmin_eig"):
                 joined = np.concatenate([getattr(first, f), getattr(last, f)])
                 assert np.array_equal(joined, getattr(record, f))
+
+    @pytest.mark.parametrize("K", [5, 2 * TRACE_CHUNK_ROWS + 100])
+    def test_results_share_no_memory(self, K):
+        # the fold reuses its buffers across blocks and chunks: nothing it
+        # returns is a view of one, nor of the state it started from
+        state, Phi, Y, theta_ref = _fold_case(3, 2, 2, K, seed=60 + K)
+        new, record = rls_fold(state, Phi, Y, theta_ref=theta_ref, keep_history=True)
+        arrays = [state.theta, state.P, new.theta, new.P, record.residual_norm,
+                  record.dist_to_ref, record.theta, record.pmin_eig]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # a view of a buffer would keep all of it alive with the state
+        assert new.theta.flags.owndata and new.P.flags.owndata
+        kept = [a.copy() for a in arrays]
+        rls_fold(new, Phi, Y, theta_ref=theta_ref, keep_history=True)
+        for a, want in zip(arrays, kept):
+            assert np.array_equal(a, want)
 
     def test_records_only_what_was_asked(self):
         state, Phi, Y, theta_ref = _fold_case(1, 1, 1, 5, seed=3)
