@@ -4,7 +4,8 @@ One program, installed under both the ``sysid-rls`` and ``modelcheck``
 names, with subcommands ``fit``, ``excite``, ``equiv``, ``reduce``,
 ``converge``, and ``experiment``.  Exit codes: 0 success, 2 validation
 error or a file that cannot be read or written, 3 numerical failure or an
-array that cannot be allocated.
+array that cannot be allocated.  An output path of ``fit``, ``excite`` or
+``converge`` that the operating system will refuse exits 2 before any work.
 ``reduce`` runs the one reduction search of :mod:`sysid_rls.equivalence` and
 says "irreducible" only when that is proven, "no witness found" otherwise.
 """
@@ -15,6 +16,7 @@ import argparse
 import functools
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import NumericalError, ValidationError
 from .excitation import estimate_gram_limit, partial_gram_min_eigs
 from .experiment import load_config, run_experiment
 from .fileio import (
+    check_writable,
     load_model,
     load_theta0,
     load_trajectory,
@@ -75,6 +78,15 @@ _tolerance = functools.partial(_finite_float, positive=False)
 
 
 def cmd_fit(args) -> int:
+    """Fold the record once from the prior and print the final estimate.
+
+    With ``--emit-trace`` the fold runs one :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS`
+    chunk at a time with its history, spilled to an anonymous temporary file
+    (:func:`_fold_to_spill`); the trace opens only once the last chunk has
+    given the final estimate, the default reference, so a breakdown exits
+    before any trace file exists and memory holds one chunk."""
+    if args.emit_trace:
+        check_writable(args.emit_trace)
     traj = load_trajectory(args.data)
     order = args.order
     ks = valid_regressor_indices(traj, order)
@@ -94,37 +106,58 @@ def cmd_fit(args) -> int:
             raise ValidationError("reference model does not match the fit order/dimensions")
         ref = ref_model.theta
 
-    # the whole-record fold raises a breakdown before the trace file opens
-    final, _ = rls_fold(state, Phi, Y)
     if args.emit_trace:
-        target = (ref if ref is not None else final.theta).ravel()
-        header = ["k"] + [f"theta_{i}" for i in range(p * d)]
-        header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
-        write_csv_groups(args.emit_trace, header, _trace_groups(state, Phi, Y, ks, target))
+        with tempfile.TemporaryFile() as spill:
+            final = _fold_to_spill(state, Phi, Y, spill)
+            target = (ref if ref is not None else final.theta).ravel()
+            header = ["k"] + [f"theta_{i}" for i in range(p * d)]
+            header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
+            spill.seek(0)
+            write_csv_groups(args.emit_trace, header, _spilled_groups(spill, ks, target))
         print(f"trace written to {args.emit_trace}")
+    else:
+        final, _ = rls_fold(state, Phi, Y)
     print(f"final estimate after {Phi.shape[0]} samples (order {order}):")
     with np.printoptions(precision=6, suppress=True):
         print(final.theta)
     return 0
 
 
-def _trace_groups(state, Phi, Y, ks, target):
-    """The ``fit`` trace's columns, folded again from ``state`` one
-    :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS` chunk at a time, so no
-    whole-record history is held.  Chunks start at multiples of the fold's
-    block, so the figures equal the whole-record fold's bit for bit."""
-    for start in range(0, len(ks), TRACE_CHUNK_ROWS):
+def _fold_to_spill(state, Phi, Y, spill):
+    """The final state of the fold of ``Phi``, ``Y`` from ``state``, run one
+    :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS` chunk at a time with its
+    history; each chunk's ``theta`` rows, residual norms and ``pmin_eig`` are
+    written to the binary file ``spill`` as raw float64, K (p d + 2) values
+    in all.  Chunks start at multiples of the fold's block, so the figures
+    equal one whole-record fold's bit for bit."""
+    for start in range(0, len(Phi), TRACE_CHUNK_ROWS):
         stop = start + TRACE_CHUNK_ROWS
         state, record = rls_fold(state, Phi[start:stop], Y[start:stop], keep_history=True)
-        thetas = record.theta.reshape(len(record.theta), -1)
+        for column in (record.theta, record.residual_norm, record.pmin_eig):
+            spill.write(column)
+    return state
+
+
+def _spilled_groups(spill, ks, target):
+    """The ``fit`` trace's column groups, one chunk at a time, read back from
+    the ``spill`` :func:`_fold_to_spill` wrote, with each row's distance to
+    ``target`` (the flattened reference)."""
+    width = target.size
+    for start in range(0, len(ks), TRACE_CHUNK_ROWS):
+        k = ks[start:start + TRACE_CHUNK_ROWS]
+        n = len(k)
+        chunk = np.frombuffer(spill.read(8 * n * (width + 2)))
+        thetas = chunk[:n * width].reshape(n, width)
         # vecdot takes per row the dot np.linalg.norm takes; a sum over
         # E * E would add in another order and change the trace's last bits
         E = thetas - target
-        yield [ks[start:stop], thetas, np.sqrt(np.vecdot(E, E)), record.residual_norm,
-               record.pmin_eig]
+        yield [k, thetas, np.sqrt(np.vecdot(E, E)), chunk[n * width:n * (width + 1)],
+               chunk[n * (width + 1):]]
 
 
 def cmd_excite(args) -> int:
+    if args.emit:
+        check_writable(args.emit)
     traj = load_trajectory(args.data)
     order, n = args.order, args.true_order
     if n is not None and n > order:
@@ -187,6 +220,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    for path in (args.emit, args.emit_summary):
+        if path:
+            check_writable(path)
     model = load_model(args.model)
     spec = parse_input_spec(args.input)
     check_tracked_run(model, args.fit_order, args.horizon)

@@ -17,11 +17,14 @@ array arithmetic to pay.
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import hashlib
 import io
 import itertools
 import json
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -83,6 +86,22 @@ def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
     return theta
 
 
+def check_writable(path) -> None:
+    """Raise the ``OSError`` that opening ``path`` for writing would raise,
+    where that shows without creating the file: a missing parent directory,
+    a file where a directory goes, or a directory where the file goes.
+    Commands call this before their work, so a refused path fails at once.
+    """
+    try:
+        parent = os.stat(os.path.dirname(path) or ".")
+        code = (errno.ENOTDIR if not stat.S_ISDIR(parent.st_mode)
+                else errno.EISDIR if os.path.isdir(path) else 0)
+    except OSError as exc:  # the parent is missing, or a file on its way
+        code = exc.errno
+    if code:
+        raise OSError(code, os.strerror(code), os.fspath(path))
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
     """CSV with header ``k,u_1..u_m,y_1..y_p``, one row per time step.
 
@@ -98,18 +117,58 @@ def _input_cell(cell: str) -> float:
     return float(cell) if cell.strip() != "" else float("nan")
 
 
-def _read_table(fh, m: int, p: int):
-    """The data rows left in ``fh`` in one ``np.loadtxt`` call, or None when
-    a row does not parse or there is none."""
+# bytes per block of the empty-cell scan of a trajectory file
+_SCAN_BYTES = 1 << 16
+
+
+def _empty_cell_lines(path: Path) -> int:
+    """The number of the last line of the file at ``path`` that holds
+    ``,,``, counting lines from 1 by their line feeds, or 0 when none does.
+
+    An empty input cell always reads ``,,``: the ``k`` cell comes before the
+    inputs and the outputs after them.  The file is read in blocks of
+    :data:`_SCAN_BYTES`.
+    """
+    lines = last = 0
+    tail = b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BYTES):
+            i = block.rfind(b",,")
+            if i >= 0:
+                last = lines + block.count(b"\n", 0, i) + 1
+            elif tail == b"," and block.startswith(b","):
+                last = lines + 1
+            lines += block.count(b"\n")
+            tail = block[-1:]
+    return last
+
+
+def _read_table(fh, m: int, p: int, head: int):
+    """The ``k``, input and output columns of the data rows left in ``fh``,
+    or None when a row does not parse or there is none.
+
+    The first ``head`` lines are parsed by ``np.loadtxt`` with the input
+    converter :func:`_input_cell`, the rest by a second, converter-free
+    ``np.loadtxt``: a float parse that numpy accepts gives the value
+    ``float`` gives, and an empty or blank cell it refuses.  Each column is
+    joined from the two tables on its own, so no second whole table is
+    held.
+    """
+    kw = {"delimiter": ",", "comments": None, "ndmin": 1,
+          "dtype": [("k", np.int64), ("u", float, (m,)), ("y", float, (p,))]}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: None below
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
-                               dtype=[("k", np.int64), ("u", float, (m,)), ("y", float, (p,))],
-                               converters={c: _input_cell for c in range(1, 1 + m)})
+            tables = []
+            if head > 0:
+                tables.append(np.loadtxt(itertools.islice(fh, head), **kw,
+                                         converters={c: _input_cell for c in range(1, 1 + m)}))
+            tables.append(np.loadtxt(fh, **kw))
     except ValueError:
         return None
-    return table if len(table) else None
+    if not sum(map(len, tables)):
+        return None
+    return tuple(np.concatenate([t[name] for t in tables]) for name in ("k", "u", "y"))
 
 
 def _parse_rows(path: Path, width: int, m: int):
@@ -140,10 +199,14 @@ def _parse_rows(path: Path, width: int, m: int):
 def load_trajectory(path) -> Trajectory:
     """Read a CSV written by :func:`save_trajectory`.
 
-    The data rows are parsed in one ``np.loadtxt`` pass over the file; when
-    that fails they are parsed again row by row, so the error names the bad
-    line.  A line the ``csv`` module refuses (a cell over its field size
-    limit) is a :class:`ValidationError` naming it too.
+    The data rows are parsed by ``np.loadtxt``: the lines through the last
+    one holding an empty cell, which a byte scan finds
+    (:func:`_empty_cell_lines`), with a converter that reads an empty input
+    cell as missing, and the rest (all of them when no cell is empty)
+    without one.  When that fails (a blank input cell, a bad or short row)
+    they are parsed again row by row, so a missing input is still read and
+    an error names the bad line.  A line the ``csv`` module refuses (a cell
+    over its field size limit) is a :class:`ValidationError` naming it too.
     """
     path = Path(path)
     if not path.exists():
@@ -163,15 +226,12 @@ def load_trajectory(path) -> Trajectory:
             p = sum(1 for h in header if h.startswith("y_"))
             if m == 0 or p == 0 or len(header) != 1 + m + p:
                 raise ValidationError(f"{path}: header must be k,u_1..u_m,y_1..y_p")
-            table = _read_table(fh, m, p)
-        if table is None:
-            ks, us, ys = _parse_rows(path, len(header), m)
-        else:
-            ks, us, ys = table["k"].tolist(), table["u"], table["y"]
+            rows = _read_table(fh, m, p, _empty_cell_lines(path) - reader.line_num)
+        ks, us, ys = rows or _parse_rows(path, len(header), m)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
-    k0 = ks[0]
-    if ks != list(range(k0, k0 + len(ks))):
+    k0 = int(ks[0])
+    if not np.all(np.diff(ks) == 1):
         raise ValidationError(f"{path}: k column must be consecutive integers")
     return Trajectory(k0=k0, u=us, y=ys)
 

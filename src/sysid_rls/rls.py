@@ -264,7 +264,9 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     Shapes and finiteness are checked once, by :func:`_check_rows`, before
     any update.  Blocks start at multiples of ``_FOLD_BLOCK``, so a fold
     split at one equals the unsplit fold bit for bit, also from a copied
-    state; the ``fit`` trace relies on this (:data:`TRACE_CHUNK_ROWS`).
+    state; ``fit --emit-trace`` relies on this: it folds the record once, a
+    :data:`TRACE_CHUNK_ROWS` chunk at a time with the history, and its last
+    chunk's state is the whole-record fold's.
     ``P`` is read as its symmetric part ``0.5 * (P + P.T)`` and stays
     exactly symmetric, as numpy forms ``Kt^T Kt`` as a BLAS ``syrk`` product.
     The block's views of the bordered matrix are set up once per call, and

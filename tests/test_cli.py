@@ -1,4 +1,5 @@
 import json
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -302,6 +303,35 @@ class TestFitCommand:
         write_csv(want, header, [ks, thetas, np.sqrt(np.vecdot(E, E)), record.residual_norm,
                                  record.pmin_eig])
         assert got.read_bytes() == want.read_bytes()
+
+    def test_trace_folds_each_row_once(self, tmp_path, monkeypatch, capsys):
+        data = _mimo_record(tmp_path / "traj.csv", 2 * TRACE_CHUNK_ROWS + 300, lost=3)
+        folded = []
+        fold = cli.rls_fold
+        monkeypatch.setattr(cli, "rls_fold",
+                            lambda state, Phi, *a, **kw: folded.append(len(Phi)) or
+                            fold(state, Phi, *a, **kw))
+        assert main(["fit", "--data", str(data), "--order", "3",
+                     "--emit-trace", str(tmp_path / "trace.csv")]) == 0
+        assert sum(folded) == 2 * TRACE_CHUNK_ROWS + 300 - 6
+
+    @pytest.mark.parametrize("case", ["success", "breakdown", "unopenable-trace"])
+    def test_trace_spill_leaves_nothing_behind(self, workdir, monkeypatch, capsys, case):
+        spills = workdir / "spills"
+        spills.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spills))
+        trace = workdir / "trace.csv"
+        argv = ["fit", "--data", str(workdir / "traj.csv"), "--order", "1"]
+        if case == "breakdown":
+            argv += ["--p0-scale", "1e200"]
+        if case == "unopenable-trace":
+            # past the check before the fold, the open after it fails
+            monkeypatch.setattr(cli, "check_writable", lambda path: None)
+            trace = workdir / "nodir" / "trace.csv"
+        rc = main(argv + ["--emit-trace", str(trace)])
+        assert rc == {"success": 0, "breakdown": 3, "unopenable-trace": 2}[case]
+        assert trace.exists() == (case == "success")
+        assert list(spills.iterdir()) == []
 
     def test_estimate_printout_leaves_print_options_alone(self, workdir, capsys):
         before = np.get_printoptions()
@@ -827,6 +857,31 @@ def test_os_error_is_exit_2_naming_the_path(workdir, capsys, argv, path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and path.format(w=workdir) in err
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before the output path was checked")
+
+
+@pytest.mark.parametrize("target", ["{w}/nodir/x.csv", "{w}/traj.csv/x.csv", "{w}"],
+                         ids=["missing-dir", "file-as-dir", "dir-as-file"])
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "{w}/traj.csv", "--order", "1", "--emit-trace"],
+    ["excite", "--data", "{w}/traj.csv", "--order", "1", "--emit"],
+    ["converge", "--model", "{w}/model.json", "--fit-order", "1", "--horizon", "50", "--emit"],
+    ["converge", "--model", "{w}/model.json", "--fit-order", "1", "--horizon", "50",
+     "--emit-summary"],
+], ids=["fit-trace", "excite-emit", "converge-emit", "converge-summary"])
+def test_refused_output_path_is_exit_2_before_any_work(workdir, monkeypatch, capsys, argv,
+                                                       target):
+    for name in ("load_trajectory", "rls_fold", "estimate_gram_limit", "partial_gram_min_eigs",
+                 "generate_input", "run_tracked_identification"):
+        monkeypatch.setattr(cli, name, _no_work)
+    path = target.format(w=workdir)
+    rc = main([arg.format(w=workdir) for arg in argv] + [path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"'{path}'" in err
 
 
 @pytest.mark.parametrize("argv,path", [

@@ -156,6 +156,93 @@ class TestFileFormats:
             load_trajectory(path)
 
 
+def _record_lines(rows=600, seed=3):
+    """Data lines ``k,u_1,u_2,y_1,y_2`` of a random record, as ``repr``
+    writes its floats."""
+    rng = np.random.default_rng(seed)
+    cells = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-5, 6, (rows, 4))
+    return [",".join([str(k)] + [repr(float(v)) for v in row]) for k, row in enumerate(cells)]
+
+
+def _blank(line: str, col: int, text: str = "") -> str:
+    cells = line.split(",")
+    cells[col] = text
+    return ",".join(cells)
+
+
+def _edit(edits, newline="\n", final=True, insert=None):
+    """A trajectory file's text: the record's lines with ``edits`` (line
+    index, column, cell text) applied, a blank line before index
+    ``insert``."""
+    lines = _record_lines()
+    for i, col, text in edits:
+        lines[i] = _blank(lines[i], col, text)
+    if insert is not None:
+        lines.insert(insert, "")
+    return newline.join(["k,u_1,u_2,y_1,y_2"] + lines) + (newline if final else "")
+
+
+# each file's edits, how the file is written, and its data rows through the
+# last empty input cell, counted from 1 (the blank line is not a row)
+LOADER_CASES = {
+    "none": ([], {}, 0),
+    "leading": ([(0, 1, ""), (1, 2, ""), (2, 1, "")], {}, 3),
+    "middle": ([(300, 2, "")], {}, 301),
+    "last-row": ([(599, 1, "")], {}, 600),
+    "both-inputs": ([(10, 1, ""), (12, 1, ""), (12, 2, "")], {}, 13),
+    "crlf": ([(0, 1, ""), (400, 2, "")], {"newline": "\r\n"}, 401),
+    "no-final-newline": ([(599, 2, "")], {"final": False}, 600),
+    "blank-line": ([(200, 1, "")], {"insert": 100}, 201),
+    "nan-cells": ([(5, 1, "nan"), (6, 2, "nan")], {}, 0),
+}
+
+
+class TestLoadTrajectory:
+    """The split read (empty cells through a converter, the rest without)
+    against the per-row parser, bit for bit."""
+
+    @pytest.mark.parametrize("scan_bytes", [7, fileio._SCAN_BYTES],
+                             ids=["7-byte-blocks", "default-blocks"])
+    @pytest.mark.parametrize("case", list(LOADER_CASES))
+    def test_matches_the_row_parser_bit_for_bit(self, tmp_path, monkeypatch, case, scan_bytes):
+        # 7-byte scan blocks put a ",," across many block boundaries
+        edits, how, through = LOADER_CASES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(_edit(edits, **how).encode())
+        ks, us, ys = fileio._parse_rows(path, 5, 2)
+        monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
+        calls = []
+        cell = fileio._input_cell
+        monkeypatch.setattr(fileio, "_input_cell", lambda c: calls.append(c) or cell(c))
+        traj = load_trajectory(path)
+        assert traj.k0 == ks[0] == 0 and len(traj) == len(ks) == 600
+        assert traj.u.tobytes() == us.tobytes() and traj.y.tobytes() == ys.tobytes()
+        assert np.isnan(us).sum() == len(edits)
+        # the converter runs on the input cells of the rows through the last
+        # empty one, and on no other
+        assert len(calls) == 2 * through
+
+    @pytest.mark.parametrize("row", [2, 300, 599])
+    def test_blank_input_cell_is_missing_through_the_row_parser(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(_edit([(0, 1, ""), (row, 2, " ")]))
+        ks, us, ys = fileio._parse_rows(path, 5, 2)
+        traj = load_trajectory(path)
+        assert np.isnan(traj.u[row, 1]) and np.isnan(us[row, 1])
+        assert traj.u.tobytes() == us.tobytes() and traj.y.tobytes() == ys.tobytes()
+
+    @pytest.mark.parametrize("edits", [[(300, 3, "")], [(300, 4, "")], [(0, 1, ""), (599, 4, "")],
+                                       [(299, 3, ""), (300, 1, "")]],
+                             ids=["middle-,,", "middle-last-cell", "last-row", "before-input"])
+    def test_empty_output_cell_names_its_line(self, tmp_path, edits):
+        # the header is line 1
+        path = tmp_path / "t.csv"
+        path.write_text(_edit(edits))
+        line = 2 + min(i for i, col, _ in edits if col >= 3)
+        with pytest.raises(ValidationError, match=f"t.csv:{line}: could not convert"):
+            load_trajectory(path)
+
+
 def csv_writer_reference(path, header, rows):
     """Rows of Python/numpy scalars through ``csv.writer``: ints via ``str``,
     floats via ``repr`` of a Python float."""
