@@ -41,6 +41,24 @@ _FOLD_BLOCK = 64
 # whole-record fold bit for bit
 TRACE_CHUNK_ROWS = 16 * _FOLD_BLOCK
 
+# The history's pmin_eig is proved by one solve and one Cholesky per row
+# (_pmin_eigs) only from this dimension up.  Below it the proof saves little
+# or costs more than the eigvalsh it replaces: on exact 2e4-row records with
+# no floor it ran at 1.9-2.1x of eigvalsh's time at d = 3, 1.32x at d = 5,
+# 0.93-1.05x at d = 6 and 7 and 0.87x at d = 8.
+_PMIN_MIN_DIM = 8
+# ... and only where the block-start gap w[1] - w[0] exceeds this share of
+# w[0].  On ten records from the benchmark's generator (seeds 2-11, d = 14,
+# 3,130 blocks) every proved block had a gap above 0.025; iid normal rows,
+# which were never proved, had gaps at or below 0.02 in 522 of 626 blocks.
+# (At w[0] / 2, six of those ten records went to eigvalsh in most blocks.)
+_PMIN_GAP = 0.02
+# The proved interval is eta = _PMIN_ETA * (d + 1) * eps * w[-1] wide.  On
+# those records the proof's figure lay at most 3.9 (d + 1) eps ||P_j|| from
+# eigvalsh's; on the benchmark's record 5 of 313 blocks went to eigvalsh with
+# a factor of 1 to 3, 4 with 4 and 3 with 8.
+_PMIN_ETA = 4.0
+
 
 @dataclass(frozen=True, eq=False)
 class RlsState:
@@ -277,11 +295,20 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     holds its start.  The distances to the reference and the history are
     taken from that buffer once per chunk, whose last estimate then moves
     to row 0; so only ``keep_history`` allocates the ``(K, p, d)`` history,
-    and the returned ``theta`` is a copy.  The history's ``pmin_eig`` comes
-    from one batched ``eigvalsh`` per block.  A bordered matrix that fails
-    to factor (its Gram ``S`` is not positive definite), a border ``c`` that
-    overflows, or a non-finite estimate raises :class:`NumericalError`: the
-    prior is too large for the data.
+    and the returned ``theta`` is a copy.
+
+    The history's ``pmin_eig`` for a block's rows comes from
+    :func:`_pmin_eigs`: each row's figure is within ``eta = 4 (d + 1) eps
+    ||P||_2`` (``P`` the block-start covariance) of the smallest eigenvalue
+    of the computed ``P_j``, up to the factorization's backward error (so
+    within ``eta + 2 (d + 1) eps ||P_j||_2``, the bound the tests check),
+    proved by one batched solve and one batched Cholesky factorization, and
+    the block takes one batched ``eigvalsh`` wherever that is not proved.  Its trailing digits can differ from
+    earlier versions, which took ``eigvalsh`` everywhere.
+
+    A bordered matrix that fails to factor (its Gram ``S`` is not positive
+    definite), a border ``c`` that overflows, or a non-finite estimate
+    raises :class:`NumericalError`: the prior is too large for the data.
     """
     theta, P = state.theta, state.P
     Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
@@ -349,7 +376,7 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         if keep_history:
             Ps = np.multiply(Kt[:, :, None], Kt[:, None, :], out=downs[:b])
             np.cumsum(Ps, axis=0, out=Ps)
-            pmin[start:stop] = np.linalg.eigvalsh(np.subtract(P, Ps, out=Ps))[:, 0]
+            pmin[start:stop] = _pmin_eigs(P, np.subtract(P, Ps, out=Ps))
         theta = steps[-1]
         # Kt.T @ Kt is a syrk product, exactly symmetric, so P stays so
         P -= Kt.T @ Kt
@@ -369,6 +396,55 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     record = FoldRecord(residual_norm=np.sqrt(np.vecdot(Z, Z)), dist_to_ref=dist,
                         theta=hist, pmin_eig=pmin)
     return new, record
+
+
+def _pmin_eigs(P: np.ndarray, Ps: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each covariance ``P_j`` of the stack ``Ps``
+    (b x d x d), the post-row covariances of a block that starts at ``P``.
+
+    One ``eigh(P)`` gives the spectrum ``w`` and lowest eigenvector ``v``.
+    When ``d >= _PMIN_MIN_DIM`` and ``w[1] - w[0] > _PMIN_GAP * w[0]``, each
+    row takes ``rho0 = v^T P_j v``, one inverse-iteration step ``x = (P_j -
+    rho0 I)^{-1} v`` and its Rayleigh quotient ``rho = rho0 + v^T x / x^T
+    x``, an upper bound on ``lambda_min(P_j)``.  A Cholesky factorization of
+    ``P_j - (rho - eta) I`` that succeeds proves the lower bound ``rho -
+    eta``, up to its own backward error (Parlett, *The Symmetric Eigenvalue
+    Problem*, 1998, ch. 4 and 11; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 10), with ``eta = _PMIN_ETA (d + 1) eps
+    w[-1]``; ``rho`` is returned.  A gate missed, a ``LinAlgError`` or a
+    non-finite ``rho`` gives ``eigvalsh(Ps)[:, 0]`` for the whole block
+    instead, with no numpy warning.  The shifts are written on the diagonal
+    of ``Ps`` and undone from a copy of it, so ``Ps`` is left as it came.
+    """
+    d = P.shape[0]
+    if d >= _PMIN_MIN_DIM:
+        w, V = np.linalg.eigh(P)
+        if w[1] - w[0] > _PMIN_GAP * w[0]:
+            v, eta = V[:, 0], _PMIN_ETA * (d + 1) * np.finfo(float).eps * w[-1]
+            # the last row, the furthest from P, alone first: no block whose
+            # last row failed was proved in 3,756 measured blocks, and trying
+            # all of its rows costs about a third of eigvalsh's time
+            for rows in (Ps[-1:], Ps):
+                diag = rows.reshape(len(rows), -1)[:, ::d + 1]
+                kept = diag.copy()
+                try:
+                    with np.errstate(all="ignore"):
+                        rho0 = (rows @ v) @ v
+                        diag -= rho0[:, None]
+                        x = np.linalg.solve(rows, v)
+                        rho = rho0 + (x @ v) / np.vecdot(x, x)
+                        # a shift that is not finite proves nothing
+                        if not np.isfinite(rho).all():
+                            break
+                        np.subtract(kept, (rho - eta)[:, None], out=diag)
+                        np.linalg.cholesky(rows)
+                except np.linalg.LinAlgError:
+                    break
+                finally:
+                    diag[...] = kept
+            else:
+                return rho
+    return np.linalg.eigvalsh(Ps)[:, 0]
 
 
 def _blow_up(start: int, why: str) -> NumericalError:

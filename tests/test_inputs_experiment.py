@@ -222,18 +222,26 @@ class TestLoadTrajectory:
         # empty one, and on no other
         assert len(calls) == 2 * through
 
+    @pytest.mark.parametrize("scan_bytes", [7, fileio._SCAN_BYTES],
+                             ids=["7-byte-blocks", "default-blocks"])
+    @pytest.mark.parametrize("blank", [" ", "\t", " \t ", " " * 9],
+                             ids=["space", "tab", "mixed", "wider-than-7"])
     @pytest.mark.parametrize("row", [2, 300, 599])
-    def test_blank_input_cell_is_missing_through_the_row_parser(self, tmp_path, row):
+    def test_blank_input_cell_is_missing_through_the_row_parser(self, tmp_path, monkeypatch,
+                                                                row, blank, scan_bytes):
+        monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
         path = tmp_path / "t.csv"
-        path.write_text(_edit([(0, 1, ""), (row, 2, " ")]))
+        path.write_text(_edit([(0, 1, ""), (row, 2, blank)]))
         ks, us, ys = fileio._parse_rows(path, 5, 2)
         traj = load_trajectory(path)
         assert np.isnan(traj.u[row, 1]) and np.isnan(us[row, 1])
         assert traj.u.tobytes() == us.tobytes() and traj.y.tobytes() == ys.tobytes()
 
     @pytest.mark.parametrize("edits", [[(300, 3, "")], [(300, 4, "")], [(0, 1, ""), (599, 4, "")],
-                                       [(299, 3, ""), (300, 1, "")]],
-                             ids=["middle-,,", "middle-last-cell", "last-row", "before-input"])
+                                       [(299, 3, ""), (300, 1, "")], [(300, 3, " ")],
+                                       [(300, 4, "\t")], [(299, 3, " "), (300, 1, " ")]],
+                             ids=["middle-,,", "middle-last-cell", "last-row", "before-input",
+                                  "blank-middle", "blank-last-cell", "blank-before-input"])
     def test_empty_output_cell_names_its_line(self, tmp_path, edits):
         # the header is line 1
         path = tmp_path / "t.csv"

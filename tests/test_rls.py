@@ -17,6 +17,7 @@ from sysid_rls import (
     rls_fold,
     simulate,
 )
+from sysid_rls import rls
 from sysid_rls.rls import _FOLD_BLOCK, TRACE_CHUNK_ROWS, FoldRecord, RlsState
 
 from support import random_spd, random_stable_model, reference_regressor, reference_rls
@@ -322,6 +323,18 @@ def _fold_case(order, p, m, K, seed):
     return state, Phi, Y, theta_ref
 
 
+def _exact_case(p, m, K, seed, p0=1e3):
+    """A fold over exact data of an order-1 model with p outputs and m
+    inputs, fitted at order 3: the overparameterized regime, where the
+    covariance keeps a gap at the bottom of its spectrum."""
+    rng = np.random.default_rng(seed)
+    model = random_stable_model(rng, 1, p, m)
+    traj = simulate(model, rng.standard_normal((1, p)), rng.standard_normal((K + 3, m)))
+    Phi, Y, _ = regressor_matrix(traj, 3)
+    state = initial_state(3, p, m, p0_scale=p0)
+    return state, Phi, Y, rng.standard_normal((p, state.dim))
+
+
 # fold lengths around one block boundary, one spanning many blocks, and one
 # over three record chunks that ends in a short block
 FOLD_KS = [1, _FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1, 16 * _FOLD_BLOCK + 1,
@@ -378,6 +391,12 @@ class TestRlsFold:
     def test_bit_identical_to_block_chain(self, order, p, m):
         for K in FOLD_KS:
             _assert_block_exact(*_fold_case(order, p, m, K, seed=10 + p + K))
+
+    def test_bit_identical_to_block_chain_where_pmin_eig_is_proved(self):
+        # d = 14, p = 2 on exact data, where _pmin_eigs proves most blocks'
+        # figures instead of taking eigvalsh's
+        for K in FOLD_KS:
+            _assert_block_exact(*_exact_case(2, 2, K, seed=80 + K))
 
     @pytest.mark.parametrize("order,p,m", [(1, 1, 1), (3, 2, 2)])
     def test_agrees_with_reference_recursion(self, order, p, m):
@@ -530,3 +549,85 @@ class TestRlsFold:
             P = P - np.outer(Pphi, Pphi) / (1.0 + float(Phi[i] @ Pphi))
             want[i] = np.linalg.eigvalsh(P)[0]
         assert _rel_diff(record.pmin_eig, want) <= 1e-9
+
+
+def _pmin_calls(monkeypatch):
+    """Each :func:`rls._pmin_eigs` call of a fold, as the block-start ``P``,
+    the ``eigvalsh`` spectra of the stack it was given, and its result."""
+    calls, real = [], rls._pmin_eigs
+
+    def spy(P, Ps):
+        want = np.linalg.eigvalsh(Ps)
+        got = real(P, Ps)
+        calls.append((P.copy(), want, got))
+        return got
+
+    monkeypatch.setattr(rls, "_pmin_eigs", spy)
+    return calls
+
+
+class TestProvedPminEig:
+    """The history's ``pmin_eig``: within ``eta`` of the smallest eigenvalue
+    of each computed covariance where the proof holds, ``eigvalsh``'s bits
+    wherever it is not tried or fails."""
+
+    @pytest.mark.parametrize("case", ["iid-p0=1e3", "iid-p0=1e9", "exact-p0=1e3"])
+    def test_within_eta_of_eigvalsh_row_by_row(self, monkeypatch, case):
+        K, p0 = 2 * TRACE_CHUNK_ROWS + 100, float(case.split("=")[1])
+        if case.startswith("iid"):
+            state, Phi, Y, _ = _fold_case(3, 2, 2, K, seed=70)
+            state = initial_state(3, 2, 2, p0_scale=p0)
+        else:
+            state, Phi, Y, _ = _exact_case(2, 2, K, seed=70, p0=p0)
+        calls = _pmin_calls(monkeypatch)
+        _, record = rls_fold(state, Phi, Y, keep_history=True)
+        assert np.array_equal(record.pmin_eig, np.concatenate([got for *_, got in calls]))
+        eps, d = np.finfo(float).eps, state.dim
+        proved = 0
+        for P, want, got in calls:
+            eta = 4 * (d + 1) * eps * np.linalg.eigvalsh(P)[-1]
+            norm = np.max(np.abs(want), axis=1)
+            assert np.all(np.abs(got - want[:, 0]) <= eta + 2 * (d + 1) * eps * norm)
+            proved += not np.array_equal(got, want[:, 0])
+        if case.startswith("exact"):
+            # the proof, not eigvalsh, gives most blocks' figures here
+            assert proved >= 0.9 * len(calls)
+
+    @pytest.mark.parametrize("case", ["d<8", "clustered", "first-block", "forced-failure"])
+    def test_unproved_blocks_are_eigvalsh_bit_for_bit(self, monkeypatch, case):
+        K = 4 * _FOLD_BLOCK
+        if case == "d<8":
+            state, Phi, Y, _ = _exact_case(1, 1, K, seed=71)  # d = 7
+        elif case == "clustered":
+            state, Phi, Y, _ = _fold_case(3, 2, 2, K, seed=71)  # iid normal rows
+        else:
+            state, Phi, Y, _ = _exact_case(2, 2, K, seed=71)
+        if case == "forced-failure":
+            # a shift above the Rayleigh quotient: no factorization succeeds
+            monkeypatch.setattr(rls, "_PMIN_ETA", -1e3)
+        calls = _pmin_calls(monkeypatch)
+        rls_fold(state, Phi, Y, keep_history=True)
+        # the first block starts from p0 I, whose spectrum has no gap
+        for P, want, got in calls[:1] if case == "first-block" else calls:
+            assert np.array_equal(got, want[:, 0])
+
+    def test_unproved_blocks_raise_no_warning(self, monkeypatch):
+        # clustered rows miss the gates, a forced failure reaches a failed
+        # factorization, and zero rows from a diagonal P leave v an exact
+        # eigenvector of every P_j, so the shifted solve is singular
+        d = 14
+        diagonal = RlsState(theta=np.zeros((2, d)), P=np.diag(2.0 ** np.arange(d)))
+        folds = [_fold_case(3, 2, 2, 2 * _FOLD_BLOCK, seed=72)[:3],
+                 _exact_case(2, 2, 2 * _FOLD_BLOCK, seed=72)[:3],
+                 (diagonal, np.zeros((_FOLD_BLOCK, d)), np.zeros((_FOLD_BLOCK, 2)))]
+        calls = _pmin_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, fold in enumerate(folds):
+                with monkeypatch.context() as patch:
+                    if i == 1:
+                        patch.setattr(rls, "_PMIN_ETA", -1e3)
+                    rls_fold(*fold, keep_history=True)
+        for P, want, got in calls:
+            assert np.array_equal(got, want[:, 0])
+        assert np.all(calls[-1][2] == 1.0)
