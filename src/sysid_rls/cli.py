@@ -156,12 +156,12 @@ def _spilled_groups(spill, ks, target):
 
 
 def cmd_excite(args) -> int:
-    if args.emit:
-        check_writable(args.emit)
-    traj = load_trajectory(args.data)
     order, n = args.order, args.true_order
     if n is not None and n > order:
         raise ValidationError("--true-order must not exceed --order")
+    if args.emit:
+        check_writable(args.emit)
+    traj = load_trajectory(args.data)
     Phi, _, ks = regressor_matrix(traj, order, valid_regressor_indices(traj, order))
     label = f"full regressor (order {order})"
     if n is not None:

@@ -1,8 +1,10 @@
 """File formats: JSON files, trajectory CSV, canonical hashing.
 
 Every JSON file is read by :func:`read_json` and written by
-:func:`write_json`; a trajectory CSV is read by :func:`load_trajectory`, and
-every CSV the package writes goes through :func:`write_csv_groups`, which
+:func:`write_json`.  A trajectory CSV is read by :func:`load_trajectory`:
+one converter-free ``np.loadtxt`` over its lines, each empty cell spelt
+``nan``, and where that fails a row-by-row parse that names the bad line.
+Every CSV the package writes goes through :func:`write_csv_groups`, which
 takes its rows as a stream of column groups (:func:`write_csv` is its
 one-group case).  A number in a CSV file has the text ``repr`` gives a
 float (the shortest round-trip decimal) or ``str`` an integer, so reruns
@@ -108,8 +110,12 @@ def save_trajectory(traj: Trajectory, path) -> None:
     A missing input (NaN, before the record's first input) is written as
     ``nan``, which :func:`load_trajectory` reads back as missing.
     """
-    header = ["k"] + [f"u_{i + 1}" for i in range(traj.m)] + [f"y_{i + 1}" for i in range(traj.p)]
-    write_csv(path, header, [np.arange(traj.k0, traj.k0 + len(traj)), traj.u, traj.y])
+    write_csv(path, _trajectory_header(traj.m, traj.p),
+              [np.arange(traj.k0, traj.k0 + len(traj)), traj.u, traj.y])
+
+
+def _trajectory_header(m: int, p: int) -> list[str]:
+    return ["k"] + [f"u_{i + 1}" for i in range(m)] + [f"y_{i + 1}" for i in range(p)]
 
 
 def _input_cell(cell: str) -> float:
@@ -117,58 +123,29 @@ def _input_cell(cell: str) -> float:
     return float(cell) if cell.strip() != "" else float("nan")
 
 
-# bytes per block of the empty-cell scan of a trajectory file
-_SCAN_BYTES = 1 << 16
-
-
-def _empty_cell_lines(path: Path) -> int:
-    """The number of the last line of the file at ``path`` that holds
-    ``,,``, counting lines from 1 by their line feeds, or 0 when none does.
-
-    An empty input cell always reads ``,,``: the ``k`` cell comes before the
-    inputs and the outputs after them.  The file is read in blocks of
-    :data:`_SCAN_BYTES`.
-    """
-    lines = last = 0
-    tail = b""
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BYTES):
-            i = block.rfind(b",,")
-            if i >= 0:
-                last = lines + block.count(b"\n", 0, i) + 1
-            elif tail == b"," and block.startswith(b","):
-                last = lines + 1
-            lines += block.count(b"\n")
-            tail = block[-1:]
-    return last
-
-
-def _read_table(fh, m: int, p: int, head: int):
+def _read_table(fh, m: int, p: int):
     """The ``k``, input and output columns of the data rows left in ``fh``,
-    or None when a row does not parse or there is none.
+    or None when a row does not parse, there is none, or an output is
+    ``nan``.
 
-    The first ``head`` lines are parsed by ``np.loadtxt`` with the input
-    converter :func:`_input_cell`, the rest by a second, converter-free
-    ``np.loadtxt``: a float parse that numpy accepts gives the value
-    ``float`` gives, and an empty or blank cell it refuses.  Each column is
-    joined from the two tables on its own, so no second whole table is
-    held.
+    One converter-free ``np.loadtxt`` reads the lines with each empty cell
+    spelt ``nan`` (the second ``replace`` catches the middle cell of
+    ``,,,``): numpy parses a cell it accepts to the value ``float`` gives,
+    and refuses a blank one.  An empty output cell reads as ``nan`` too, so
+    a ``nan`` output is left to :func:`_parse_rows`, which accepts a literal
+    ``nan`` and names the line of an empty cell.
     """
-    kw = {"delimiter": ",", "comments": None, "ndmin": 1,
-          "dtype": [("k", np.int64), ("u", float, (m,)), ("y", float, (p,))]}
+    lines = (line.replace(",,", ",nan,").replace(",,", ",nan,") for line in fh)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: None below
-            tables = []
-            if head > 0:
-                tables.append(np.loadtxt(itertools.islice(fh, head), **kw,
-                                         converters={c: _input_cell for c in range(1, 1 + m)}))
-            tables.append(np.loadtxt(fh, **kw))
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("k", np.int64), ("u", float, (m,)), ("y", float, (p,))])
     except ValueError:
         return None
-    if not sum(map(len, tables)):
+    if not len(table) or np.isnan(table["y"]).any():
         return None
-    return tuple(np.concatenate([t[name] for t in tables]) for name in ("k", "u", "y"))
+    return table["k"], table["u"], table["y"]
 
 
 def _parse_rows(path: Path, width: int, m: int):
@@ -199,14 +176,14 @@ def _parse_rows(path: Path, width: int, m: int):
 def load_trajectory(path) -> Trajectory:
     """Read a CSV written by :func:`save_trajectory`.
 
-    The data rows are parsed by ``np.loadtxt``: the lines through the last
-    one holding an empty cell, which a byte scan finds
-    (:func:`_empty_cell_lines`), with a converter that reads an empty input
-    cell as missing, and the rest (all of them when no cell is empty)
-    without one.  When that fails (a blank input cell, a bad or short row)
-    they are parsed again row by row, so a missing input is still read and
-    an error names the bad line.  A line the ``csv`` module refuses (a cell
-    over its field size limit) is a :class:`ValidationError` naming it too.
+    The header must be exactly ``k,u_1..u_m,y_1..y_p``.  The data rows are
+    parsed by one converter-free ``np.loadtxt`` (:func:`_read_table`), which
+    reads an empty input cell as missing.  When that fails (a blank input
+    cell, a bad or short row, an empty or ``nan`` output) they are parsed
+    again row by row (:func:`_parse_rows`), so a blank input is still read
+    as missing and an error names the bad line.  A line the ``csv`` module
+    refuses (a cell over its field size limit) is a
+    :class:`ValidationError` naming it too.
     """
     path = Path(path)
     if not path.exists():
@@ -223,10 +200,10 @@ def load_trajectory(path) -> Trajectory:
             if not header or header[0] != "k":
                 raise ValidationError(f"{path}: first column must be 'k'")
             m = sum(1 for h in header if h.startswith("u_"))
-            p = sum(1 for h in header if h.startswith("y_"))
-            if m == 0 or p == 0 or len(header) != 1 + m + p:
+            p = len(header) - 1 - m
+            if m == 0 or p == 0 or header != _trajectory_header(m, p):
                 raise ValidationError(f"{path}: header must be k,u_1..u_m,y_1..y_p")
-            rows = _read_table(fh, m, p, _empty_cell_lines(path) - reader.line_num)
+            rows = _read_table(fh, m, p)
         ks, us, ys = rows or _parse_rows(path, len(header), m)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc

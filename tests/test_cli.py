@@ -412,6 +412,15 @@ class TestExciteCommand:
                    "--true-order", "3"])
         assert rc == 2
 
+    def test_true_order_is_checked_before_the_record_is_read(self, workdir, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(cli, "load_trajectory", _no_work)
+        rc = main(["excite", "--data", str(workdir / "traj.csv"), "--order", "2",
+                   "--true-order", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "--true-order must not exceed --order" in err
+
     def test_true_order_reads_the_fit_order_window(self, tmp_path, capsys):
         # y[28] is outside every reduced window (they read y[k-3] only) but
         # inside the order-3 window of k=29, so excite rejects the file with
@@ -951,7 +960,9 @@ def test_cell_over_the_csv_field_limit_is_exit_2_naming_the_line(workdir, capsys
     ("", ": empty file"),
     ("k,u_1," + "y" * 140_000, ":1: field larger than field limit"),
     ("k,u_1,u_2", ": header must be k,u_1..u_m,y_1..y_p"),
-], ids=["empty", "over-field-limit", "no-outputs"])
+    ("k,y_1,u_1", ": header must be k,u_1..u_m,y_1..y_p"),
+    ("k,u_x,y_1", ": header must be k,u_1..u_m,y_1..y_p"),
+], ids=["empty", "over-field-limit", "no-outputs", "outputs-first", "unnumbered-input"])
 def test_unreadable_header_is_exit_2_naming_the_file(workdir, capsys, header, message):
     bad = workdir / "header.csv"
     bad.write_text(header + "\n0,1.0,0.5\n" if header else "")

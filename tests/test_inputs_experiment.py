@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import tempfile
 import tracemalloc
@@ -149,6 +150,18 @@ class TestFileFormats:
         with pytest.raises(ValidationError):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("header", ["k,u_2,y_1", "k,u_1,y_2", "k,u_1,u_1,y_1",
+                                        "k,u_1,y_1,y_1", "k,u_1,y_1,u_2"],
+                             ids=["input-numbered-2", "output-numbered-2", "input-twice",
+                                  "output-twice", "input-after-output"])
+    def test_header_must_be_exactly_the_written_one(self, tmp_path, header):
+        # each header has the u_ / y_ prefixes of a valid one
+        path = tmp_path / "t.csv"
+        width = header.count(",")
+        path.write_text(header + "\n" + "".join(f"{k}" + ",1.0" * width + "\n" for k in range(2)))
+        with pytest.raises(ValidationError, match="header must be k,u_1..u_m,y_1..y_p"):
+            load_trajectory(path)
+
     def test_non_consecutive_k(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("k,u_1,y_1\n0,1,1\n2,1,1\n")
@@ -182,35 +195,43 @@ def _edit(edits, newline="\n", final=True, insert=None):
     return newline.join(["k,u_1,u_2,y_1,y_2"] + lines) + (newline if final else "")
 
 
-# each file's edits, how the file is written, and its data rows through the
-# last empty input cell, counted from 1 (the blank line is not a row)
+# each file's edits and how the file is written
 LOADER_CASES = {
-    "none": ([], {}, 0),
-    "leading": ([(0, 1, ""), (1, 2, ""), (2, 1, "")], {}, 3),
-    "middle": ([(300, 2, "")], {}, 301),
-    "last-row": ([(599, 1, "")], {}, 600),
-    "both-inputs": ([(10, 1, ""), (12, 1, ""), (12, 2, "")], {}, 13),
-    "crlf": ([(0, 1, ""), (400, 2, "")], {"newline": "\r\n"}, 401),
-    "no-final-newline": ([(599, 2, "")], {"final": False}, 600),
-    "blank-line": ([(200, 1, "")], {"insert": 100}, 201),
-    "nan-cells": ([(5, 1, "nan"), (6, 2, "nan")], {}, 0),
+    "none": ([], {}),
+    "leading": ([(0, 1, ""), (1, 2, ""), (2, 1, "")], {}),
+    "middle": ([(300, 2, "")], {}),
+    "last-row": ([(599, 1, "")], {}),
+    "both-inputs": ([(10, 1, ""), (12, 1, ""), (12, 2, "")], {}),
+    "crlf": ([(0, 1, ""), (400, 2, "")], {"newline": "\r\n"}),
+    "no-final-newline": ([(599, 2, "")], {"final": False}),
+    "blank-line": ([(200, 1, "")], {"insert": 100}),
+    "nan-cells": ([(5, 1, "nan"), (6, 2, "nan")], {}),
 }
 
 
-class TestLoadTrajectory:
-    """The split read (empty cells through a converter, the rest without)
-    against the per-row parser, bit for bit."""
+def _random_record(rng, rows, m, p):
+    """A trajectory file's text with ``m`` inputs and ``p`` outputs: a tenth
+    of its rows with every input empty, and a tenth of the other input
+    cells empty, so neighbouring empty cells read ``,,,`` and ``,,,,``."""
+    lines = ["k," + ",".join([f"u_{i + 1}" for i in range(m)] + [f"y_{i + 1}" for i in range(p)])]
+    cells = rng.standard_normal((rows, m + p)) * 10.0 ** rng.integers(-5, 6, (rows, m + p))
+    empty = rng.random((rows, m)) < 0.1
+    empty[rng.choice(rows, rows // 10, replace=False)] = True
+    for k, (row, gaps) in enumerate(zip(cells, empty)):
+        inputs = ["" if gap else repr(float(v)) for v, gap in zip(row[:m], gaps)]
+        lines.append(",".join([str(k)] + inputs + [repr(float(v)) for v in row[m:]]))
+    return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("scan_bytes", [7, fileio._SCAN_BYTES],
-                             ids=["7-byte-blocks", "default-blocks"])
+
+class TestLoadTrajectory:
+    """The one ``loadtxt`` read against the per-row parser, bit for bit."""
+
     @pytest.mark.parametrize("case", list(LOADER_CASES))
-    def test_matches_the_row_parser_bit_for_bit(self, tmp_path, monkeypatch, case, scan_bytes):
-        # 7-byte scan blocks put a ",," across many block boundaries
-        edits, how, through = LOADER_CASES[case]
+    def test_matches_the_row_parser_bit_for_bit(self, tmp_path, monkeypatch, case):
+        edits, how = LOADER_CASES[case]
         path = tmp_path / "t.csv"
         path.write_bytes(_edit(edits, **how).encode())
         ks, us, ys = fileio._parse_rows(path, 5, 2)
-        monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
         calls = []
         cell = fileio._input_cell
         monkeypatch.setattr(fileio, "_input_cell", lambda c: calls.append(c) or cell(c))
@@ -218,18 +239,45 @@ class TestLoadTrajectory:
         assert traj.k0 == ks[0] == 0 and len(traj) == len(ks) == 600
         assert traj.u.tobytes() == us.tobytes() and traj.y.tobytes() == ys.tobytes()
         assert np.isnan(us).sum() == len(edits)
-        # the converter runs on the input cells of the rows through the last
-        # empty one, and on no other
-        assert len(calls) == 2 * through
+        # no cell goes through the per-cell converter
+        assert calls == []
 
-    @pytest.mark.parametrize("scan_bytes", [7, fileio._SCAN_BYTES],
-                             ids=["7-byte-blocks", "default-blocks"])
+    @pytest.mark.parametrize("m,p,seed", [(1, 1, 5), (3, 2, 6), (1, 2, 7), (2, 1, 8), (2, 2, 9),
+                                          (4, 1, 10), (5, 3, 11)])
+    def test_adjacent_empty_inputs_match_the_row_parser_bit_for_bit(self, tmp_path, m, p,
+                                                                    seed):
+        path = tmp_path / "t.csv"
+        text = _random_record(np.random.default_rng(seed), 500, m, p)
+        assert ("," * (m + 1)) in text
+        path.write_text(text)
+        ks, us, ys = fileio._parse_rows(path, 1 + m + p, m)
+        traj = load_trajectory(path)
+        assert traj.k0 == ks[0] == 0 and len(traj) == len(ks) == 500
+        assert np.isnan(us).any()
+        assert traj.u.tobytes() == us.tobytes() and traj.y.tobytes() == ys.tobytes()
+
+    def test_nan_output_with_an_empty_input_cell(self, tmp_path):
+        # a nan output sends the read to the row parser, which accepts it
+        path = tmp_path / "t.csv"
+        path.write_text(_edit([(3, 1, ""), (300, 4, "nan")]))
+        ks, us, ys = fileio._parse_rows(path, 5, 2)
+        traj = load_trajectory(path)
+        assert traj.k0 == ks[0] == 0 and len(traj) == 600
+        assert np.isnan(traj.u[3, 0]) and np.isnan(traj.y[300, 1])
+        np.testing.assert_array_equal(traj.u, us)
+        np.testing.assert_array_equal(traj.y, ys)
+
+    @pytest.mark.parametrize("body", ["0,1.0,x\n", "0,1.0,2.0\n1,1.0\n", "0,1.0,2.0\n1,1.0,2.0,3.0\n",
+                                      "0, ,2.0\n", "0,1.0,\n", "0,1.0,nan\n", "", "\n\n"],
+                             ids=["bad-cell", "short-row", "long-row", "blank-input",
+                                  "empty-output", "nan-output", "no-rows", "blank-lines-only"])
+    def test_table_read_declines_what_the_row_parser_must_answer(self, body):
+        assert fileio._read_table(io.StringIO(body), 1, 1) is None
+
     @pytest.mark.parametrize("blank", [" ", "\t", " \t ", " " * 9],
-                             ids=["space", "tab", "mixed", "wider-than-7"])
+                             ids=["space", "tab", "mixed", "wide"])
     @pytest.mark.parametrize("row", [2, 300, 599])
-    def test_blank_input_cell_is_missing_through_the_row_parser(self, tmp_path, monkeypatch,
-                                                                row, blank, scan_bytes):
-        monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
+    def test_blank_input_cell_is_missing_through_the_row_parser(self, tmp_path, row, blank):
         path = tmp_path / "t.csv"
         path.write_text(_edit([(0, 1, ""), (row, 2, blank)]))
         ks, us, ys = fileio._parse_rows(path, 5, 2)
