@@ -24,15 +24,16 @@ import numpy as np
 from .equivalence import build_lift_matrix
 from .errors import ValidationError
 from .model_core import IOModel, Trajectory
-from .rls import regressor_matrix
+from .rls import _FOLD_BLOCK, min_eigs, regressor_matrix
 
 DEFAULT_PE_SLOPE_TOL = 1e-2
 DEFAULT_GROWTH_RATIO = 1.2
 # smallest eigenvalue, relative to the Gram's trace, that counts as nonzero: a
 # singular Gram's round-off reaches ~1e2 eps, full-rank white noise ~1e-2
 PE_FLOOR = float(np.sqrt(np.finfo(float).eps))
-# rows of outer products summed per cumsum in partial_gram_min_eigs
-_GRAM_CHUNK = 1024
+# rows of outer products summed per cumsum in partial_gram_min_eigs: whole
+# min_eigs groups of _FOLD_BLOCK rows
+_GRAM_CHUNK = 16 * _FOLD_BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,26 +89,38 @@ def _as_matrix(regressors) -> np.ndarray:
     return Phi
 
 
-def partial_gram_min_eigs(Phi: np.ndarray) -> np.ndarray:
+def partial_gram_min_eigs(Phi) -> np.ndarray:
     """Smallest eigenvalue of the Gram partial sum ``sum_{j <= i} phi_j
-    phi_j^T`` after each row i of ``Phi``.
+    phi_j^T`` after each row i of the regressors ``Phi`` (K x d), read as
+    :func:`estimate_gram_limit` reads them.
 
     The sums are a ``cumsum`` of outer products over ``_GRAM_CHUNK`` rows at a
     time, the running sum carried into each chunk's first row, so they equal
-    a per-row ``gram += np.outer(phi, phi)`` bit for bit; each chunk goes
-    through one batched ``eigvalsh``.
+    a per-row ``gram += np.outer(phi, phi)`` bit for bit.  Each chunk goes
+    through one :func:`~sysid_rls.rls.min_eigs` call whose bases are the sums
+    just before each ``_FOLD_BLOCK`` rows (the carried sum, then
+    ``sums[63:-1:64]``): a partial sum never falls below an earlier one in
+    the Loewner order.  A proved figure is within ``6 (d + 1) eps ||A_i||_2``
+    of ``eigvalsh``'s for the computed sum ``A_i``; below d = 8, and in every
+    group the proof does not reach (the first, a singular or a clustered
+    one), the figure is ``eigvalsh``'s bits.  A chunk whose first sum's
+    ``eigvalsh`` spectrum, known from the chunk before, misses the proof's
+    gates goes to ``eigvalsh`` whole.
     """
+    Phi = _as_matrix(Phi)
     K, d = Phi.shape
     gram = np.zeros((d, d))
-    min_eigs = np.empty(K)
+    curve = np.empty(K)
+    spectrum = None
     for start in range(0, K, _GRAM_CHUNK):
         block = Phi[start:start + _GRAM_CHUNK]
         sums = block[:, :, None] * block[:, None, :]
         sums[0] += gram
         np.cumsum(sums, axis=0, out=sums)
-        min_eigs[start:start + len(block)] = np.linalg.eigvalsh(sums)[:, 0]
+        bases = np.concatenate([gram[None], sums[_FOLD_BLOCK - 1:-1:_FOLD_BLOCK]])
+        curve[start:start + len(block)], spectrum = min_eigs(sums, bases, spectrum)
         gram = sums[-1].copy()
-    return min_eigs
+    return curve
 
 
 def estimate_gram_limit(regressors) -> GramLimit:

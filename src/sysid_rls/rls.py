@@ -41,23 +41,26 @@ _FOLD_BLOCK = 64
 # whole-record fold bit for bit
 TRACE_CHUNK_ROWS = 16 * _FOLD_BLOCK
 
-# The history's pmin_eig is proved by one solve and one Cholesky per row
-# (_pmin_eigs) only from this dimension up.  Below it the proof saves little
-# or costs more than the eigvalsh it replaces: on exact 2e4-row records with
-# no floor it ran at 1.9-2.1x of eigvalsh's time at d = 3, 1.32x at d = 5,
-# 0.93-1.05x at d = 6 and 7 and 0.87x at d = 8.
+# min_eigs proves figures only from this dimension up.  On exact 2e4-row
+# records (an order-1 model fitted above its order, no floor) the fold's
+# 64-row calls ran at 1.32x of eigvalsh's time at d = 5, 0.86x at d = 6, 1.05x
+# at d = 7, 0.66x at d = 8 and 0.58x at d = 10.  The curve's 1,024-row calls
+# ran at 0.40-0.53x from d = 4 to 7, but below this dimension its figures
+# stay eigvalsh's bits.
 _PMIN_MIN_DIM = 8
-# ... and only where the block-start gap w[1] - w[0] exceeds this share of
-# w[0].  On ten records from the benchmark's generator (seeds 2-11, d = 14,
-# 3,130 blocks) every proved block had a gap above 0.025; iid normal rows,
-# which were never proved, had gaps at or below 0.02 in 522 of 626 blocks.
-# (At w[0] / 2, six of those ten records went to eigvalsh in most blocks.)
+# ... and only where a base's gap beta - w[0] exceeds this share of w[0].  On
+# ten records from the benchmark's generator (seeds 2-11; the d = 14 fold and
+# the d = 10 reduced curve, 6,260 groups) 6,152 groups were proved, none with
+# a gap below 0.03.  On iid normal rows (d = 14) groups were proved from a
+# gap of 0.020 up: 25 and 39 of 313 per fold, 1 and 105 per curve.
 _PMIN_GAP = 0.02
-# The proved interval is eta = _PMIN_ETA * (d + 1) * eps * w[-1] wide.  On
-# those records the proof's figure lay at most 3.9 (d + 1) eps ||P_j|| from
-# eigvalsh's; on the benchmark's record 5 of 313 blocks went to eigvalsh with
-# a factor of 1 to 3, 4 with 4 and 3 with 8.
+# A figure is proved when its Kato-Temple width is at most eta = _PMIN_ETA *
+# (d + 1) * eps * w[-1], w the spectrum of its group's base.  On those records
+# every figure lay within 3.8 (d + 1) eps ||A_j|| of eigvalsh's, and within
+# 1.9 (fold) and 3.7 (curve) on the benchmark's seeds 1 and 97, where 1 and 3
+# of 313 fold blocks and 1 and 4 of 313 curve groups went to eigvalsh.
 _PMIN_ETA = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,14 +300,15 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     to row 0; so only ``keep_history`` allocates the ``(K, p, d)`` history,
     and the returned ``theta`` is a copy.
 
-    The history's ``pmin_eig`` for a block's rows comes from
-    :func:`_pmin_eigs`: each row's figure is within ``eta = 4 (d + 1) eps
-    ||P||_2`` (``P`` the block-start covariance) of the smallest eigenvalue
-    of the computed ``P_j``, up to the factorization's backward error (so
-    within ``eta + 2 (d + 1) eps ||P_j||_2``, the bound the tests check),
-    proved by one batched solve and one batched Cholesky factorization, and
-    the block takes one batched ``eigvalsh`` wherever that is not proved.  Its trailing digits can differ from
-    earlier versions, which took ``eigvalsh`` everywhere.
+    The history's ``pmin_eig`` for a block's rows comes from one
+    :func:`min_eigs` call on the block's downdated covariances ``P_j``, with
+    the block's last one as the base: a downdate never raises a covariance in
+    the Loewner order.  Where the Kato-Temple bound proves it, a row's figure
+    is within ``(_PMIN_ETA + 2) (d + 1) eps ||P_j||_2`` of the smallest
+    eigenvalue of the computed ``P_j``, and the block takes one batched
+    ``eigvalsh`` wherever that is not proved.  Its trailing digits can differ
+    from earlier versions.  The call depends on the block alone, so a fold
+    split at a block boundary still gives the unsplit fold's figures.
 
     A bordered matrix that fails to factor (its Gram ``S`` is not positive
     definite), a border ``c`` that overflows, or a non-finite estimate
@@ -376,7 +380,8 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         if keep_history:
             Ps = np.multiply(Kt[:, :, None], Kt[:, None, :], out=downs[:b])
             np.cumsum(Ps, axis=0, out=Ps)
-            pmin[start:stop] = _pmin_eigs(P, np.subtract(P, Ps, out=Ps))
+            np.subtract(P, Ps, out=Ps)
+            pmin[start:stop] = min_eigs(Ps, Ps[-1:])[0]
         theta = steps[-1]
         # Kt.T @ Kt is a syrk product, exactly symmetric, so P stays so
         P -= Kt.T @ Kt
@@ -398,53 +403,126 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     return new, record
 
 
-def _pmin_eigs(P: np.ndarray, Ps: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each covariance ``P_j`` of the stack ``Ps``
-    (b x d x d), the post-row covariances of a block that starts at ``P``.
+def min_eigs(stack: np.ndarray, bases: np.ndarray,
+             spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The smallest eigenvalue of each symmetric matrix ``A_j`` of the
+    C-ordered ``stack`` (n x d x d), the package's one route for a per-row
+    ``lambda_min`` curve.
 
-    One ``eigh(P)`` gives the spectrum ``w`` and lowest eigenvector ``v``.
-    When ``d >= _PMIN_MIN_DIM`` and ``w[1] - w[0] > _PMIN_GAP * w[0]``, each
-    row takes ``rho0 = v^T P_j v``, one inverse-iteration step ``x = (P_j -
-    rho0 I)^{-1} v`` and its Rayleigh quotient ``rho = rho0 + v^T x / x^T
-    x``, an upper bound on ``lambda_min(P_j)``.  A Cholesky factorization of
-    ``P_j - (rho - eta) I`` that succeeds proves the lower bound ``rho -
-    eta``, up to its own backward error (Parlett, *The Symmetric Eigenvalue
-    Problem*, 1998, ch. 4 and 11; Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, ch. 10), with ``eta = _PMIN_ETA (d + 1) eps
-    w[-1]``; ``rho`` is returned.  A gate missed, a ``LinAlgError`` or a
-    non-finite ``rho`` gives ``eigvalsh(Ps)[:, 0]`` for the whole block
-    instead, with no numpy warning.  The shifts are written on the diagonal
-    of ``Ps`` and undone from a copy of it, so ``Ps`` is left as it came.
+    The rows fall in groups of ``_FOLD_BLOCK``, and every row of group g lies
+    at or above ``bases[g]`` in the Loewner order (``A_j - B_g`` is positive
+    semidefinite) up to the round-off of forming them.  :func:`rls_fold`
+    passes a block's downdated covariances with the block's last one as the
+    base; :func:`~sysid_rls.excitation.partial_gram_min_eigs` passes a
+    chunk's Gram partial sums with the sums just before each group.
+
+    One batched ``eigh`` of the bases gives each group's spectrum ``w`` and
+    lowest eigenvector ``v``.  As ``B <= A_j``, ``beta = w[1] - mu`` bounds
+    every row's second eigenvalue from below, with ``mu = _FOLD_BLOCK (d + 1)
+    eps w[-1]`` for the round-off.  Each row of a group that passes the gates
+    takes ``rho0 = v^T A_j v`` and one batched shifted solve ``x = (A_j -
+    rho0 I)^{-1} v``.  The unit ``u = x / ||x||`` has the Rayleigh quotient
+    ``rho = rho0 + t``, ``t = v^T x / x^T x``, and the residual ``||A_j u -
+    rho u|| = ||v - t x|| / ||x||``, with no further product.  Where ``rho <
+    beta``, the Kato-Temple inequality (Kato, *J. Phys. Soc. Japan* 4, 1949;
+    Parlett, *The Symmetric Eigenvalue Problem*, 1998, ch. 10) gives::
+
+        rho - ||r||^2 / (beta - rho)  <=  lambda_min(A_j)  <=  rho
+
+    and ``rho`` is the row's figure when that width is at most ``eta =
+    _PMIN_ETA (d + 1) eps w[-1]``, the residual raised by ``(d + 1) eps
+    tr(A_j)`` for the solve's backward error.  Rows that fail take one more
+    step, from ``u`` at the shift ``rho``, unless a row of their group has
+    ``rho >= beta``: its smallest eigenvalue may lie above ``beta``, where no
+    bound from this base holds, and on the records measured for
+    ``_PMIN_GAP`` no such group was proved by a second step.  So a proved
+    row is within ``eta`` of ``lambda_min(A_j)`` up to the round-off in
+    ``rho``: within ``(_PMIN_ETA + 2) (d + 1) eps ||A_j||_2``, the bound the
+    tests check.
+
+    A group takes ``eigvalsh``'s bits instead where ``d < _PMIN_MIN_DIM``,
+    where its base's ``w[0]`` is round-off (at most ``(d + 1) eps tr(B)``) or
+    ``beta - w[0]`` is at most ``_PMIN_GAP w[0]``, and where a row is not
+    proved, a solve is singular or a figure is not finite; no numpy warning
+    is raised.  The shifts are written on the stack's diagonal and undone
+    from a copy of it, so ``stack`` is left as it came.
+
+    Returns the figures and, where the last group took ``eigvalsh``, the
+    spectrum of ``stack[-1]`` (else None).  Passed back as ``spectrum`` with
+    the stack that follows, that spectrum gates the whole next call by the
+    same test as a base: a curve whose sums are singular or clustered pays
+    for no ``eigh`` and no solve.
     """
-    d = P.shape[0]
-    if d >= _PMIN_MIN_DIM:
-        w, V = np.linalg.eigh(P)
-        if w[1] - w[0] > _PMIN_GAP * w[0]:
-            v, eta = V[:, 0], _PMIN_ETA * (d + 1) * np.finfo(float).eps * w[-1]
-            # the last row, the furthest from P, alone first: no block whose
-            # last row failed was proved in 3,756 measured blocks, and trying
-            # all of its rows costs about a third of eigvalsh's time
-            for rows in (Ps[-1:], Ps):
-                diag = rows.reshape(len(rows), -1)[:, ::d + 1]
-                kept = diag.copy()
-                try:
-                    with np.errstate(all="ignore"):
-                        rho0 = (rows @ v) @ v
-                        diag -= rho0[:, None]
-                        x = np.linalg.solve(rows, v)
-                        rho = rho0 + (x @ v) / np.vecdot(x, x)
-                        # a shift that is not finite proves nothing
-                        if not np.isfinite(rho).all():
-                            break
-                        np.subtract(kept, (rho - eta)[:, None], out=diag)
-                        np.linalg.cholesky(rows)
-                except np.linalg.LinAlgError:
-                    break
-                finally:
-                    diag[...] = kept
-            else:
-                return rho
-    return np.linalg.eigvalsh(Ps)[:, 0]
+    n, d = stack.shape[:2]
+    if d >= _PMIN_MIN_DIM and (spectrum is None or _gates(spectrum[None])[0][0]):
+        w, V = np.linalg.eigh(bases)
+        tried, beta = _gates(w)
+        if tried.any():
+            out = np.empty(n)
+            rest = np.repeat(~_kato_temple(stack, tried, beta, w, V, out), _FOLD_BLOCK)[:n]
+            if not rest.any():
+                return out, None
+            if not rest.all():
+                W = np.linalg.eigvalsh(stack[rest])
+                out[rest] = W[:, 0]
+                return out, (W[-1] if rest[-1] else None)
+    W = np.linalg.eigvalsh(stack)
+    return W[:, 0], W[-1]
+
+
+def _gates(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ascending spectra ``w`` (G x d) of bases, which groups pass the
+    gates of :func:`min_eigs`, and each group's ``beta``."""
+    d, w0 = w.shape[1], w[:, 0]
+    beta = w[:, 1] - _FOLD_BLOCK * (d + 1) * _EPS * w[:, -1]
+    tried = (w0 > (d + 1) * _EPS * np.add.reduce(w, axis=1)) & (beta - w0 > _PMIN_GAP * w0)
+    return tried, beta
+
+
+def _kato_temple(stack, tried, beta, w, V, out) -> np.ndarray:
+    """Which groups of :func:`min_eigs` are proved, of those ``tried``; the
+    rows of the tried groups get their ``rho`` in ``out``."""
+    n, d = stack.shape[:2]
+    groups = np.arange(n) // _FOLD_BLOCK
+    rows = tried[groups]
+    g = groups[rows]
+    A = stack if rows.all() else stack[rows]
+    diag = A.reshape(len(A), -1)[:, ::d + 1]
+    kept = diag.copy()
+    v, beta, eta = V[g, :, 0], beta[g], _PMIN_ETA * (d + 1) * _EPS * w[g, -1]
+    slack = (d + 1) * _EPS * kept.sum(axis=1)
+    try:
+        with np.errstate(all="ignore"):
+            rho = np.vecdot(np.matmul(A, v[:, :, None])[:, :, 0], v)
+            diag -= rho[:, None]
+            rho, ok, x = _shifted_step(A, v, rho, beta, eta, slack)
+            # no second step in a group with a row at or above beta: its
+            # smallest eigenvalue may lie above beta, where nothing proves it
+            f = ~ok & (np.bincount(g[rho >= beta], minlength=len(tried)) == 0)[g]
+            if f.any():
+                B = A[f]
+                B.reshape(len(B), -1)[:, ::d + 1] = kept[f] - rho[f, None]
+                u = x[f] / np.sqrt(np.vecdot(x[f], x[f]))[:, None]
+                rho[f], ok[f], _ = _shifted_step(B, u, rho[f], beta[f], eta[f], slack[f])
+    except np.linalg.LinAlgError:
+        return np.zeros(len(tried), dtype=bool)
+    finally:
+        diag[...] = kept
+    out[rows] = rho
+    return tried & (np.bincount(g[~ok], minlength=len(tried)) == 0)
+
+
+def _shifted_step(A, v, shift, beta, eta, slack):
+    """One inverse-iteration step per row, ``x = (A_j - shift I)^{-1} v``
+    with ``A`` holding ``A_j - shift I``: the Rayleigh quotient ``rho`` of
+    ``x``, whether Kato-Temple proves it to within ``eta``, and ``x``."""
+    x = np.linalg.solve(A, v[:, :, None])[:, :, 0]
+    xx = np.vecdot(x, x)
+    t = np.vecdot(x, v) / xx
+    rho = shift + t
+    r = v - t[:, None] * x
+    res = np.sqrt(np.vecdot(r, r) / xx) + slack
+    return rho, (rho < beta) & (res * res <= eta * (beta - rho)), x
 
 
 def _blow_up(start: int, why: str) -> NumericalError:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import sysid_rls
+from sysid_rls import rls
 from sysid_rls import IOModel, Trajectory, TransitionPair, ValidationError, simulate
 
 # the child caps its own address space before numpy loads, then runs the CLI
@@ -195,6 +196,43 @@ def reference_gram_curve(Phi):
         gram += np.outer(Phi[i], Phi[i])
         curve.append(np.linalg.eigvalsh(gram)[0])
     return np.array(curve), gram
+
+
+def spy_min_eigs(monkeypatch, *modules) -> list:
+    """Record each :func:`sysid_rls.rls.min_eigs` call made through
+    ``modules``: the ``eigvalsh`` spectra of its bases and of its stack, and
+    its figures."""
+    calls, real = [], rls.min_eigs
+
+    def spy(stack, bases, spectrum=None):
+        seen = (np.linalg.eigvalsh(bases), np.linalg.eigvalsh(stack))
+        got = real(stack, bases, spectrum)
+        calls.append((*seen, got[0]))
+        return got
+
+    for module in modules:
+        monkeypatch.setattr(module, "min_eigs", spy)
+    return calls
+
+
+def check_min_eigs_width(calls) -> tuple[int, int]:
+    """Check each figure of spied :func:`sysid_rls.rls.min_eigs` calls
+    against the width it states: within ``eta = 4 (d + 1) eps ||B||_2`` (B
+    the group's base) of ``eigvalsh``'s, up to ``2 (d + 1) eps ||A_j||_2``.
+    Returns the number of groups and of proved groups, those whose figures
+    are not ``eigvalsh``'s bits."""
+    eps = np.finfo(float).eps
+    groups = proved = 0
+    for bases, want, got in calls:
+        d = want.shape[1]
+        for g, start in enumerate(range(0, len(got), rls._FOLD_BLOCK)):
+            rows = slice(start, start + rls._FOLD_BLOCK)
+            eta = 4 * (d + 1) * eps * bases[g, -1]
+            norm = np.max(np.abs(want[rows]), axis=1)
+            assert np.all(np.abs(got[rows] - want[rows, 0]) <= eta + 2 * (d + 1) * eps * norm)
+            groups += 1
+            proved += not np.array_equal(got[rows], want[rows, 0])
+    return groups, proved
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,13 +11,16 @@ from sysid_rls import (
     regressor_matrix,
     simulate,
 )
+from sysid_rls import excitation, rls
 from sysid_rls.excitation import DEFAULT_GROWTH_RATIO, DEFAULT_PE_SLOPE_TOL, PE_FLOOR
 
 from support import (
+    check_min_eigs_width,
     random_stable_model,
     reference_gram_curve,
     reference_reduced_regressor,
     reference_regressor,
+    spy_min_eigs,
 )
 
 
@@ -178,6 +181,68 @@ class TestPartialGramCurve:
         Phi = np.random.default_rng(K).standard_normal((K, 3))
         assert np.array_equal(partial_gram_min_eigs(Phi), reference_gram_curve(Phi)[0])
 
+
+    # an order-1 model with p = m = 2 fitted at order 3 or 5: the reduced
+    # regressors have d = 10 and d = 14, above the proof's smallest dimension
+    @pytest.mark.parametrize("n_hat", [3, 5])
+    def test_reduced_curve_is_proved_within_its_width(self, monkeypatch, n_hat):
+        Phi = _exact_regressors(seed=0, n_hat=n_hat)[:, 2 * (n_hat - 1):]
+        calls = spy_min_eigs(monkeypatch, excitation)
+        curve = partial_gram_min_eigs(Phi)
+        assert np.array_equal(curve, np.concatenate([got for *_, got in calls]))
+        want = np.concatenate([w[:, 0] for _, w, _ in calls])
+        assert np.array_equal(want, reference_gram_curve(Phi)[0])
+        groups, proved = check_min_eigs_width(calls)
+        assert proved >= 0.9 * groups
+
+    def test_small_gap_record_takes_the_second_step(self, monkeypatch):
+        # the final Gram's two smallest eigenvalues are less than w[0] apart,
+        # and a base's eigenvector is one step short of the proof's width
+        Phi = _exact_regressors(seed=2, n_hat=3)[:, 4:]
+        w = np.linalg.eigvalsh(Phi.T @ Phi)
+        assert w[1] - w[0] < w[0]
+        calls = spy_min_eigs(monkeypatch, excitation)
+        steps, real = [], rls._shifted_step
+
+        def step(*args):
+            rho, ok, x = real(*args)
+            steps.append((len(calls), int(ok.sum())))
+            return rho, ok, x
+
+        monkeypatch.setattr(rls, "_shifted_step", step)
+        partial_gram_min_eigs(Phi)
+        per_call = [[ok for i, ok in steps if i == call] for call in range(len(calls))]
+        assert any(len(oks) == 2 and oks[1] > 0 for oks in per_call)
+        groups, proved = check_min_eigs_width(calls)
+        assert proved >= 0.8 * groups
+
+    def test_singular_full_curve_is_eigvalsh_bit_for_bit(self, monkeypatch):
+        # the full order-3 regressor of exact order-1 data spans 10 of its 14
+        # dimensions: every smallest eigenvalue is round-off, so after the
+        # first chunk's bases no eigh runs
+        Phi = _exact_regressors(seed=0, n_hat=3)
+        eighs, real = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or real(a))
+        assert np.array_equal(partial_gram_min_eigs(Phi), reference_gram_curve(Phi)[0])
+        assert eighs == [(16, 14, 14)]
+
+    def test_input_is_validated_as_the_gram_limit_is(self):
+        rows = [[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]]
+        assert np.array_equal(partial_gram_min_eigs(rows), partial_gram_min_eigs(np.array(rows)))
+        column = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(partial_gram_min_eigs(column),
+                              partial_gram_min_eigs(column[:, None]))
+        with pytest.raises(ValidationError, match="empty"):
+            partial_gram_min_eigs(np.zeros((0, 3)))
+
+
+def _exact_regressors(seed: int, n_hat: int, K: int = 3000) -> np.ndarray:
+    """The full order-``n_hat`` regressors of K samples of exact data from a
+    random order-1 model with p = m = 2."""
+    rng = np.random.default_rng(seed)
+    model = random_stable_model(rng, 1, 2, 2)
+    traj = simulate(model, rng.standard_normal((1, 2)), rng.standard_normal((K + n_hat, 2)))
+    return regressor_matrix(traj, n_hat)[0]
 
 class TestGramLimit:
     def test_constant_regressor(self):

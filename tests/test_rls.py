@@ -20,7 +20,14 @@ from sysid_rls import (
 from sysid_rls import rls
 from sysid_rls.rls import _FOLD_BLOCK, TRACE_CHUNK_ROWS, FoldRecord, RlsState
 
-from support import random_spd, random_stable_model, reference_regressor, reference_rls
+from support import (
+    check_min_eigs_width,
+    random_spd,
+    random_stable_model,
+    reference_regressor,
+    reference_rls,
+    spy_min_eigs,
+)
 
 
 def make_traj():
@@ -393,7 +400,7 @@ class TestRlsFold:
             _assert_block_exact(*_fold_case(order, p, m, K, seed=10 + p + K))
 
     def test_bit_identical_to_block_chain_where_pmin_eig_is_proved(self):
-        # d = 14, p = 2 on exact data, where _pmin_eigs proves most blocks'
+        # d = 14, p = 2 on exact data, where min_eigs proves most blocks'
         # figures instead of taking eigvalsh's
         for K in FOLD_KS:
             _assert_block_exact(*_exact_case(2, 2, K, seed=80 + K))
@@ -551,25 +558,10 @@ class TestRlsFold:
         assert _rel_diff(record.pmin_eig, want) <= 1e-9
 
 
-def _pmin_calls(monkeypatch):
-    """Each :func:`rls._pmin_eigs` call of a fold, as the block-start ``P``,
-    the ``eigvalsh`` spectra of the stack it was given, and its result."""
-    calls, real = [], rls._pmin_eigs
-
-    def spy(P, Ps):
-        want = np.linalg.eigvalsh(Ps)
-        got = real(P, Ps)
-        calls.append((P.copy(), want, got))
-        return got
-
-    monkeypatch.setattr(rls, "_pmin_eigs", spy)
-    return calls
-
-
 class TestProvedPminEig:
-    """The history's ``pmin_eig``: within ``eta`` of the smallest eigenvalue
-    of each computed covariance where the proof holds, ``eigvalsh``'s bits
-    wherever it is not tried or fails."""
+    """The history's ``pmin_eig``, through :func:`rls.min_eigs`: within the
+    stated width of the smallest eigenvalue of each computed covariance where
+    the proof holds, ``eigvalsh``'s bits wherever it is not tried or fails."""
 
     @pytest.mark.parametrize("case", ["iid-p0=1e3", "iid-p0=1e9", "exact-p0=1e3"])
     def test_within_eta_of_eigvalsh_row_by_row(self, monkeypatch, case):
@@ -579,19 +571,14 @@ class TestProvedPminEig:
             state = initial_state(3, 2, 2, p0_scale=p0)
         else:
             state, Phi, Y, _ = _exact_case(2, 2, K, seed=70, p0=p0)
-        calls = _pmin_calls(monkeypatch)
+        calls = spy_min_eigs(monkeypatch, rls)
         _, record = rls_fold(state, Phi, Y, keep_history=True)
         assert np.array_equal(record.pmin_eig, np.concatenate([got for *_, got in calls]))
-        eps, d = np.finfo(float).eps, state.dim
-        proved = 0
-        for P, want, got in calls:
-            eta = 4 * (d + 1) * eps * np.linalg.eigvalsh(P)[-1]
-            norm = np.max(np.abs(want), axis=1)
-            assert np.all(np.abs(got - want[:, 0]) <= eta + 2 * (d + 1) * eps * norm)
-            proved += not np.array_equal(got, want[:, 0])
+        groups, proved = check_min_eigs_width(calls)
+        assert groups == len(calls)  # one block, one group
         if case.startswith("exact"):
             # the proof, not eigvalsh, gives most blocks' figures here
-            assert proved >= 0.9 * len(calls)
+            assert proved >= 0.9 * groups
 
     @pytest.mark.parametrize("case", ["d<8", "clustered", "first-block", "forced-failure"])
     def test_unproved_blocks_are_eigvalsh_bit_for_bit(self, monkeypatch, case):
@@ -603,24 +590,25 @@ class TestProvedPminEig:
         else:
             state, Phi, Y, _ = _exact_case(2, 2, K, seed=71)
         if case == "forced-failure":
-            # a shift above the Rayleigh quotient: no factorization succeeds
+            # a negative width: no Kato-Temple bound is narrow enough
             monkeypatch.setattr(rls, "_PMIN_ETA", -1e3)
-        calls = _pmin_calls(monkeypatch)
+        calls = spy_min_eigs(monkeypatch, rls)
         rls_fold(state, Phi, Y, keep_history=True)
-        # the first block starts from p0 I, whose spectrum has no gap
-        for P, want, got in calls[:1] if case == "first-block" else calls:
+        # the first block's first rows, just below p0 I, have smallest
+        # eigenvalues above its last covariance's second one: no bound holds
+        for _, want, got in calls[:1] if case == "first-block" else calls:
             assert np.array_equal(got, want[:, 0])
 
     def test_unproved_blocks_raise_no_warning(self, monkeypatch):
-        # clustered rows miss the gates, a forced failure reaches a failed
-        # factorization, and zero rows from a diagonal P leave v an exact
+        # clustered rows fail the proof, a forced failure fails every
+        # bound, and zero rows from a diagonal P leave v an exact
         # eigenvector of every P_j, so the shifted solve is singular
         d = 14
         diagonal = RlsState(theta=np.zeros((2, d)), P=np.diag(2.0 ** np.arange(d)))
         folds = [_fold_case(3, 2, 2, 2 * _FOLD_BLOCK, seed=72)[:3],
                  _exact_case(2, 2, 2 * _FOLD_BLOCK, seed=72)[:3],
                  (diagonal, np.zeros((_FOLD_BLOCK, d)), np.zeros((_FOLD_BLOCK, 2)))]
-        calls = _pmin_calls(monkeypatch)
+        calls = spy_min_eigs(monkeypatch, rls)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for i, fold in enumerate(folds):
@@ -628,6 +616,6 @@ class TestProvedPminEig:
                     if i == 1:
                         patch.setattr(rls, "_PMIN_ETA", -1e3)
                     rls_fold(*fold, keep_history=True)
-        for P, want, got in calls:
+        for _, want, got in calls:
             assert np.array_equal(got, want[:, 0])
         assert np.all(calls[-1][2] == 1.0)
