@@ -9,6 +9,9 @@ output-file digests (wall-clock time is recorded but excluded).
 
 from __future__ import annotations
 
+import json
+import os
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -83,6 +86,7 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
     orders = d["fit_orders"]
     if not isinstance(orders, list) or not orders:
         raise ValidationError("config.fit_orders: must be a nonempty list")
+    first = {}  # order -> its first index
     for i, o in enumerate(orders):
         if _parse_int(f"config.fit_orders[{i}]", o) < 0:
             raise ValidationError(f"config.fit_orders[{i}]: must be a non-negative integer")
@@ -90,6 +94,11 @@ def config_from_dict(d: dict, base_dir: Path | None = None) -> ExperimentConfig:
             raise ValidationError(
                 f"config.fit_orders[{i}]: order {o} is below the true order {model.n}"
             )
+        if o in first:  # both would write the same files
+            raise ValidationError(
+                f"config.fit_orders[{i}]: order {o} repeats config.fit_orders[{first[o]}]"
+            )
+        first[o] = i
 
     horizon = _parse_int("config.horizon", d["horizon"])
     if horizon <= max(orders):
@@ -140,49 +149,51 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     ``horizon + max(fit_orders)`` is generated and each order consumes the
     suffix covering its own pre-history.  A failure in one order is recorded
     in the manifest and does not disturb the other orders' outputs.
+
+    The orders run concurrently on up to ``min(CPUs in the affinity set,
+    orders)`` processes: this one and children forked after the input is
+    generated, the orders dealt round-robin, this process keeping the first
+    share.  Each process holds one order's arrays at a time.  Every output
+    and the manifest hash are byte-identical to a one-CPU run;
+    ``wall_clock_s`` is this process's wall time.  A child that dies before
+    replying turns each of its orders into an ``error:`` entry, and no child
+    outlives the call, however it ends.
     """
     start = time.monotonic()
-    model = config.true_model
-    max_order = max(config.fit_orders)
     spec = config.input
     if spec.kind == "file":  # from the config's directory, as true_model and theta0 are
         spec = replace(spec, path=str(Path(config.base_dir or "") / spec.path))
     # before the output directory exists, so an input that cannot be made
     # leaves no empty directory behind
-    u_full = generate_input(spec, config.horizon + max_order, model.m)
+    u_full = generate_input(spec, config.horizon + max(config.fit_orders), config.true_model.m)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except ValueError as exc:  # a NUL, or a character the file system cannot encode
         raise ValidationError(f"output directory {str(out_dir)!r}: {exc}") from exc
 
-    runs = []
-    for order in config.fit_orders:
-        entry = {"fit_order": order, "seed": config.input.seed, "status": "ok",
-                 "outputs": {}}
-        try:
-            theta0 = load_theta0(config.theta0, model.p, regressor_dim(order, model.p, model.m),
-                                 base_dir=config.base_dir)
-            trace = run_tracked_identification(
-                model, order, u_full[max_order - order:], config.horizon,
-                theta0=theta0, p0_scale=config.p0_scale,
-            )
-            trace_path = out_dir / f"trace_order{order}.csv"
-            write_convergence_trace(trace_path, trace)
-            summary = trace.summary_dict()
-            summary["seed"] = config.input.seed
-            summary["config_hash"] = config.config_hash
-            summary_path = out_dir / f"summary_order{order}.json"
-            write_json(summary_path, summary)
-            entry["outputs"] = {
-                "trace": trace_path.name,
-                "trace_sha256": sha256_file(trace_path),
-                "summary": summary_path.name,
-                "summary_sha256": sha256_file(summary_path),
-            }
-        except Exception as exc:  # crash isolation across orders
-            entry["status"] = f"error: {exc}"
-        runs.append(entry)
+    def work(order):
+        return _run_order(config, u_full, out_dir, order)
+
+    workers = _worker_count(len(config.fit_orders))
+    shares = [config.fit_orders[i::workers] for i in range(workers)]
+    own, children, entries = list(shares[0]), [], {}
+    try:
+        for share in shares[1:]:
+            child = _fork_worker(work, share)
+            if child is None:  # no process to be had: this one runs the share
+                own.extend(share)
+            else:
+                children.append(child)
+        for order in own:
+            entries[order] = work(order)
+        while children:
+            entries.update(_reply(config, *children[0]))
+            children.pop(0)
+    finally:
+        for pid, pipe, _share in children:  # left only by an interruption
+            _stop(pid, pipe)
+    runs = [entries[order] for order in config.fit_orders]
 
     wall = time.monotonic() - start
     hash_basis = canonical_json({
@@ -197,3 +208,119 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     )
     write_json(out_dir / "manifest.json", manifest.to_dict())
     return manifest
+
+
+def _run_order(config: ExperimentConfig, u_full, out_dir: Path, order: int) -> dict:
+    """Fit one order, write its trace and summary, and return its manifest
+    entry; an exception becomes the entry's ``error:`` status."""
+    model = config.true_model
+    entry = _entry(config, order, "ok")
+    try:
+        theta0 = load_theta0(config.theta0, model.p, regressor_dim(order, model.p, model.m),
+                             base_dir=config.base_dir)
+        trace = run_tracked_identification(
+            model, order, u_full[max(config.fit_orders) - order:], config.horizon,
+            theta0=theta0, p0_scale=config.p0_scale,
+        )
+        trace_path = out_dir / f"trace_order{order}.csv"
+        write_convergence_trace(trace_path, trace)
+        summary = trace.summary_dict()
+        summary["seed"] = config.input.seed
+        summary["config_hash"] = config.config_hash
+        summary_path = out_dir / f"summary_order{order}.json"
+        write_json(summary_path, summary)
+        entry["outputs"] = {
+            "trace": trace_path.name,
+            "trace_sha256": sha256_file(trace_path),
+            "summary": summary_path.name,
+            "summary_sha256": sha256_file(summary_path),
+        }
+    except Exception as exc:  # crash isolation across orders
+        entry["status"] = f"error: {exc}"
+    return entry
+
+
+def _entry(config: ExperimentConfig, order: int, status: str) -> dict:
+    return {"fit_order": order, "seed": config.input.seed, "status": status, "outputs": {}}
+
+
+def _worker_count(orders: int) -> int:
+    """Processes for ``orders`` orders: one per CPU in the affinity set, at
+    most one per order, and one where ``os.fork`` is missing or would warn."""
+    if not hasattr(os, "fork") or _fork_warns():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, orders)
+
+
+def _fork_warns() -> bool:
+    """Whether ``os.fork`` would warn that this process has other threads, as
+    Python 3.12 and later do (a BLAS thread pool counts).  Where the thread
+    count cannot be read, assume it would."""
+    if sys.version_info < (3, 12):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:
+        return True
+
+
+def _fork_worker(work, share):
+    """Fork a child that runs ``work`` on each order of ``share`` and writes
+    the entries to a pipe as JSON: ``(pid, read end, share)``, or None when
+    no pipe or process could be made (``EMFILE``, ``EAGAIN``, ``ENOMEM``).
+
+    The child leaves through ``os._exit``, so it runs no atexit handler and
+    flushes no stdio buffer it inherited.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(json.dumps([work(order) for order in share]).encode())
+            os._exit(0)
+        finally:  # whatever was raised, the child goes no further
+            os._exit(1)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb"), share
+
+
+def _reply(config: ExperimentConfig, pid: int, pipe, share) -> dict:
+    """Read a child's entries to the end of its pipe and reap it: order ->
+    entry.  Without a complete reply every order of the share gets an
+    ``error:`` entry naming how the child ended."""
+    with pipe:
+        data = pipe.read()
+    _pid, status = os.waitpid(pid, 0)
+    try:  # a child writes its whole list or is cut off before the end
+        return dict(zip(share, json.loads(data)))
+    except ValueError:
+        pass
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        import signal  # only here: a run whose children all reply needs none
+
+        how = f"was killed by {signal.Signals(-code).name}"
+    else:
+        how = f"exited with status {code}"
+    return {order: _entry(config, order, f"error: worker process {how} before replying")
+            for order in share}
+
+
+def _stop(pid: int, pipe) -> None:
+    """Kill and reap a child whose reply is no longer wanted."""
+    import signal
+
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)  # the pid stays ours until it is reaped
+    os.waitpid(pid, 0)

@@ -736,6 +736,7 @@ class TestExperimentCommand:
                                               "config.input.seed"),
                                              ({"fit_orders": [True]}, "config.fit_orders[0]"),
                                              ({"fit_orders": [1, 2.0]}, "config.fit_orders[1]"),
+                                             ({"fit_orders": [2, 2]}, "config.fit_orders[1]"),
                                              ({"horizon": True}, "config.horizon"),
                                              ({"horizon": 100.0}, "config.horizon"),
                                              # above 2**63: numpy refuses it unallocated

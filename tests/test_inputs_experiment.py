@@ -1,7 +1,11 @@
 import csv
+import errno
 import io
 import json
+import os
+import signal
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -22,7 +26,8 @@ from sysid_rls import (
     run_experiment,
     simulate,
 )
-from sysid_rls import fileio
+from sysid_rls import experiment, fileio
+from sysid_rls.cli import main
 from sysid_rls.experiment import config_from_dict
 from sysid_rls.fileio import (
     load_model,
@@ -537,12 +542,36 @@ class TestConfig:
         with pytest.raises(ValidationError, match="below the true order"):
             config_from_dict(cfg)
 
+    def test_repeated_fit_order(self):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(minimal_config(fit_orders=[1, 2, 1]))
+        assert str(err.value) == "config.fit_orders[2]: order 1 repeats config.fit_orders[0]"
+
     def test_model_by_path(self, tmp_path):
         save_model(SCALAR, tmp_path / "m.json")
         cfg = minimal_config(true_model="m.json")
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         config = load_config(tmp_path / "cfg.json")
         np.testing.assert_array_equal(config.true_model.theta, SCALAR.theta)
+
+
+def cpus(count):
+    """Make ``count`` CPUs the affinity set ``run_experiment`` sees."""
+    return mock.patch("os.sched_getaffinity", create=True, return_value=set(range(count)))
+
+
+def host_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def assert_same_outputs(a, b, dir_a, dir_b):
+    """Two runs' manifests agree but for the wall time, and every trace and
+    summary holds the same bytes."""
+    assert a.runs == b.runs and a.manifest_hash == b.manifest_hash
+    names = sorted(f.name for f in dir_a.iterdir() if f.name != "manifest.json")
+    assert names == sorted(f.name for f in dir_b.iterdir() if f.name != "manifest.json")
+    for name in names:
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
 class TestRunExperiment:
@@ -602,3 +631,69 @@ class TestRunExperiment:
         assert set(entry["outputs"]) == {"trace", "trace_sha256",
                                          "summary", "summary_sha256"}
         assert Path(tmp_path / entry["outputs"]["trace"]).exists()
+
+    def test_worker_count_leaves_outputs_unchanged(self, tmp_path):
+        cfg = config_from_dict(minimal_config(fit_orders=[1, 2, 3], horizon=600))
+        pids = tmp_path / "pids"
+        pids.mkdir()
+
+        def tracked(model, order, *args, **kwargs):
+            (pids / str(order)).write_text(str(os.getpid()))
+            return real(model, order, *args, **kwargs)
+
+        real = experiment.run_tracked_identification
+        with cpus(1):
+            one = run_experiment(cfg, tmp_path / "one")
+        with cpus(4), mock.patch.object(experiment, "run_tracked_identification", tracked):
+            four = run_experiment(cfg, tmp_path / "four")
+        assert_same_outputs(one, four, tmp_path / "one", tmp_path / "four")
+        assert [r["status"] for r in four.runs] == ["ok"] * 3
+        if host_cpus() >= 2:
+            assert {int(f.read_text()) for f in pids.iterdir()} - {os.getpid()}
+
+    def test_dying_worker_fails_only_its_orders(self, tmp_path, capsys):
+        def dying(config, u_full, out_dir, order):
+            if order == 2 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(config, u_full, out_dir, order)
+
+        parent, real = os.getpid(), experiment._run_order
+        (tmp_path / "cfg.json").write_text(json.dumps(minimal_config(fit_orders=[1, 2, 3])))
+        with cpus(4), mock.patch.object(experiment, "_run_order", dying):
+            rc = main(["experiment", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
+        statuses = {r["fit_order"]: r["status"] for r in runs}
+        assert statuses[1] == statuses[3] == "ok"
+        assert statuses[2] == "error: worker process was killed by SIGKILL before replying"
+        assert "order 2: error: worker process was killed by SIGKILL" in capsys.readouterr().out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_runs_every_order_here(self, tmp_path):
+        cfg = config_from_dict(minimal_config(fit_orders=[1, 2, 3]))
+        with cpus(1):
+            one = run_experiment(cfg, tmp_path / "one")
+        refused = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        with cpus(4), mock.patch("os.fork", side_effect=refused) as fork:
+            forkless = run_experiment(cfg, tmp_path / "forkless")
+        assert fork.call_count == 2
+        assert_same_outputs(one, forkless, tmp_path / "one", tmp_path / "forkless")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_run_stops_its_workers(self, tmp_path):
+        def stuck(config, u_full, out_dir, order):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        parent = os.getpid()
+        cfg = config_from_dict(minimal_config(fit_orders=[1, 2, 3]))
+        start = time.monotonic()
+        with cpus(4), mock.patch.object(experiment, "_run_order", stuck), \
+                pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, tmp_path)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
