@@ -226,9 +226,9 @@ def cmd_converge(args) -> int:
     model = load_model(args.model)
     spec = parse_input_spec(args.input)
     check_tracked_run(model, args.fit_order, args.horizon)
-    u = generate_input(spec, args.horizon + args.fit_order, model.m)
     theta0 = load_theta0(args.theta0, model.p,
                          regressor_dim(args.fit_order, model.p, model.m))
+    u = generate_input(spec, args.horizon + args.fit_order, model.m)
     trace = run_tracked_identification(model, args.fit_order, u, args.horizon,
                                        theta0=theta0, p0_scale=args.p0_scale)
     if args.emit:

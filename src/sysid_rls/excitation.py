@@ -24,16 +24,13 @@ import numpy as np
 from .equivalence import build_lift_matrix
 from .errors import ValidationError
 from .model_core import IOModel, Trajectory
-from .rls import _FOLD_BLOCK, min_eigs, regressor_matrix
+from .rls import _FOLD_BLOCK, TRACE_CHUNK_ROWS, min_eigs, regressor_matrix
 
 DEFAULT_PE_SLOPE_TOL = 1e-2
 DEFAULT_GROWTH_RATIO = 1.2
 # smallest eigenvalue, relative to the Gram's trace, that counts as nonzero: a
 # singular Gram's round-off reaches ~1e2 eps, full-rank white noise ~1e-2
 PE_FLOOR = float(np.sqrt(np.finfo(float).eps))
-# rows of outer products summed per cumsum in partial_gram_min_eigs: whole
-# min_eigs groups of _FOLD_BLOCK rows
-_GRAM_CHUNK = 16 * _FOLD_BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,31 +91,29 @@ def partial_gram_min_eigs(Phi) -> np.ndarray:
     phi_j^T`` after each row i of the regressors ``Phi`` (K x d), read as
     :func:`estimate_gram_limit` reads them.
 
-    The sums are a ``cumsum`` of outer products over ``_GRAM_CHUNK`` rows at a
-    time, the running sum carried into each chunk's first row, so they equal
-    a per-row ``gram += np.outer(phi, phi)`` bit for bit.  Each chunk goes
-    through one :func:`~sysid_rls.rls.min_eigs` call whose bases are the sums
-    just before each ``_FOLD_BLOCK`` rows (the carried sum, then
-    ``sums[63:-1:64]``): a partial sum never falls below an earlier one in
-    the Loewner order.  A proved figure is within ``6 (d + 1) eps ||A_i||_2``
-    of ``eigvalsh``'s for the computed sum ``A_i``; below d = 8, and in every
-    group the proof does not reach (the first, a singular or a clustered
-    one), the figure is ``eigvalsh``'s bits.  A chunk whose first sum's
-    ``eigvalsh`` spectrum, known from the chunk before, misses the proof's
-    gates goes to ``eigvalsh`` whole.
+    The sums are a ``cumsum`` of outer products over
+    :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS` rows at a time, the running sum
+    carried into each chunk's first row, so they equal a per-row ``gram +=
+    np.outer(phi, phi)`` bit for bit.  Each chunk goes through one
+    :func:`~sysid_rls.rls.min_eigs` call whose bases are the sums just before
+    each ``_FOLD_BLOCK`` rows (the carried sum, then ``sums[63:-1:64]``): a
+    partial sum never falls below an earlier one in the Loewner order.  A
+    proved figure is within ``6 (d + 1) eps ||A_i||_2`` of ``eigvalsh``'s for
+    the computed sum ``A_i``; below d = 8, and in every group the proof does
+    not reach (the first, a singular or a clustered one), the figure is
+    ``eigvalsh``'s bits.
     """
     Phi = _as_matrix(Phi)
     K, d = Phi.shape
     gram = np.zeros((d, d))
     curve = np.empty(K)
-    spectrum = None
-    for start in range(0, K, _GRAM_CHUNK):
-        block = Phi[start:start + _GRAM_CHUNK]
+    for start in range(0, K, TRACE_CHUNK_ROWS):
+        block = Phi[start:start + TRACE_CHUNK_ROWS]
         sums = block[:, :, None] * block[:, None, :]
         sums[0] += gram
         np.cumsum(sums, axis=0, out=sums)
         bases = np.concatenate([gram[None], sums[_FOLD_BLOCK - 1:-1:_FOLD_BLOCK]])
-        curve[start:start + len(block)], spectrum = min_eigs(sums, bases, spectrum)
+        curve[start:start + len(block)] = min_eigs(sums, bases)
         gram = sums[-1].copy()
     return curve
 

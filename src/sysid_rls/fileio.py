@@ -12,8 +12,7 @@ with identical seeds produce byte-identical files.  The writer finds those
 digits for a whole block of cells at once with array arithmetic
 (:func:`_float_cells`, :func:`_int_cells`) and gathers the bytes of each
 step's rows (:func:`_format_rows`); ``repr`` / ``str`` write only the cells
-whose digits it cannot certify, and every cell of a step too small for the
-array arithmetic to pay.
+whose digits it cannot certify.
 """
 
 from __future__ import annotations
@@ -223,11 +222,6 @@ _STEP_CELLS = 8192
 # Cells per slice of a step's byte gather: its index is built one slice at
 # a time.
 _GATHER_CELLS = 2048
-
-# A step of fewer cells than this is written cell by cell through repr /
-# str, which costs less there than the digit path's fixed hundred or so
-# numpy calls: the two break even at about 256 to 384 cells.
-_DIGIT_PATH_CELLS = 256
 
 # A cell's digits are certified only when every rounding decision they rest
 # on lies at least this far, in units of the last place of the 17-18 digit
@@ -483,20 +477,14 @@ def _format_rows(blocks: list[np.ndarray]) -> bytes:
     Each cell's text is gathered by its layout's pattern from its alphabet
     (digits, exponent digits, literals and separator); pad bytes are
     dropped.  A cell the digit path does not certify is written with
-    ``repr`` (float) or ``str`` (integer) instead, and so is every cell of a
-    step of fewer than :data:`_DIGIT_PATH_CELLS`.
+    ``repr`` (float) or ``str`` (integer) instead.
     """
     # adjacent blocks of one kind formatted as one: fewer calls per step
     runs = [list(run) for _, run in itertools.groupby(blocks, lambda b: b.dtype.kind)]
     blocks = [run[0] if len(run) == 1 else np.hstack(run) for run in runs]
     rows, width = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
     text = np.empty((rows * width, _TEXT + 1), np.uint8)
-    if text.shape[0] < _DIGIT_PATH_CELLS:
-        seps = text[:, _TEXT].reshape(rows, width)
-        seps[:, :-1], seps[:, -1] = ord(","), ord("\n")
-        bad = [np.ones(b.shape, bool) for b in blocks]
-    else:
-        bad = _gather_digits(blocks, text, _digit_tables())
+    bad = _gather_digits(blocks, text, _digit_tables())
     start = 0
     for block, bad_block in zip(blocks, bad):
         r, col = np.nonzero(bad_block)
@@ -568,8 +556,7 @@ def write_csv_groups(path, header: list[str], groups) -> None:
     floats through ``repr`` of a Python float, and do not depend on how the
     rows are split into groups.  Cells are formatted a block at a time with
     array arithmetic (:func:`_format_rows`), about :data:`_STEP_CELLS` cells
-    per step; ``repr`` / ``str`` write only the cells it cannot certify and
-    the cells of a step under :data:`_DIGIT_PATH_CELLS`.
+    per step; ``repr`` / ``str`` write only the cells it cannot certify.
     Groups are taken one at a time, as they are written, so a generator of
     groups keeps memory bounded by one group for any length.
     """

@@ -36,9 +36,10 @@ from .model_core import Trajectory
 DEFAULT_P0_SCALE = 1e3
 # rows per block of rls_fold's innovations form
 _FOLD_BLOCK = 64
-# rows per chunk of the streamed ``fit`` trace, and of rls_fold's per-row
-# records: a multiple of the block, so the chunked folds equal one
-# whole-record fold bit for bit
+# rows per chunk of the streamed ``fit`` trace, of rls_fold's per-row
+# records and of partial_gram_min_eigs's Gram sums: a multiple of the block,
+# so the chunked folds equal one whole-record fold bit for bit and a curve
+# chunk holds whole min_eigs groups
 TRACE_CHUNK_ROWS = 16 * _FOLD_BLOCK
 
 # min_eigs proves figures only from this dimension up.  On exact 2e4-row
@@ -283,9 +284,11 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     step.
 
     Shapes and finiteness are checked once, by :func:`_check_rows`, before
-    any update.  Blocks start at multiples of ``_FOLD_BLOCK``, so a fold
-    split at one equals the unsplit fold bit for bit, also from a copied
-    state; ``fit --emit-trace`` relies on this: it folds the record once, a
+    any update, and so is the reference's shape; an empty record returns
+    ``state`` itself, with an empty array for each figure asked for.
+    Blocks start at multiples of ``_FOLD_BLOCK``, so a fold split at one
+    equals the unsplit fold bit for bit, also from a copied state; ``fit
+    --emit-trace`` relies on this: it folds the record once, a
     :data:`TRACE_CHUNK_ROWS` chunk at a time with the history, and its last
     chunk's state is the whole-record fold's.
     ``P`` is read as its symmetric part ``0.5 * (P + P.T)`` and stays
@@ -317,22 +320,23 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     theta, P = state.theta, state.P
     Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
     K = Phi.shape[0]
-    if K == 0:
-        return state, FoldRecord(residual_norm=np.empty(0))
     if theta_ref is not None:
         theta_ref = np.asarray(theta_ref, dtype=float)
         if theta_ref.shape != theta.shape:
             raise ValidationError(
                 f"reference has shape {theta_ref.shape}, expected {theta.shape}"
             )
+    hist = np.empty((K,) + theta.shape) if keep_history else None
+    pmin = np.empty(K) if keep_history else None
+    dist = np.empty(K) if theta_ref is not None else None
+    if K == 0:
+        return state, FoldRecord(residual_norm=np.empty(0), dist_to_ref=dist,
+                                 theta=hist, pmin_eig=pmin)
 
     P = 0.5 * (P + P.T)
     d = state.dim
     q = d + theta.shape[0]
     Z = np.empty(Y.shape)
-    hist = np.empty((K,) + theta.shape) if keep_history else None
-    pmin = np.empty(K) if keep_history else None
-    dist = np.empty(K) if theta_ref is not None else None
     # row j of a record chunk is the estimate before the chunk's row j; a
     # block's steps fill the rows after its start, which holds the estimate
     rec = np.empty((min(K, TRACE_CHUNK_ROWS) + 1,) + theta.shape)
@@ -381,7 +385,7 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
             Ps = np.multiply(Kt[:, :, None], Kt[:, None, :], out=downs[:b])
             np.cumsum(Ps, axis=0, out=Ps)
             np.subtract(P, Ps, out=Ps)
-            pmin[start:stop] = min_eigs(Ps, Ps[-1:])[0]
+            pmin[start:stop] = min_eigs(Ps, Ps[-1:])
         theta = steps[-1]
         # Kt.T @ Kt is a syrk product, exactly symmetric, so P stays so
         P -= Kt.T @ Kt
@@ -403,8 +407,7 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
     return new, record
 
 
-def min_eigs(stack: np.ndarray, bases: np.ndarray,
-             spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def min_eigs(stack: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """The smallest eigenvalue of each symmetric matrix ``A_j`` of the
     C-ordered ``stack`` (n x d x d), the package's one route for a per-row
     ``lambda_min`` curve.
@@ -443,40 +446,26 @@ def min_eigs(stack: np.ndarray, bases: np.ndarray,
     A group takes ``eigvalsh``'s bits instead where ``d < _PMIN_MIN_DIM``,
     where its base's ``w[0]`` is round-off (at most ``(d + 1) eps tr(B)``) or
     ``beta - w[0]`` is at most ``_PMIN_GAP w[0]``, and where a row is not
-    proved, a solve is singular or a figure is not finite; no numpy warning
-    is raised.  The shifts are written on the stack's diagonal and undone
-    from a copy of it, so ``stack`` is left as it came.
-
-    Returns the figures and, where the last group took ``eigvalsh``, the
-    spectrum of ``stack[-1]`` (else None).  Passed back as ``spectrum`` with
-    the stack that follows, that spectrum gates the whole next call by the
-    same test as a base: a curve whose sums are singular or clustered pays
-    for no ``eigh`` and no solve.
+    proved, a solve is singular or a figure is not finite, and no numpy
+    warning is raised.  That is one ``eigvalsh`` of the whole stack where no
+    group is proved, else of the rows of the groups that are not.  The shifts
+    are written on the stack's diagonal and undone from a copy of it, so
+    ``stack`` is left as it came.
     """
     n, d = stack.shape[:2]
-    if d >= _PMIN_MIN_DIM and (spectrum is None or _gates(spectrum[None])[0][0]):
+    if d >= _PMIN_MIN_DIM:
         w, V = np.linalg.eigh(bases)
-        tried, beta = _gates(w)
+        w0 = w[:, 0]
+        beta = w[:, 1] - _FOLD_BLOCK * (d + 1) * _EPS * w[:, -1]
+        tried = (w0 > (d + 1) * _EPS * np.add.reduce(w, axis=1)) & (beta - w0 > _PMIN_GAP * w0)
         if tried.any():
             out = np.empty(n)
             rest = np.repeat(~_kato_temple(stack, tried, beta, w, V, out), _FOLD_BLOCK)[:n]
-            if not rest.any():
-                return out, None
             if not rest.all():
-                W = np.linalg.eigvalsh(stack[rest])
-                out[rest] = W[:, 0]
-                return out, (W[-1] if rest[-1] else None)
-    W = np.linalg.eigvalsh(stack)
-    return W[:, 0], W[-1]
-
-
-def _gates(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For ascending spectra ``w`` (G x d) of bases, which groups pass the
-    gates of :func:`min_eigs`, and each group's ``beta``."""
-    d, w0 = w.shape[1], w[:, 0]
-    beta = w[:, 1] - _FOLD_BLOCK * (d + 1) * _EPS * w[:, -1]
-    tried = (w0 > (d + 1) * _EPS * np.add.reduce(w, axis=1)) & (beta - w0 > _PMIN_GAP * w0)
-    return tried, beta
+                if rest.any():
+                    out[rest] = np.linalg.eigvalsh(stack[rest])[:, 0]
+                return out
+    return np.linalg.eigvalsh(stack)[:, 0]
 
 
 def _kato_temple(stack, tried, beta, w, V, out) -> np.ndarray:

@@ -620,6 +620,15 @@ class TestOversizedRequests:
         assert proc.returncode == 2, proc.stderr
         assert f"horizon 5 is below the fit order {3 * 10**9}" in proc.stderr
 
+    # the inputs of a 1e9 horizon take 7.45 GiB: a bad theta0 file is found
+    # before they are generated
+    def test_missing_theta0_is_exit_2_before_the_inputs(self, workdir):
+        missing = workdir / "missing.json"
+        proc = run_cli_capped(["converge", "--model", workdir / "model.json",
+                               "--fit-order", 2, "--horizon", 10**9, "--theta0", missing])
+        assert proc.returncode == 2, proc.stderr
+        assert f"theta0 file {missing} does not exist" in proc.stderr
+
 
 class TestExperimentCommand:
     def test_runs_and_reports(self, workdir, capsys):

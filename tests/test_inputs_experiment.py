@@ -401,18 +401,14 @@ class TestCsvDigits:
                               st.integers(-2 ** 63, 2 ** 63 - 1),
                               st.integers(-2 ** 31, 2 ** 31 - 1)), min_size=1, max_size=40))
     def test_any_float_and_integer_cells(self, rows):
-        # these steps are small enough for repr / str, so the digit path is
-        # also made to take them
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
             floats, big, small = zip(*rows)
             columns = [np.array(floats), np.array(big, dtype=np.int64),
                        np.array(small, dtype=np.int32)]
             csv_writer_reference(want, ["x", "i", "j"], rows)
-            for digit_path_cells in (fileio._DIGIT_PATH_CELLS, 0):
-                with mock.patch.object(fileio, "_DIGIT_PATH_CELLS", digit_path_cells):
-                    write_csv(got, ["x", "i", "j"], columns)
-                assert got.read_bytes() == want.read_bytes(), digit_path_cells
+            write_csv(got, ["x", "i", "j"], columns)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_random_bit_patterns(self, tmp_path):
         bits = np.random.default_rng(19).integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
@@ -434,11 +430,11 @@ class TestCsvDigits:
 
     @pytest.mark.parametrize("width", [1, 4, 32])
     def test_bytes_do_not_depend_on_the_step(self, tmp_path, width):
-        # rows just short of, at and past the smallest step the digit path
-        # formats, one slice of its byte gather and one step of the writer,
-        # and past two steps; a row is the k cell and width floats
+        # rows just short of, at and past one slice of the byte gather and
+        # one step of the writer, and past two steps; a row is the k cell and
+        # width floats
         edges = [max(1, cells // (width + 1)) for cells in
-                 (fileio._DIGIT_PATH_CELLS, fileio._GATHER_CELLS, fileio._STEP_CELLS)]
+                 (fileio._GATHER_CELLS, fileio._STEP_CELLS)]
         step = edges[-1]
         rng = np.random.default_rng(width)
         for rows in sorted({1, 2 * step + 1} | {e + d for e in edges for d in (-1, 0, 1)} - {0}):

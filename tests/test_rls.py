@@ -502,6 +502,17 @@ class TestRlsFold:
         assert new is state
         assert record.residual_norm.shape == (0,)
 
+    def test_empty_record_checks_the_reference_and_keeps_what_was_asked(self):
+        state = initial_state(1, 1, 2)  # p = 1, d = 5
+        Phi, Y = np.zeros((0, state.dim)), np.zeros((0, 1))
+        with pytest.raises(ValidationError, match="reference has shape"):
+            rls_fold(state, Phi, Y, theta_ref=np.zeros((3, 3)))
+        new, record = rls_fold(state, Phi, Y, theta_ref=np.zeros((1, 5)), keep_history=True)
+        assert new is state
+        assert record.dist_to_ref.shape == (0,)
+        assert record.theta.shape == (0, 1, 5)
+        assert record.pmin_eig.shape == (0,)
+
     @pytest.mark.parametrize("K", [1, 2, 300] + FOLD_KS[1:])
     def test_nonsymmetric_p0_matches_reference_recursion(self, K):
         # the fold reads P0 as its symmetric part, as does the reference it
