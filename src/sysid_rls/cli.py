@@ -13,8 +13,10 @@ says "irreducible" only when that is proven, "no witness found" otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +49,7 @@ from .rls import (
     rls_fold,
     valid_regressor_indices,
 )
+from .workers import fork_worker, stop, worker_count
 
 
 def _nonneg_int(text: str) -> int:
@@ -80,11 +83,16 @@ _tolerance = functools.partial(_finite_float, positive=False)
 def cmd_fit(args) -> int:
     """Fold the record once from the prior and print the final estimate.
 
-    With ``--emit-trace`` the fold runs one :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS`
-    chunk at a time with its history, spilled to an anonymous temporary file
-    (:func:`_fold_to_spill`); the trace opens only once the last chunk has
-    given the final estimate, the default reference, so a breakdown exits
-    before any trace file exists and memory holds one chunk."""
+    With ``--emit-trace`` the history fold runs one
+    :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS` chunk at a time, spilled to an
+    anonymous temporary file (:func:`_fold_to_spill`), and memory holds one
+    chunk.  The trace opens only once the final estimate, the default
+    reference, is known, so a breakdown exits before any trace file exists.
+    On one CPU the final estimate is the history fold's, and the trace is
+    written after it (:func:`_spill_fold`).  With two CPUs or more a forked
+    worker runs the history fold while this process folds the record without
+    history for the final estimate, then writes each chunk's rows as soon as
+    the worker has spilled them; the bytes are the same either way."""
     if args.emit_trace:
         check_writable(args.emit_trace)
     traj = load_trajectory(args.data)
@@ -107,13 +115,12 @@ def cmd_fit(args) -> int:
         ref = ref_model.theta
 
     if args.emit_trace:
-        with tempfile.TemporaryFile() as spill:
-            final = _fold_to_spill(state, Phi, Y, spill)
+        with tempfile.TemporaryFile() as spill, \
+                _spill_fold(state, Phi, Y, spill) as (final, ready):
             target = (ref if ref is not None else final.theta).ravel()
             header = ["k"] + [f"theta_{i}" for i in range(p * d)]
             header += ["frob_err_to_ref", "residual_norm", "pmin_eig"]
-            spill.seek(0)
-            write_csv_groups(args.emit_trace, header, _spilled_groups(spill, ks, target))
+            write_csv_groups(args.emit_trace, header, _spilled_groups(spill, ks, target, ready))
         print(f"trace written to {args.emit_trace}")
     else:
         final, _ = rls_fold(state, Phi, Y)
@@ -127,9 +134,10 @@ def _fold_to_spill(state, Phi, Y, spill):
     """The final state of the fold of ``Phi``, ``Y`` from ``state``, run one
     :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS` chunk at a time with its
     history; each chunk's ``theta`` rows, residual norms and ``pmin_eig`` are
-    written to the binary file ``spill`` as raw float64, K (p d + 2) values
-    in all.  Chunks start at multiples of the fold's block, so the figures
-    equal one whole-record fold's bit for bit."""
+    written to the binary file ``spill`` from its current offset as raw
+    float64, K (p d + 2) values in all.  Chunks start at multiples of the
+    fold's block, so the figures equal one whole-record fold's bit for bit,
+    and a fold resumed at any chunk writes that chunk's bytes again."""
     for start in range(0, len(Phi), TRACE_CHUNK_ROWS):
         stop = start + TRACE_CHUNK_ROWS
         state, record = rls_fold(state, Phi[start:stop], Y[start:stop], keep_history=True)
@@ -138,15 +146,74 @@ def _fold_to_spill(state, Phi, Y, spill):
     return state
 
 
-def _spilled_groups(spill, ks, target):
-    """The ``fit`` trace's column groups, one chunk at a time, read back from
-    the ``spill`` :func:`_fold_to_spill` wrote, with each row's distance to
-    ``target`` (the flattened reference)."""
+def _spill_worker(state, Phi, Y, spill, pipe):
+    """A forked worker's run: :func:`_fold_to_spill` one chunk at a time,
+    flushing ``spill`` and writing one byte to ``pipe`` after each."""
+    for start in range(0, len(Phi), TRACE_CHUNK_ROWS):
+        rows = slice(start, start + TRACE_CHUNK_ROWS)
+        state = _fold_to_spill(state, Phi[rows], Y[rows], spill)
+        spill.flush()
+        pipe.write(b".")
+        pipe.flush()
+
+
+@contextlib.contextmanager
+def _spill_fold(state, Phi, Y, spill):
+    """Fold ``Phi``, ``Y`` from ``state`` into ``spill`` as
+    :func:`_fold_to_spill` does; yields the final state and
+    ``ready(start)``, which returns once the chunk from row ``start`` is in
+    the spill.
+
+    With one process (one CPU in the affinity set, or no fork to be had) the
+    spill is whole before the yield.  Otherwise a forked worker folds it
+    (:func:`_spill_worker`) while this process folds the record without
+    history, whose final state is the same bit for bit; ``ready`` then waits
+    for the worker's byte.  A worker that ends early (its pipe closes before
+    a chunk's byte) leaves that chunk on to this process, which folds up to
+    it without history and on from it into the spill.  The worker shares the
+    spill's file offset, so readers take the spill with ``os.pread``.  The
+    worker is stopped and reaped on leaving, however that happens.
+    """
+    worker = None
+    if worker_count(2) > 1:
+        worker = fork_worker(functools.partial(_spill_worker, state, Phi, Y, spill))
+    if worker is None:
+        final = _fold_to_spill(state, Phi, Y, spill)
+        spill.flush()
+        yield final, lambda start: None
+        return
+    pid, pipe = worker
+    resumed = False
+
+    def ready(start):
+        nonlocal resumed
+        if resumed or pipe.read(1):
+            return
+        head, _ = rls_fold(state, Phi[:start], Y[:start])
+        spill.seek(8 * start * (state.theta.size + 2))
+        _fold_to_spill(head, Phi[start:], Y[start:], spill)
+        spill.flush()
+        resumed = True
+
+    try:
+        final, _ = rls_fold(state, Phi, Y)
+        yield final, ready
+    finally:
+        stop(pid, pipe)
+
+
+def _spilled_groups(spill, ks, target, ready):
+    """The ``fit`` trace's column groups, one chunk at a time, read from the
+    ``spill`` :func:`_spill_fold` fills once ``ready`` says the chunk is
+    there, with each row's distance to ``target`` (the flattened
+    reference)."""
     width = target.size
     for start in range(0, len(ks), TRACE_CHUNK_ROWS):
         k = ks[start:start + TRACE_CHUNK_ROWS]
         n = len(k)
-        chunk = np.frombuffer(spill.read(8 * n * (width + 2)))
+        ready(start)
+        chunk = np.frombuffer(os.pread(spill.fileno(), 8 * n * (width + 2),
+                                       8 * start * (width + 2)))
         thetas = chunk[:n * width].reshape(n, width)
         # vecdot takes per row the dot np.linalg.norm takes; a sum over
         # E * E would add in another order and change the trace's last bits

@@ -9,9 +9,9 @@ output-file digests (wall-clock time is recorded but excluded).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -21,6 +21,7 @@ from .convergence import run_tracked_identification, write_convergence_trace
 from .errors import ValidationError
 from .fileio import (
     canonical_json,
+    check_theta0_shape,
     load_model,
     load_theta0,
     read_json,
@@ -31,6 +32,7 @@ from .fileio import (
 from .inputs import InputSpec, _parse_int, _parse_number, generate_input, spec_from_dict
 from .model_core import IOModel
 from .rls import DEFAULT_P0_SCALE, regressor_dim
+from .workers import fork_worker, stop, worker_count
 
 _ALLOWED_KEYS = {"true_model", "fit_orders", "input", "horizon", "theta0",
                  "p0_scale", "out_dir"}
@@ -157,9 +159,15 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     and the manifest hash are byte-identical to a one-CPU run;
     ``wall_clock_s`` is this process's wall time.  A child that dies before
     replying turns each of its orders into an ``error:`` entry, and no child
-    outlives the call, however it ends.
+    outlives the call, however it ends.  The children come from
+    :mod:`sysid_rls.workers`, as ``fit``'s trace worker does.
+
+    A ``theta0`` file is read once, before the input is generated, so one
+    that cannot be read fails the call before any work; its shape is checked
+    per order, so a shape that fits one order fails only the others.
     """
     start = time.monotonic()
+    theta0 = load_theta0(config.theta0, config.true_model.p, None, base_dir=config.base_dir)
     spec = config.input
     if spec.kind == "file":  # from the config's directory, as true_model and theta0 are
         spec = replace(spec, path=str(Path(config.base_dir or "") / spec.path))
@@ -173,18 +181,21 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
         raise ValidationError(f"output directory {str(out_dir)!r}: {exc}") from exc
 
     def work(order):
-        return _run_order(config, u_full, out_dir, order)
+        return _run_order(config, u_full, theta0, out_dir, order)
 
-    workers = _worker_count(len(config.fit_orders))
+    def send(share, pipe):
+        pipe.write(json.dumps([work(order) for order in share]).encode())
+
+    workers = worker_count(len(config.fit_orders))
     shares = [config.fit_orders[i::workers] for i in range(workers)]
     own, children, entries = list(shares[0]), [], {}
     try:
         for share in shares[1:]:
-            child = _fork_worker(work, share)
+            child = fork_worker(functools.partial(send, share))
             if child is None:  # no process to be had: this one runs the share
                 own.extend(share)
             else:
-                children.append(child)
+                children.append((*child, share))
         for order in own:
             entries[order] = work(order)
         while children:
@@ -192,7 +203,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
             children.pop(0)
     finally:
         for pid, pipe, _share in children:  # left only by an interruption
-            _stop(pid, pipe)
+            stop(pid, pipe)
     runs = [entries[order] for order in config.fit_orders]
 
     wall = time.monotonic() - start
@@ -210,14 +221,15 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     return manifest
 
 
-def _run_order(config: ExperimentConfig, u_full, out_dir: Path, order: int) -> dict:
-    """Fit one order, write its trace and summary, and return its manifest
-    entry; an exception becomes the entry's ``error:`` status."""
+def _run_order(config: ExperimentConfig, u_full, theta0, out_dir: Path, order: int) -> dict:
+    """Fit one order from ``theta0`` (None for zeros), write its trace and
+    summary, and return its manifest entry; an exception becomes the entry's
+    ``error:`` status."""
     model = config.true_model
     entry = _entry(config, order, "ok")
     try:
-        theta0 = load_theta0(config.theta0, model.p, regressor_dim(order, model.p, model.m),
-                             base_dir=config.base_dir)
+        check_theta0_shape(theta0, Path(config.base_dir or "") / config.theta0, model.p,
+                           regressor_dim(order, model.p, model.m))
         trace = run_tracked_identification(
             model, order, u_full[max(config.fit_orders) - order:], config.horizon,
             theta0=theta0, p0_scale=config.p0_scale,
@@ -244,57 +256,6 @@ def _entry(config: ExperimentConfig, order: int, status: str) -> dict:
     return {"fit_order": order, "seed": config.input.seed, "status": status, "outputs": {}}
 
 
-def _worker_count(orders: int) -> int:
-    """Processes for ``orders`` orders: one per CPU in the affinity set, at
-    most one per order, and one where ``os.fork`` is missing or would warn."""
-    if not hasattr(os, "fork") or _fork_warns():
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cpus, orders)
-
-
-def _fork_warns() -> bool:
-    """Whether ``os.fork`` would warn that this process has other threads, as
-    Python 3.12 and later do (a BLAS thread pool counts).  Where the thread
-    count cannot be read, assume it would."""
-    if sys.version_info < (3, 12):
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) > 1
-    except OSError:
-        return True
-
-
-def _fork_worker(work, share):
-    """Fork a child that runs ``work`` on each order of ``share`` and writes
-    the entries to a pipe as JSON: ``(pid, read end, share)``, or None when
-    no pipe or process could be made (``EMFILE``, ``EAGAIN``, ``ENOMEM``).
-
-    The child leaves through ``os._exit``, so it runs no atexit handler and
-    flushes no stdio buffer it inherited.
-    """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(json.dumps([work(order) for order in share]).encode())
-            os._exit(0)
-        finally:  # whatever was raised, the child goes no further
-            os._exit(1)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb"), share
-
-
 def _reply(config: ExperimentConfig, pid: int, pipe, share) -> dict:
     """Read a child's entries to the end of its pipe and reap it: order ->
     entry.  Without a complete reply every order of the share gets an
@@ -315,12 +276,3 @@ def _reply(config: ExperimentConfig, pid: int, pipe, share) -> dict:
         how = f"exited with status {code}"
     return {order: _entry(config, order, f"error: worker process {how} before replying")
             for order in share}
-
-
-def _stop(pid: int, pipe) -> None:
-    """Kill and reap a child whose reply is no longer wanted."""
-    import signal
-
-    pipe.close()
-    os.kill(pid, signal.SIGKILL)  # the pid stays ours until it is reaped
-    os.waitpid(pid, 0)

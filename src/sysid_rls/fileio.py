@@ -65,12 +65,15 @@ def load_model(path) -> IOModel:
     return IOModel.from_dict(data)
 
 
-def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
+def load_theta0(value: str, p: int, d: int | None, base_dir=None) -> np.ndarray | None:
     """Initial coefficients from ``"zeros"`` (None: the RLS default) or from a
     JSON file holding a (p, d) matrix.
 
     A relative path is taken from ``base_dir`` when one is given (the
     directory of the config that names it), else from the working directory.
+    With ``d`` None the shape is left to :func:`check_theta0_shape`:
+    ``experiment`` reads the file once, before any work, for orders of
+    several regressor widths.
     """
     if value == "zeros":
         return None
@@ -80,11 +83,18 @@ def load_theta0(value: str, p: int, d: int, base_dir=None) -> np.ndarray | None:
         theta = np.asarray(data, dtype=float)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"theta0 file {path}: {exc}") from exc
-    if theta.shape != (p, d):
-        raise ValidationError(f"theta0 file {path}: shape {theta.shape}, expected {(p, d)}")
+    if d is not None:
+        check_theta0_shape(theta, path, p, d)
     if not np.all(np.isfinite(theta)):
         raise ValidationError(f"theta0 file {path}: entries must be finite")
     return theta
+
+
+def check_theta0_shape(theta: np.ndarray | None, path, p: int, d: int) -> None:
+    """Raise unless ``theta``, read by :func:`load_theta0` from ``path``, is
+    None or (p, d)."""
+    if theta is not None and theta.shape != (p, d):
+        raise ValidationError(f"theta0 file {path}: shape {theta.shape}, expected {(p, d)}")
 
 
 def check_writable(path) -> None:

@@ -1,0 +1,78 @@
+"""Forked worker processes: the one place the package calls ``os.fork``.
+
+``experiment`` runs shares of its fit orders in workers, each sending its
+manifest entries back as JSON; ``fit --emit-trace`` runs its history fold
+in one, which sends a byte per finished chunk.  Either way a worker owns a
+whole unit of work and writes only to its pipe and the files it was given.
+The number of workers follows the CPUs in the affinity set; there is no
+option for it (``taskset -c 0`` pins a command to one process).
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+
+def worker_count(units: int) -> int:
+    """Processes for ``units`` units of work: one per CPU in the affinity
+    set, at most one per unit, and one where ``os.fork`` is missing or would
+    warn."""
+    if not hasattr(os, "fork") or _fork_warns():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, units)
+
+
+def _fork_warns() -> bool:
+    """Whether ``os.fork`` would warn that this process has other threads, as
+    Python 3.12 and later do (a BLAS thread pool counts).  Where the thread
+    count cannot be read, assume it would."""
+    if sys.version_info < (3, 12):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:
+        return True
+
+
+def fork_worker(run):
+    """Fork a child that calls ``run`` on the write end of a pipe, opened as
+    a binary file: ``(pid, read end)``, or None when no pipe or process could
+    be made (``EMFILE``, ``EAGAIN``, ``ENOMEM``).
+
+    The child leaves through ``os._exit`` once ``run`` returns or raises, so
+    it runs no atexit handler and flushes no stdio buffer it inherited; the
+    pipe is closed, and so flushed, before it exits.  Whatever reads the
+    pipe must end with :func:`stop` or reap the child itself.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                run(pipe)
+            os._exit(0)
+        finally:  # whatever was raised, the child goes no further
+            os._exit(1)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def stop(pid: int, pipe) -> None:
+    """Close the pipe of a child, kill it and reap it: the end of every
+    child, whether its work is done, no longer wanted or cut short."""
+    import signal  # only here: a command that forks nothing needs none
+
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)  # the pid stays ours until it is reaped
+    os.waitpid(pid, 0)

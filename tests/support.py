@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -24,6 +25,11 @@ resource.setrlimit(resource.RLIMIT_AS,
                    (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
 runpy.run_module("sysid_rls.cli", run_name="__main__", alter_sys=True)
 """
+
+
+def cpus(count):
+    """Make ``count`` CPUs the affinity set the forking commands see."""
+    return mock.patch("os.sched_getaffinity", create=True, return_value=set(range(count)))
 
 
 def run_cli_capped(args, cap_bytes: int = 4 << 30) -> subprocess.CompletedProcess:

@@ -1,6 +1,13 @@
+import collections
+import contextlib
+import errno
 import json
+import os
+import signal
 import tempfile
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +26,7 @@ from sysid_rls import (
     simulate,
     trivial_embed,
 )
-from sysid_rls import cli, excitation, rls
+from sysid_rls import cli, excitation, experiment, rls
 from sysid_rls.cli import main
 from sysid_rls.fileio import (
     load_model,
@@ -31,6 +38,7 @@ from sysid_rls.fileio import (
 from sysid_rls.rls import TRACE_CHUNK_ROWS, valid_regressor_indices
 
 from support import (
+    cpus,
     random_stable_model,
     reference_gram_curve,
     reference_reduced_regressor,
@@ -57,6 +65,20 @@ def _mimo_record(path, rows, lost=0):
     u[:lost, 0] = np.nan
     save_trajectory(Trajectory(k0=traj.k0, u=u, y=traj.y), path)
     return path
+
+
+def _processes(case):
+    """The processes ``fit --emit-trace`` may use: one CPU, two CPUs, or two
+    CPUs with ``os.fork`` refused, as when the process table is full."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(cpus(1 if case == "one-cpu" else 2))
+    if case == "refused-fork":
+        refused = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        stack.enter_context(mock.patch("os.fork", side_effect=refused))
+    return stack
+
+
+PROCESSES = ["one-cpu", "two-cpus", "refused-fork"]
 
 
 @pytest.fixture
@@ -279,8 +301,10 @@ class TestFitCommand:
         assert BLOW_UP in capsys.readouterr().err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("processes", PROCESSES)
     @pytest.mark.parametrize("with_ref", [False, True])
-    def test_streamed_trace_equals_whole_record_trace(self, tmp_path, capsys, with_ref):
+    def test_streamed_trace_equals_whole_record_trace(self, tmp_path, capsys, with_ref,
+                                                      processes):
         # several chunks and a partial one; windows touching the three
         # leading rows lack an input, so the trace starts past k = order
         data = _mimo_record(tmp_path / "traj.csv", 2 * TRACE_CHUNK_ROWS + 300, lost=3)
@@ -289,7 +313,8 @@ class TestFitCommand:
         if with_ref:
             save_model(trivial_embed(MIMO, 3), tmp_path / "ref.json")
             argv += ["--ref-model", str(tmp_path / "ref.json")]
-        assert main(argv) == 0
+        with _processes(processes):
+            assert main(argv) == 0
         # the whole-record construction: one fold with history, one write
         traj = load_trajectory(data)
         Phi, Y, ks = regressor_matrix(traj, 3, valid_regressor_indices(traj, 3))
@@ -304,19 +329,76 @@ class TestFitCommand:
                                  record.pmin_eig])
         assert got.read_bytes() == want.read_bytes()
 
-    def test_trace_folds_each_row_once(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("processes", PROCESSES)
+    def test_trace_folds_each_row_once(self, tmp_path, monkeypatch, capsys, processes):
+        # each process folds each row once: on one process this one with the
+        # history; on two this one without it, the worker with it
         data = _mimo_record(tmp_path / "traj.csv", 2 * TRACE_CHUNK_ROWS + 300, lost=3)
-        folded = []
+        log = tmp_path / "folds"
         fold = cli.rls_fold
-        monkeypatch.setattr(cli, "rls_fold",
-                            lambda state, Phi, *a, **kw: folded.append(len(Phi)) or
-                            fold(state, Phi, *a, **kw))
-        assert main(["fit", "--data", str(data), "--order", "3",
-                     "--emit-trace", str(tmp_path / "trace.csv")]) == 0
-        assert sum(folded) == 2 * TRACE_CHUNK_ROWS + 300 - 6
 
+        def logged(state, Phi, *args, keep_history=False, **kwargs):
+            with open(log, "a") as fh:  # one short append per call, from either process
+                fh.write(f"{os.getpid()} {int(keep_history)} {len(Phi)}\n")
+            return fold(state, Phi, *args, keep_history=keep_history, **kwargs)
+
+        monkeypatch.setattr(cli, "rls_fold", logged)
+        with _processes(processes):
+            assert main(["fit", "--data", str(data), "--order", "3",
+                         "--emit-trace", str(tmp_path / "trace.csv")]) == 0
+        rows = collections.Counter()
+        for line in log.read_text().splitlines():
+            pid, history, n = map(int, line.split())
+            rows["parent" if pid == os.getpid() else "worker", bool(history)] += n
+        K = 2 * TRACE_CHUNK_ROWS + 300 - 6
+        assert rows == ({("parent", False): K, ("worker", True): K}
+                        if processes == "two-cpus" else {("parent", True): K})
+
+    def test_dying_trace_worker_costs_no_byte(self, tmp_path, monkeypatch, capsys):
+        # the worker kills itself after its first chunk; this process folds
+        # up to the second without history and on from it with history
+        data = _mimo_record(tmp_path / "traj.csv", 2 * TRACE_CHUNK_ROWS + 300, lost=3)
+        argv = ["fit", "--data", str(data), "--order", "3", "--emit-trace"]
+        with cpus(1):
+            assert main(argv + [str(tmp_path / "want.csv")]) == 0
+        want_out = capsys.readouterr().out
+        parent, real, resumed = os.getpid(), cli._fold_to_spill, []
+
+        def dying(state, Phi, Y, spill):
+            if os.getpid() != parent and resumed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            resumed.append(len(Phi))
+            return real(state, Phi, Y, spill)
+
+        monkeypatch.setattr(cli, "_fold_to_spill", dying)
+        with cpus(2):
+            assert main(argv + [str(tmp_path / "got.csv")]) == 0
+        assert resumed == [2 * TRACE_CHUNK_ROWS + 300 - 6 - TRACE_CHUNK_ROWS]
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert capsys.readouterr().out == want_out.replace("want.csv", "got.csv")
+
+    def test_interrupted_trace_stops_its_worker(self, tmp_path, monkeypatch):
+        def stuck(state, Phi, Y, *args, keep_history=False, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        parent = os.getpid()
+        data = _mimo_record(tmp_path / "traj.csv", 300)
+        monkeypatch.setattr(cli, "rls_fold", stuck)
+        start = time.monotonic()
+        with cpus(2), pytest.raises(KeyboardInterrupt):
+            main(["fit", "--data", str(data), "--order", "3",
+                  "--emit-trace", str(tmp_path / "trace.csv")])
+        assert time.monotonic() - start < 30
+        assert not (tmp_path / "trace.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpu_count", [1, 2])
     @pytest.mark.parametrize("case", ["success", "breakdown", "unopenable-trace"])
-    def test_trace_spill_leaves_nothing_behind(self, workdir, monkeypatch, capsys, case):
+    def test_trace_spill_leaves_nothing_behind(self, workdir, monkeypatch, capsys, case,
+                                               cpu_count):
         spills = workdir / "spills"
         spills.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(spills))
@@ -328,10 +410,13 @@ class TestFitCommand:
             # past the check before the fold, the open after it fails
             monkeypatch.setattr(cli, "check_writable", lambda path: None)
             trace = workdir / "nodir" / "trace.csv"
-        rc = main(argv + ["--emit-trace", str(trace)])
+        with cpus(cpu_count):
+            rc = main(argv + ["--emit-trace", str(trace)])
         assert rc == {"success": 0, "breakdown": 3, "unopenable-trace": 2}[case]
         assert trace.exists() == (case == "success")
         assert list(spills.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_estimate_printout_leaves_print_options_alone(self, workdir, capsys):
         before = np.get_printoptions()
@@ -796,6 +881,18 @@ class TestExperimentCommand:
         assert "missing.csv" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    def test_missing_theta0_is_exit_2_before_any_work(self, workdir, monkeypatch, capsys):
+        cfg = {"true_model": "model.json", "fit_orders": [1, 2], "horizon": 100,
+               "input": {"kind": "white", "seed": 3}, "theta0": "missing.json"}
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        for name in ("generate_input", "fork_worker", "run_tracked_identification"):
+            monkeypatch.setattr(experiment, name, _no_work)
+        with cpus(2):
+            rc = main(["experiment", str(workdir / "cfg.json"), "--out-dir", str(workdir / "out")])
+        assert rc == 2
+        assert f"theta0 file {workdir / 'missing.json'} does not exist" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_invalid_config(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"fit_orders": [1]}))
         assert main(["experiment", str(workdir / "cfg.json"),
@@ -894,7 +991,7 @@ def _no_work(*args, **kwargs):
 def test_refused_output_path_is_exit_2_before_any_work(workdir, monkeypatch, capsys, argv,
                                                        target):
     for name in ("load_trajectory", "rls_fold", "estimate_gram_limit", "partial_gram_min_eigs",
-                 "generate_input", "run_tracked_identification"):
+                 "generate_input", "run_tracked_identification", "fork_worker"):
         monkeypatch.setattr(cli, name, _no_work)
     path = target.format(w=workdir)
     rc = main([arg.format(w=workdir) for arg in argv] + [path])

@@ -39,7 +39,7 @@ from sysid_rls.fileio import (
     write_csv_groups,
 )
 from sysid_rls.rls import TRACE_CHUNK_ROWS
-from support import random_stable_model
+from support import cpus, random_stable_model
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
@@ -551,11 +551,6 @@ class TestConfig:
         np.testing.assert_array_equal(config.true_model.theta, SCALAR.theta)
 
 
-def cpus(count):
-    """Make ``count`` CPUs the affinity set ``run_experiment`` sees."""
-    return mock.patch("os.sched_getaffinity", create=True, return_value=set(range(count)))
-
-
 def host_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -648,10 +643,10 @@ class TestRunExperiment:
             assert {int(f.read_text()) for f in pids.iterdir()} - {os.getpid()}
 
     def test_dying_worker_fails_only_its_orders(self, tmp_path, capsys):
-        def dying(config, u_full, out_dir, order):
+        def dying(config, u_full, theta0, out_dir, order):
             if order == 2 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(config, u_full, out_dir, order)
+            return real(config, u_full, theta0, out_dir, order)
 
         parent, real = os.getpid(), experiment._run_order
         (tmp_path / "cfg.json").write_text(json.dumps(minimal_config(fit_orders=[1, 2, 3])))
@@ -679,7 +674,7 @@ class TestRunExperiment:
             os.waitpid(-1, os.WNOHANG)
 
     def test_interrupted_run_stops_its_workers(self, tmp_path):
-        def stuck(config, u_full, out_dir, order):
+        def stuck(config, u_full, theta0, out_dir, order):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)

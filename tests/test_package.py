@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -76,3 +77,14 @@ def _scipy_modules_after(case, tmp_path):
                                   "reduce-siso", "reduce-mimo", "converge", "experiment"])
 def test_commands_that_never_solve_with_scipy_leave_it_unloaded(case, tmp_path):
     assert _scipy_modules_after(case, tmp_path) == set()
+
+
+def test_one_function_calls_os_fork():
+    # experiment's order workers and fit's trace worker share one fork helper
+    callers = []
+    for path in sorted(Path(sysid_rls.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                callers += [f"{path.stem}.{node.name}" for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and ast.unparse(call.func) == "os.fork"]
+    assert callers == ["workers.fork_worker"]
