@@ -25,6 +25,7 @@ from .equivalence import build_lift_matrix
 from .errors import ValidationError
 from .model_core import IOModel, Trajectory
 from .rls import _FOLD_BLOCK, TRACE_CHUNK_ROWS, min_eigs, regressor_matrix
+from .workers import fork_tail
 
 DEFAULT_PE_SLOPE_TOL = 1e-2
 DEFAULT_GROWTH_RATIO = 1.2
@@ -102,20 +103,46 @@ def partial_gram_min_eigs(Phi) -> np.ndarray:
     the computed sum ``A_i``; below d = 8, and in every group the proof does
     not reach (the first, a singular or a clustered one), the figure is
     ``eigvalsh``'s bits.
+
+    From two chunks on, a forked worker computes the curve from ``mid``, the
+    chunk boundary nearest half of K, while this process computes it up to
+    ``mid`` (:func:`~sysid_rls.workers.fork_tail`).  The worker forms the
+    sums before ``mid`` again, chunk by chunk, so every ``min_eigs`` call sees
+    the same sums and bases and the curve is the same bit for bit.  Without
+    a worker, or without its reply, this process goes on from ``mid`` with
+    the sum it carried there.
     """
     Phi = _as_matrix(Phi)
-    K, d = Phi.shape
-    gram = np.zeros((d, d))
-    curve = np.empty(K)
-    for start in range(0, K, TRACE_CHUNK_ROWS):
-        block = Phi[start:start + TRACE_CHUNK_ROWS]
+    K = Phi.shape[0]
+    chunks = -(-K // TRACE_CHUNK_ROWS)
+    if chunks < 2:
+        return _gram_curve(Phi, 0, K)[0]
+    mid = TRACE_CHUNK_ROWS * min(max(round(K / (2 * TRACE_CHUNK_ROWS)), 1), chunks - 1)
+    (head, gram), reply = fork_tail(lambda: _gram_curve(Phi, 0, mid),
+                                    lambda: _gram_curve(Phi, mid, K)[0])
+    tail = _gram_curve(Phi, mid, K, gram)[0] if reply is None else np.frombuffer(reply)
+    return np.concatenate([head, tail])
+
+
+def _gram_curve(Phi: np.ndarray, lo: int, hi: int, gram: np.ndarray | None = None):
+    """The curve of :func:`partial_gram_min_eigs` over the rows ``lo:hi``
+    (``lo`` a chunk boundary), and the Gram sum after row ``hi``.  ``gram``
+    is the sum before row ``lo``; without it the chunks before ``lo`` are
+    summed first, as the whole curve sums them."""
+    d = Phi.shape[1]
+    first = 0 if gram is None else lo
+    gram = np.zeros((d, d)) if gram is None else gram
+    curve = np.empty(hi - lo)
+    for start in range(first, hi, TRACE_CHUNK_ROWS):
+        block = Phi[start:min(start + TRACE_CHUNK_ROWS, hi)]
         sums = block[:, :, None] * block[:, None, :]
         sums[0] += gram
         np.cumsum(sums, axis=0, out=sums)
-        bases = np.concatenate([gram[None], sums[_FOLD_BLOCK - 1:-1:_FOLD_BLOCK]])
-        curve[start:start + len(block)] = min_eigs(sums, bases)
+        if start >= lo:
+            bases = np.concatenate([gram[None], sums[_FOLD_BLOCK - 1:-1:_FOLD_BLOCK]])
+            curve[start - lo:start - lo + len(block)] = min_eigs(sums, bases)
         gram = sums[-1].copy()
-    return curve
+    return curve, gram
 
 
 def estimate_gram_limit(regressors) -> GramLimit:

@@ -254,6 +254,9 @@ class FoldRecord:
     pmin_eig: np.ndarray | None = None
 
 
+# an overflow in a block's products shows as a non-finite figure, which the
+# fold's checks raise as NumericalError; numpy's warning would only precede it
+@np.errstate(over="ignore", invalid="ignore")
 def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
              keep_history: bool = False) -> tuple[RlsState, FoldRecord]:
     """Fold the covariance downdate and coefficient update over the rows of
@@ -315,7 +318,9 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
 
     A bordered matrix that fails to factor (its Gram ``S`` is not positive
     definite), a border ``c`` that overflows, or a non-finite estimate
-    raises :class:`NumericalError`: the prior is too large for the data.
+    raises :class:`NumericalError`: the prior is too large for the data.  It
+    names the block's first row in the record, ``state.k`` rows before
+    ``Phi``'s first, and no numpy warning about an overflow precedes it.
     """
     theta, P = state.theta, state.P
     Phi, Y = _check_rows(Phi, Y, theta.shape[0], state.dim)
@@ -366,13 +371,14 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         # a Python float overflows to inf without a warning
         c = 1.0 + 2.0 * float(np.vdot(R, R))
         if not math.isfinite(c):
-            raise _blow_up(start, "its gain overflows")
+            raise _blow_up(state.k + start, "its gain overflows")
         inner += 1.0
         border[...] = c
         try:
             F = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
-            raise _blow_up(start, "its innovation Gram is not positive definite") from None
+            raise _blow_up(state.k + start,
+                           "its innovation Gram is not positive definite") from None
         # [Kt | E] = L^{-1} R, the transpose of the factor's bottom-left block
         Kt, E = F[b:b + d, :b].T, F[b + d:, :b].T
         np.multiply(np.diagonal(F)[:b, None], E, out=Z[start:stop])
@@ -390,7 +396,7 @@ def rls_fold(state: RlsState, Phi, Y, theta_ref: np.ndarray | None = None,
         # Kt.T @ Kt is a syrk product, exactly symmetric, so P stays so
         P -= Kt.T @ Kt
         if not (np.isfinite(theta).all() and np.isfinite(P).all()):
-            raise _blow_up(start, "the estimate is no longer finite")
+            raise _blow_up(state.k + start, "the estimate is no longer finite")
         if stop % TRACE_CHUNK_ROWS == 0 or stop == K:
             # the chunk's per-row records; its last estimate starts the next
             n = r + b

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -32,16 +35,43 @@ def cpus(count):
     return mock.patch("os.sched_getaffinity", create=True, return_value=set(range(count)))
 
 
-def run_cli_capped(args, cap_bytes: int = 4 << 30) -> subprocess.CompletedProcess:
+def processes(case):
+    """The processes the package may fork: one CPU, two CPUs, two CPUs with
+    ``os.fork`` refused, as when the process table is full, or two CPUs with
+    each forked worker killed by ``SIGKILL`` as it starts."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(cpus(1 if case == "one-cpu" else 2))
+    if case == "refused-fork":
+        refused = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        stack.enter_context(mock.patch("os.fork", side_effect=refused))
+    if case == "killed-worker":
+        real = os.fork
+
+        def killed():
+            pid = real()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid
+
+        stack.enter_context(mock.patch("os.fork", killed))
+    return stack
+
+
+PROCESSES = ["one-cpu", "two-cpus", "refused-fork", "killed-worker"]
+
+
+def run_cli_capped(args, cap_bytes: int = 4 << 30, flags=()) -> subprocess.CompletedProcess:
     """Run the CLI with ``args`` in a child process whose address space is
-    capped at ``cap_bytes`` (4 GiB).  An allocation sized by an oversized
-    request then raises ``MemoryError`` in the child, which exits 3, where an
-    uncapped one could fill the machine's memory.  The limit applies to the
-    child only."""
+    capped at ``cap_bytes`` (4 GiB), its interpreter given the command-line
+    ``flags`` (``["-W", "error"]``, say).  An allocation sized by an
+    oversized request then raises ``MemoryError`` in the child, which exits
+    3, where an uncapped one could fill the machine's memory.  The limit
+    applies to the child only."""
     src = Path(sysid_rls.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", _CAPPED_CLI, str(cap_bytes), *map(str, args)],
+    return subprocess.run([sys.executable, *flags, "-c", _CAPPED_CLI, str(cap_bytes),
+                           *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
 
 

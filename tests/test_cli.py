@@ -1,6 +1,4 @@
 import collections
-import contextlib
-import errno
 import json
 import os
 import signal
@@ -38,7 +36,9 @@ from sysid_rls.fileio import (
 from sysid_rls.rls import TRACE_CHUNK_ROWS, valid_regressor_indices
 
 from support import (
+    PROCESSES,
     cpus,
+    processes,
     random_stable_model,
     reference_gram_curve,
     reference_reduced_regressor,
@@ -67,18 +67,13 @@ def _mimo_record(path, rows, lost=0):
     return path
 
 
-def _processes(case):
-    """The processes ``fit --emit-trace`` may use: one CPU, two CPUs, or two
-    CPUs with ``os.fork`` refused, as when the process table is full."""
-    stack = contextlib.ExitStack()
-    stack.enter_context(cpus(1 if case == "one-cpu" else 2))
-    if case == "refused-fork":
-        refused = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        stack.enter_context(mock.patch("os.fork", side_effect=refused))
-    return stack
-
-
-PROCESSES = ["one-cpu", "two-cpus", "refused-fork"]
+def _overflowing_record(path, rows=2000, start=1500):
+    """A ``rows``-long record of ``MIMO`` scaled by 1e155 from row ``start``
+    on: the fold's block products overflow in the windows that reach it."""
+    traj = load_trajectory(_mimo_record(path, rows))
+    scale = np.where(np.arange(rows) >= start, 1e155, 1.0)[:, None]
+    save_trajectory(Trajectory(k0=traj.k0, u=traj.u * scale, y=traj.y * scale), path)
+    return path
 
 
 @pytest.fixture
@@ -301,10 +296,34 @@ class TestFitCommand:
         assert BLOW_UP in capsys.readouterr().err
         assert not trace.exists()
 
-    @pytest.mark.parametrize("processes", PROCESSES)
+    @pytest.mark.parametrize("case", PROCESSES)
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+    def test_breakdown_names_the_row_in_the_record(self, tmp_path, capsys, case, trace):
+        # the regressor rows from 1497 on reach the scaled samples; the fold
+        # breaks down in the block from row 1472 (23 * 64) of the record, not
+        # row 448 of its second 1,024-row trace chunk
+        data = _overflowing_record(tmp_path / "traj.csv")
+        argv = ["fit", "--data", str(data), "--order", "3"]
+        if trace:
+            argv += ["--emit-trace", str(tmp_path / "trace.csv")]
+        with processes(case):
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert BLOW_UP in err and "block from row 1472:" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_overflowing_data_is_exit_3_under_warnings_as_errors(self, tmp_path):
+        # numpy's overflow warning in the fold's block products is an error
+        # under -W error; none may escape before the numerical failure
+        data = _overflowing_record(tmp_path / "traj.csv")
+        proc = run_cli_capped(["fit", "--data", data, "--order", "3"], flags=["-W", "error"])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert BLOW_UP in proc.stderr and "block from row 1472:" in proc.stderr
+
+    @pytest.mark.parametrize("case", PROCESSES)
     @pytest.mark.parametrize("with_ref", [False, True])
-    def test_streamed_trace_equals_whole_record_trace(self, tmp_path, capsys, with_ref,
-                                                      processes):
+    def test_streamed_trace_equals_whole_record_trace(self, tmp_path, capsys, with_ref, case):
         # several chunks and a partial one; windows touching the three
         # leading rows lack an input, so the trace starts past k = order
         data = _mimo_record(tmp_path / "traj.csv", 2 * TRACE_CHUNK_ROWS + 300, lost=3)
@@ -313,7 +332,7 @@ class TestFitCommand:
         if with_ref:
             save_model(trivial_embed(MIMO, 3), tmp_path / "ref.json")
             argv += ["--ref-model", str(tmp_path / "ref.json")]
-        with _processes(processes):
+        with processes(case):
             assert main(argv) == 0
         # the whole-record construction: one fold with history, one write
         traj = load_trajectory(data)
@@ -329,10 +348,11 @@ class TestFitCommand:
                                  record.pmin_eig])
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("processes", PROCESSES)
-    def test_trace_folds_each_row_once(self, tmp_path, monkeypatch, capsys, processes):
+    @pytest.mark.parametrize("case", PROCESSES)
+    def test_trace_folds_each_row_once(self, tmp_path, monkeypatch, capsys, case):
         # each process folds each row once: on one process this one with the
-        # history; on two this one without it, the worker with it
+        # history; on two this one without it, the worker with it, and where
+        # the worker is killed at once this one again with the history
         data = _mimo_record(tmp_path / "traj.csv", 2 * TRACE_CHUNK_ROWS + 300, lost=3)
         log = tmp_path / "folds"
         fold = cli.rls_fold
@@ -343,7 +363,7 @@ class TestFitCommand:
             return fold(state, Phi, *args, keep_history=keep_history, **kwargs)
 
         monkeypatch.setattr(cli, "rls_fold", logged)
-        with _processes(processes):
+        with processes(case):
             assert main(["fit", "--data", str(data), "--order", "3",
                          "--emit-trace", str(tmp_path / "trace.csv")]) == 0
         rows = collections.Counter()
@@ -351,8 +371,9 @@ class TestFitCommand:
             pid, history, n = map(int, line.split())
             rows["parent" if pid == os.getpid() else "worker", bool(history)] += n
         K = 2 * TRACE_CHUNK_ROWS + 300 - 6
-        assert rows == ({("parent", False): K, ("worker", True): K}
-                        if processes == "two-cpus" else {("parent", True): K})
+        want = {"two-cpus": {("parent", False): K, ("worker", True): K},
+                "killed-worker": {("parent", False): K, ("parent", True): K}}
+        assert rows == want.get(case, {("parent", True): K})
 
     def test_dying_trace_worker_costs_no_byte(self, tmp_path, monkeypatch, capsys):
         # the worker kills itself after its first chunk; this process folds

@@ -13,9 +13,13 @@ from sysid_rls import (
 )
 from sysid_rls import excitation, rls
 from sysid_rls.excitation import DEFAULT_GROWTH_RATIO, DEFAULT_PE_SLOPE_TOL, PE_FLOOR
+from sysid_rls.rls import TRACE_CHUNK_ROWS
 
 from support import (
+    PROCESSES,
     check_min_eigs_width,
+    cpus,
+    processes,
     random_stable_model,
     reference_gram_curve,
     reference_reduced_regressor,
@@ -181,6 +185,28 @@ class TestPartialGramCurve:
         Phi = np.random.default_rng(K).standard_normal((K, 3))
         assert np.array_equal(partial_gram_min_eigs(Phi), reference_gram_curve(Phi)[0])
 
+    @pytest.mark.parametrize("case", PROCESSES)
+    @pytest.mark.parametrize("K", [1024, 1025, 2049])
+    @pytest.mark.parametrize("d", [5, 10])
+    def test_split_curve_equals_the_one_cpu_curve(self, monkeypatch, case, K, d):
+        # from two chunks on, a worker computes the curve from the chunk
+        # boundary nearest K / 2 (row 1024 here) and this process makes only
+        # the min_eigs calls before it; d = 10, the reduced regressor of
+        # exact data, takes the Kato-Temple proof, d = 5 eigvalsh
+        if d == 10:
+            Phi = _exact_regressors(seed=K, n_hat=3, K=K)[:, 4:]
+        else:
+            Phi = np.random.default_rng(K).standard_normal((K, d))
+        with cpus(1):
+            want = partial_gram_min_eigs(Phi)
+        calls, real = [], excitation.min_eigs
+        monkeypatch.setattr(excitation, "min_eigs",
+                            lambda stack, bases: calls.append(len(stack)) or real(stack, bases))
+        with processes(case):
+            got = partial_gram_min_eigs(Phi)
+        assert got.tobytes() == want.tobytes()
+        chunks = -(-K // TRACE_CHUNK_ROWS)
+        assert len(calls) == (1 if case == "two-cpus" and chunks > 1 else chunks)
 
     # an order-1 model with p = m = 2 fitted at order 3 or 5: the reduced
     # regressors have d = 10 and d = 14, above the proof's smallest dimension
@@ -188,7 +214,8 @@ class TestPartialGramCurve:
     def test_reduced_curve_is_proved_within_its_width(self, monkeypatch, n_hat):
         Phi = _exact_regressors(seed=0, n_hat=n_hat)[:, 2 * (n_hat - 1):]
         calls = spy_min_eigs(monkeypatch, excitation)
-        curve = partial_gram_min_eigs(Phi)
+        with cpus(1):  # the spy sees the calls of this process only
+            curve = partial_gram_min_eigs(Phi)
         assert np.array_equal(curve, np.concatenate([got for *_, got in calls]))
         want = np.concatenate([w[:, 0] for _, w, _ in calls])
         assert np.array_equal(want, reference_gram_curve(Phi)[0])
@@ -210,7 +237,8 @@ class TestPartialGramCurve:
             return rho, ok, x
 
         monkeypatch.setattr(rls, "_shifted_step", step)
-        partial_gram_min_eigs(Phi)
+        with cpus(1):  # the spies see the calls of this process only
+            partial_gram_min_eigs(Phi)
         per_call = [[ok for i, ok in steps if i == call] for call in range(len(calls))]
         assert any(len(oks) == 2 and oks[1] > 0 for oks in per_call)
         groups, proved = check_min_eigs_width(calls)

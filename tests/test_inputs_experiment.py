@@ -39,7 +39,7 @@ from sysid_rls.fileio import (
     write_csv_groups,
 )
 from sysid_rls.rls import TRACE_CHUNK_ROWS
-from support import cpus, random_stable_model
+from support import PROCESSES, cpus, processes, random_stable_model
 
 
 SCALAR = IOModel.scalar([0.5], [0.0, 1.0])
@@ -188,11 +188,11 @@ def _blank(line: str, col: int, text: str = "") -> str:
     return ",".join(cells)
 
 
-def _edit(edits, newline="\n", final=True, insert=None):
-    """A trajectory file's text: the record's lines with ``edits`` (line
-    index, column, cell text) applied, a blank line before index
-    ``insert``."""
-    lines = _record_lines()
+def _edit(edits, newline="\n", final=True, insert=None, rows=600):
+    """A trajectory file's text: the ``rows`` lines of the record with
+    ``edits`` (line index, column, cell text) applied, a blank line before
+    index ``insert``."""
+    lines = _record_lines(rows)
     for i, col, text in edits:
         lines[i] = _blank(lines[i], col, text)
     if insert is not None:
@@ -211,6 +211,19 @@ LOADER_CASES = {
     "no-final-newline": ([(599, 2, "")], {"final": False}),
     "blank-line": ([(200, 1, "")], {"insert": 100}),
     "nan-cells": ([(5, 1, "nan"), (6, 2, "nan")], {}),
+}
+
+
+# data rows enough that their file passes fileio._SPLIT_BYTES, so a worker
+# parses the lines past its midpoint, row 1000 or so on
+SPLIT_ROWS = 2000
+
+# each split file's edits and how it is written: empty input cells in both
+# halves
+SPLIT_CASES = {
+    "empty-cells": ([(0, 1, ""), (1, 2, ""), (700, 2, ""), (1300, 1, ""), (1999, 2, "")], {}),
+    "crlf": ([(2, 1, ""), (1400, 2, "")], {"newline": "\r\n"}),
+    "no-final-newline": ([(10, 1, ""), (1999, 1, "")], {"final": False}),
 }
 
 
@@ -246,6 +259,48 @@ class TestLoadTrajectory:
         assert np.isnan(us).sum() == len(edits)
         # no cell goes through the per-cell converter
         assert calls == []
+
+    @pytest.mark.parametrize("case", PROCESSES)
+    @pytest.mark.parametrize("file", list(SPLIT_CASES))
+    def test_split_read_matches_the_row_parser_bit_for_bit(self, tmp_path, monkeypatch, case,
+                                                           file):
+        edits, how = SPLIT_CASES[file]
+        text = _edit(edits, rows=SPLIT_ROWS, **how)
+        assert len(text) > fileio._SPLIT_BYTES
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        ks, us, ys = fileio._parse_rows(path, 5, 2)
+        parsed, table = [], fileio._table
+        monkeypatch.setattr(fileio, "_table",
+                            lambda lines, dtype: parsed.append(dtype) or table(lines, dtype))
+        rows = []
+        monkeypatch.setattr(fileio, "_parse_rows", lambda *args: rows.append(args))
+        with processes(case):
+            traj = load_trajectory(path)
+        assert traj.k0 == ks[0] == 0 and len(traj) == len(ks) == SPLIT_ROWS
+        assert traj.u.tobytes() == us.tobytes() and traj.y.tobytes() == ys.tobytes()
+        assert np.isnan(us).sum() == len(edits)
+        # this process parses the first half, and the second where no worker
+        # replied; no line goes through the row parser
+        assert len(parsed) == (1 if case == "two-cpus" else 2)
+        assert rows == []
+
+    @pytest.mark.parametrize("case", PROCESSES)
+    @pytest.mark.parametrize("command", ["fit", "excite"])
+    @pytest.mark.parametrize("bad", ["cell", "byte"])
+    @pytest.mark.parametrize("row", [300, 1800])
+    def test_bad_line_in_either_half_is_exit_2(self, tmp_path, capsys, case, command, bad, row):
+        # data row 300 is line 302 of the file, in this process's half; row
+        # 1800 is in the worker's
+        path = tmp_path / "t.csv"
+        text = _edit([(0, 1, ""), (row, 3, "abc")], rows=SPLIT_ROWS).encode()
+        path.write_bytes(text.replace(b"abc", b"\xff") if bad == "byte" else text)
+        with processes(case):
+            assert main([command, "--data", str(path), "--order", "1"]) == 2
+        err = capsys.readouterr().err
+        want = (f"{path}: not UTF-8 text" if bad == "byte"
+                else f"{path}:{row + 2}: could not convert string to float: 'abc'")
+        assert "Traceback" not in err and want in err
 
     @pytest.mark.parametrize("m,p,seed", [(1, 1, 5), (3, 2, 6), (1, 2, 7), (2, 1, 8), (2, 2, 9),
                                           (4, 1, 10), (5, 3, 11)])

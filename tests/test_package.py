@@ -80,7 +80,8 @@ def test_commands_that_never_solve_with_scipy_leave_it_unloaded(case, tmp_path):
 
 
 def test_one_function_calls_os_fork():
-    # experiment's order workers and fit's trace worker share one fork helper
+    # experiment's order workers, fit's trace worker and the split row ranges
+    # of the trajectory read and the excite curve share one fork helper
     callers = []
     for path in sorted(Path(sysid_rls.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -555,6 +555,20 @@ class TestRlsFold:
             with pytest.raises(NumericalError, match="block from row 0"):
                 rls_fold(state, Phi, Y)
 
+    @pytest.mark.parametrize("k", [0, 1024])
+    def test_overflowing_data_is_numerical_error_naming_its_row_without_warnings(self, k):
+        # rows scaled by 1e155 from row 100 on overflow the block products in
+        # the block from row 64, named from the record's start: state.k rows
+        # before the first row this fold takes
+        state, Phi, Y, _ = _fold_case(1, 1, 1, 200, seed=7)
+        Phi[100:] *= 1e155
+        Y[100:] *= 1e155
+        state = RlsState(theta=state.theta, P=state.P, k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"block from row {k + 64}:"):
+                rls_fold(state, Phi, Y)
+
     @pytest.mark.parametrize("order,p,m,K", [(1, 1, 1, 1), (1, 1, 1, 63), (1, 1, 1, 64),
                                              (1, 1, 1, 65), (1, 1, 1, 1024), (1, 1, 1, 1025),
                                              (1, 1, 1, 2049), (3, 2, 2, 1025)])
