@@ -131,27 +131,26 @@ def cmd_fit(args) -> int:
 
 
 def _fold_to_spill(state, Phi, Y, spill):
-    """The final state of the fold of ``Phi``, ``Y`` from ``state``, run one
+    """The fold of ``Phi``, ``Y`` from ``state``, run one
     :data:`~sysid_rls.rls.TRACE_CHUNK_ROWS` chunk at a time with its
-    history; each chunk's ``theta`` rows, residual norms and ``pmin_eig`` are
-    written to the binary file ``spill`` from its current offset as raw
-    float64, K (p d + 2) values in all.  Chunks start at multiples of the
-    fold's block, so the figures equal one whole-record fold's bit for bit,
-    and a fold resumed at any chunk writes that chunk's bytes again."""
+    history, yielding the state after each chunk; each chunk's ``theta``
+    rows, residual norms and ``pmin_eig`` are written to the binary file
+    ``spill`` from its current offset as raw float64, K (p d + 2) values in
+    all, before its yield.  Chunks start at multiples of the fold's block,
+    so the figures equal one whole-record fold's bit for bit, and a fold
+    resumed at any chunk writes that chunk's bytes again."""
     for start in range(0, len(Phi), TRACE_CHUNK_ROWS):
         stop = start + TRACE_CHUNK_ROWS
         state, record = rls_fold(state, Phi[start:stop], Y[start:stop], keep_history=True)
         for column in (record.theta, record.residual_norm, record.pmin_eig):
             spill.write(column)
-    return state
+        yield state
 
 
 def _spill_worker(state, Phi, Y, spill, pipe):
-    """A forked worker's run: :func:`_fold_to_spill` one chunk at a time,
-    flushing ``spill`` and writing one byte to ``pipe`` after each."""
-    for start in range(0, len(Phi), TRACE_CHUNK_ROWS):
-        rows = slice(start, start + TRACE_CHUNK_ROWS)
-        state = _fold_to_spill(state, Phi[rows], Y[rows], spill)
+    """A forked worker's run: :func:`_fold_to_spill`, flushing ``spill``
+    and writing one byte to ``pipe`` after each chunk."""
+    for _ in _fold_to_spill(state, Phi, Y, spill):
         spill.flush()
         pipe.write(b".")
         pipe.flush()
@@ -178,7 +177,9 @@ def _spill_fold(state, Phi, Y, spill):
     if worker_count(2) > 1:
         worker = fork_worker(functools.partial(_spill_worker, state, Phi, Y, spill))
     if worker is None:
-        final = _fold_to_spill(state, Phi, Y, spill)
+        final = state
+        for final in _fold_to_spill(state, Phi, Y, spill):
+            pass
         spill.flush()
         yield final, lambda start: None
         return
@@ -191,7 +192,8 @@ def _spill_fold(state, Phi, Y, spill):
             return
         head, _ = rls_fold(state, Phi[:start], Y[:start])
         spill.seek(8 * start * (state.theta.size + 2))
-        _fold_to_spill(head, Phi[start:], Y[start:], spill)
+        for _ in _fold_to_spill(head, Phi[start:], Y[start:], spill):
+            pass
         spill.flush()
         resumed = True
 

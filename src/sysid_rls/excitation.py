@@ -118,8 +118,8 @@ def partial_gram_min_eigs(Phi) -> np.ndarray:
     if chunks < 2:
         return _gram_curve(Phi, 0, K)[0]
     mid = TRACE_CHUNK_ROWS * min(max(round(K / (2 * TRACE_CHUNK_ROWS)), 1), chunks - 1)
-    (head, gram), reply = fork_tail(lambda: _gram_curve(Phi, 0, mid),
-                                    lambda: _gram_curve(Phi, mid, K)[0])
+    (head, gram), (reply,) = fork_tail(lambda: _gram_curve(Phi, 0, mid),
+                                       lambda: _gram_curve(Phi, mid, K)[0])
     tail = _gram_curve(Phi, mid, K, gram)[0] if reply is None else np.frombuffer(reply)
     return np.concatenate([head, tail])
 

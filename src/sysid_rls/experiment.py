@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .fileio import (
 from .inputs import InputSpec, _parse_int, _parse_number, generate_input, spec_from_dict
 from .model_core import IOModel
 from .rls import DEFAULT_P0_SCALE, regressor_dim
-from .workers import fork_worker, stop, worker_count
+from .workers import fork_tail, worker_count
 
 _ALLOWED_KEYS = {"true_model", "fit_orders", "input", "horizon", "theta0",
                  "p0_scale", "out_dir"}
@@ -153,14 +152,16 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     in the manifest and does not disturb the other orders' outputs.
 
     The orders run concurrently on up to ``min(CPUs in the affinity set,
-    orders)`` processes: this one and children forked after the input is
-    generated, the orders dealt round-robin, this process keeping the first
-    share.  Each process holds one order's arrays at a time.  Every output
-    and the manifest hash are byte-identical to a one-CPU run;
-    ``wall_clock_s`` is this process's wall time.  A child that dies before
-    replying turns each of its orders into an ``error:`` entry, and no child
-    outlives the call, however it ends.  The children come from
-    :mod:`sysid_rls.workers`, as ``fit``'s trace worker does.
+    orders)`` processes: this one and workers forked after the input is
+    generated (:func:`~sysid_rls.workers.fork_tail`), the orders dealt
+    round-robin, this process keeping the first share.  Each process holds
+    one order's arrays at a time.  A share without a reply (its worker
+    could not be forked, or died first) runs here once every worker is
+    stopped, so every output and the manifest hash are byte-identical to a
+    one-CPU run and a dead worker costs time only; ``wall_clock_s`` is this
+    process's wall time.  No worker outlives the call, however it ends.  An
+    exception inside an order is still that order's ``error:`` entry, but a
+    signal that kills a worker is not.
 
     A ``theta0`` file is read once, before the input is generated, so one
     that cannot be read fails the call before any work; its shape is checked
@@ -180,30 +181,19 @@ def run_experiment(config: ExperimentConfig, out_dir) -> RunManifest:
     except ValueError as exc:  # a NUL, or a character the file system cannot encode
         raise ValidationError(f"output directory {str(out_dir)!r}: {exc}") from exc
 
-    def work(order):
-        return _run_order(config, u_full, theta0, out_dir, order)
+    def run(share):
+        return [_run_order(config, u_full, theta0, out_dir, order) for order in share]
 
-    def send(share, pipe):
-        pipe.write(json.dumps([work(order) for order in share]).encode())
+    def send(share):
+        return json.dumps(run(share)).encode()
 
     workers = worker_count(len(config.fit_orders))
     shares = [config.fit_orders[i::workers] for i in range(workers)]
-    own, children, entries = list(shares[0]), [], {}
-    try:
-        for share in shares[1:]:
-            child = fork_worker(functools.partial(send, share))
-            if child is None:  # no process to be had: this one runs the share
-                own.extend(share)
-            else:
-                children.append((*child, share))
-        for order in own:
-            entries[order] = work(order)
-        while children:
-            entries.update(_reply(config, *children[0]))
-            children.pop(0)
-    finally:
-        for pid, pipe, _share in children:  # left only by an interruption
-            stop(pid, pipe)
+    head, replies = fork_tail(functools.partial(run, shares[0]),
+                              *(functools.partial(send, share) for share in shares[1:]))
+    entries = dict(zip(shares[0], head))
+    for share, reply in zip(shares[1:], replies):
+        entries.update(zip(share, run(share) if reply is None else json.loads(reply)))
     runs = [entries[order] for order in config.fit_orders]
 
     wall = time.monotonic() - start
@@ -226,7 +216,7 @@ def _run_order(config: ExperimentConfig, u_full, theta0, out_dir: Path, order: i
     summary, and return its manifest entry; an exception becomes the entry's
     ``error:`` status."""
     model = config.true_model
-    entry = _entry(config, order, "ok")
+    entry = {"fit_order": order, "seed": config.input.seed, "status": "ok", "outputs": {}}
     try:
         check_theta0_shape(theta0, Path(config.base_dir or "") / config.theta0, model.p,
                            regressor_dim(order, model.p, model.m))
@@ -251,28 +241,3 @@ def _run_order(config: ExperimentConfig, u_full, theta0, out_dir: Path, order: i
         entry["status"] = f"error: {exc}"
     return entry
 
-
-def _entry(config: ExperimentConfig, order: int, status: str) -> dict:
-    return {"fit_order": order, "seed": config.input.seed, "status": status, "outputs": {}}
-
-
-def _reply(config: ExperimentConfig, pid: int, pipe, share) -> dict:
-    """Read a child's entries to the end of its pipe and reap it: order ->
-    entry.  Without a complete reply every order of the share gets an
-    ``error:`` entry naming how the child ended."""
-    with pipe:
-        data = pipe.read()
-    _pid, status = os.waitpid(pid, 0)
-    try:  # a child writes its whole list or is cut off before the end
-        return dict(zip(share, json.loads(data)))
-    except ValueError:
-        pass
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        import signal  # only here: a run whose children all reply needs none
-
-        how = f"was killed by {signal.Signals(-code).name}"
-    else:
-        how = f"exited with status {code}"
-    return {order: _entry(config, order, f"error: worker process {how} before replying")
-            for order in share}

@@ -152,17 +152,19 @@ def _read_table(fh, m: int, p: int, header_lines: int | None = None):
     midpoint and sends its rows back raw, while this process reads the
     bytes before it and parses the lines past the header.  numpy parses each
     cell on its own, so the columns are the same bit for bit either way.
-    Without a worker, or without its reply, this process parses both parts;
-    otherwise it parses the lines left in ``fh``.
+    Without a worker, or without its reply, this process parses both parts.
+    A worker whose part does not parse, or holds no row, replies with no
+    bytes, and this process returns None without parsing that part again.
+    Otherwise it parses the lines left in ``fh``.
     """
     dtype = [("k", np.int64), ("u", float, (m,)), ("y", float, (p,))]
     fd = fh.fileno() if header_lines is not None else None
     size = os.fstat(fd).st_size if fd is not None else 0
     cut = _line_end(fd, size // 2) if size >= _SPLIT_BYTES else size
     if cut < size:
-        head, reply = fork_tail(lambda: _table(_lines(fd, 0, cut, header_lines), dtype),
-                                lambda: _table(_lines(fd, cut, size), dtype))
-        if head is None:
+        head, (reply,) = fork_tail(lambda: _table(_lines(fd, 0, cut, header_lines), dtype),
+                                   lambda: _table(_lines(fd, cut, size), dtype))
+        if head is None or reply == b"":  # either part failed, or the worker's has no row
             return None
         tail = (_table(_lines(fd, cut, size), dtype) if reply is None
                 else np.frombuffer(reply, dtype))

@@ -1,16 +1,19 @@
 """Forked worker processes: the one place the package calls ``os.fork``.
 
-``experiment`` runs shares of its fit orders in workers, each sending its
-manifest entries back as JSON; ``fit --emit-trace`` runs its history fold
-in one, which sends a byte per finished chunk.  Either way a worker owns a
-whole unit of work and writes only to its pipe and the files it was given.
-Two more users split one computation over a row range with
-:func:`fork_tail`: :func:`~sysid_rls.fileio.load_trajectory` parses the
-second half of a trajectory CSV's data rows in a worker, and
+Three users split one computation with :func:`fork_tail`, this process
+running its head while forked workers run its tails, each sending back raw
+bytes: ``experiment`` deals its fit orders into shares and runs each share
+past the first in a worker, which replies with its manifest entries as JSON;
+:func:`~sysid_rls.fileio.load_trajectory` parses the second half of a
+trajectory CSV's data rows in a worker; and
 :func:`~sysid_rls.excitation.partial_gram_min_eigs` computes the second half
-of its curve in one; each worker sends its rows back as raw bytes.
-The number of workers follows the CPUs in the affinity set; there is no
-option for it (``taskset -c 0`` pins a command to one process).
+of its curve in one.  A tail without a reply runs in the caller, so a worker
+that dies costs time, never output.  ``fit --emit-trace`` runs its history
+fold in a worker of its own (:func:`fork_worker`), which sends a byte per
+finished chunk.  Either way a worker owns a whole unit of work and writes
+only to its pipe and the files it was given.  The number of workers follows
+the CPUs in the affinity set; there is no option for it (``taskset -c 0``
+pins a command to one process).
 """
 
 from __future__ import annotations
@@ -84,37 +87,46 @@ def stop(pid: int, pipe) -> None:
     os.waitpid(pid, 0)
 
 
-def fork_tail(head, tail):
-    """``(head(), reply)``: ``head()`` run in this process while a forked
-    worker runs ``tail()`` and sends back the bytes of the C-contiguous
-    buffer it returns (an array or a ``bytes``), prefixed by their count.
+def fork_tail(head, *tails):
+    """``(head(), replies)``: ``head()`` run in this process while forked
+    workers run the ``tails``, each sending back the bytes of the
+    C-contiguous buffer its tail returns (an array or a ``bytes``), prefixed
+    by their count.
 
-    ``reply`` is those bytes, or None where no worker was forked (one CPU in
-    the affinity set, or no fork to be had) or its reply came short:
-    ``tail()`` raised or returned None, or the worker was killed.  The caller
-    then runs the tail itself, so a split computation gives the same result
-    with or without a worker.  The worker is stopped and reaped before this
-    returns or raises.
+    ``replies`` has one entry per tail: its bytes, ``b""`` where it returned
+    None, or None where it ran in no worker or its reply came short (it
+    raised, or the worker was killed).  The tails from the first are forked
+    one worker each, at most ``worker_count(1 + len(tails)) - 1`` of them;
+    the rest, and any whose fork fails, run in no worker.  The caller runs a
+    tail whose reply is None itself, so a split computation gives the same
+    result with or without workers.  Every worker forked is stopped and
+    reaped before this returns or raises.
     """
-    worker = fork_worker(functools.partial(_reply, tail)) if worker_count(2) > 1 else None
-    if worker is None:
-        return head(), None
-    pid, pipe = worker
+    workers = []
     try:
+        for tail in tails[:worker_count(1 + len(tails)) - 1]:
+            workers.append(fork_worker(functools.partial(_reply, tail)))
         done = head()
-        count = pipe.read(8)
-        size = int.from_bytes(count, "little") if len(count) == 8 else -1
-        reply = pipe.read(size) if size > 0 else b""
-        return done, reply if len(reply) == size else None
+        replies = [None if worker is None else _read(worker[1]) for worker in workers]
+        return done, replies + [None] * (len(tails) - len(workers))
     finally:
-        stop(pid, pipe)
+        for worker in workers:
+            if worker is not None:
+                stop(*worker)
 
 
 def _reply(tail, pipe):
     """A :func:`fork_tail` worker's run: the byte count of ``tail()``'s
-    buffer, then its bytes; nothing where it returns None."""
+    buffer, then its bytes; a zero count where it returns None."""
     out = tail()
-    if out is not None:
-        view = memoryview(out)
-        pipe.write(view.nbytes.to_bytes(8, "little"))
-        pipe.write(view)
+    view = memoryview(b"" if out is None else out)
+    pipe.write(view.nbytes.to_bytes(8, "little"))
+    pipe.write(view)
+
+
+def _read(pipe):
+    """A :func:`_reply`'s bytes, or None where it came short."""
+    count = pipe.read(8)
+    size = int.from_bytes(count, "little") if len(count) == 8 else -1
+    reply = pipe.read(size) if size > 0 else b""
+    return reply if len(reply) == size else None

@@ -386,10 +386,11 @@ class TestFitCommand:
         parent, real, resumed = os.getpid(), cli._fold_to_spill, []
 
         def dying(state, Phi, Y, spill):
-            if os.getpid() != parent and resumed:
-                os.kill(os.getpid(), signal.SIGKILL)
             resumed.append(len(Phi))
-            return real(state, Phi, Y, spill)
+            for folded in real(state, Phi, Y, spill):
+                yield folded
+                if os.getpid() != parent:  # the first chunk's byte is written
+                    os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(cli, "_fold_to_spill", dying)
         with cpus(2):
@@ -906,7 +907,7 @@ class TestExperimentCommand:
         cfg = {"true_model": "model.json", "fit_orders": [1, 2], "horizon": 100,
                "input": {"kind": "white", "seed": 3}, "theta0": "missing.json"}
         (workdir / "cfg.json").write_text(json.dumps(cfg))
-        for name in ("generate_input", "fork_worker", "run_tracked_identification"):
+        for name in ("generate_input", "fork_tail", "run_tracked_identification"):
             monkeypatch.setattr(experiment, name, _no_work)
         with cpus(2):
             rc = main(["experiment", str(workdir / "cfg.json"), "--out-dir", str(workdir / "out")])

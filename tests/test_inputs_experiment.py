@@ -28,7 +28,7 @@ from sysid_rls import (
 )
 from sysid_rls import experiment, fileio
 from sysid_rls.cli import main
-from sysid_rls.experiment import config_from_dict
+from sysid_rls.experiment import RunManifest, config_from_dict
 from sysid_rls.fileio import (
     load_model,
     load_theta0,
@@ -301,6 +301,18 @@ class TestLoadTrajectory:
         want = (f"{path}: not UTF-8 text" if bad == "byte"
                 else f"{path}:{row + 2}: could not convert string to float: 'abc'")
         assert "Traceback" not in err and want in err
+
+    def test_bad_row_in_the_workers_half_is_parsed_once_here(self, tmp_path, monkeypatch):
+        # the worker replies that its half does not parse, so this process
+        # parses only its own half before the row parser names the line
+        path = tmp_path / "t.csv"
+        path.write_bytes(_edit([(0, 1, ""), (1800, 3, "abc")], rows=SPLIT_ROWS).encode())
+        parsed, table = [], fileio._table
+        monkeypatch.setattr(fileio, "_table",
+                            lambda lines, dtype: parsed.append(dtype) or table(lines, dtype))
+        with processes("two-cpus"), pytest.raises(ValidationError, match="t.csv:1802: "):
+            load_trajectory(path)
+        assert len(parsed) == 1
 
     @pytest.mark.parametrize("m,p,seed", [(1, 1, 5), (3, 2, 6), (1, 2, 7), (2, 1, 8), (2, 2, 9),
                                           (4, 1, 10), (5, 3, 11)])
@@ -620,6 +632,11 @@ def assert_same_outputs(a, b, dir_a, dir_b):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def _manifest(out_dir):
+    """The manifest a run wrote to ``out_dir``."""
+    return RunManifest(**json.loads((out_dir / "manifest.json").read_text()))
+
+
 class TestRunExperiment:
     def test_two_orders_and_reproducibility(self, tmp_path):
         cfg = config_from_dict(minimal_config(fit_orders=[1, 2], horizon=800))
@@ -697,7 +714,10 @@ class TestRunExperiment:
         if host_cpus() >= 2:
             assert {int(f.read_text()) for f in pids.iterdir()} - {os.getpid()}
 
-    def test_dying_worker_fails_only_its_orders(self, tmp_path, capsys):
+    def test_dying_worker_costs_no_output(self, tmp_path, capsys):
+        # the worker of order 2 is killed before it replies: this process
+        # runs order 2 once every worker is stopped, and the command's
+        # files, manifest and output are those of a one-CPU run
         def dying(config, u_full, theta0, out_dir, order):
             if order == 2 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -705,16 +725,28 @@ class TestRunExperiment:
 
         parent, real = os.getpid(), experiment._run_order
         (tmp_path / "cfg.json").write_text(json.dumps(minimal_config(fit_orders=[1, 2, 3])))
+        argv = ["experiment", str(tmp_path / "cfg.json"), "--out-dir"]
+        with cpus(1):
+            assert main(argv + [str(tmp_path / "one")]) == 0
+        want = capsys.readouterr().out
         with cpus(4), mock.patch.object(experiment, "_run_order", dying):
-            rc = main(["experiment", str(tmp_path / "cfg.json"), "--out-dir", str(tmp_path / "out")])
-        assert rc == 3
-        runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["runs"]
-        statuses = {r["fit_order"]: r["status"] for r in runs}
-        assert statuses[1] == statuses[3] == "ok"
-        assert statuses[2] == "error: worker process was killed by SIGKILL before replying"
-        assert "order 2: error: worker process was killed by SIGKILL" in capsys.readouterr().out
+            assert main(argv + [str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == want
+        one, out = (_manifest(tmp_path / name) for name in ("one", "out"))
+        assert [r["status"] for r in out.runs] == ["ok"] * 3
+        assert_same_outputs(one, out, tmp_path / "one", tmp_path / "out")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", PROCESSES)
+    def test_outputs_are_the_one_cpu_outputs_in_every_process_case(self, tmp_path, case):
+        cfg = config_from_dict(minimal_config(fit_orders=[1, 2, 3], horizon=600))
+        with cpus(1):
+            one = run_experiment(cfg, tmp_path / "one")
+        with processes(case):
+            got = run_experiment(cfg, tmp_path / "got")
+        assert [r["status"] for r in got.runs] == ["ok"] * 3
+        assert_same_outputs(one, got, tmp_path / "one", tmp_path / "got")
 
     def test_failed_fork_runs_every_order_here(self, tmp_path):
         cfg = config_from_dict(minimal_config(fit_orders=[1, 2, 3]))

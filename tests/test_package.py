@@ -79,13 +79,25 @@ def test_commands_that_never_solve_with_scipy_leave_it_unloaded(case, tmp_path):
     assert _scipy_modules_after(case, tmp_path) == set()
 
 
-def test_one_function_calls_os_fork():
-    # experiment's order workers, fit's trace worker and the split row ranges
-    # of the trajectory read and the excite curve share one fork helper
+def _callers(name):
+    """The package's functions that call ``name``, one entry per call."""
     callers = []
     for path in sorted(Path(sysid_rls.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
                 callers += [f"{path.stem}.{node.name}" for call in ast.walk(node)
-                            if isinstance(call, ast.Call) and ast.unparse(call.func) == "os.fork"]
-    assert callers == ["workers.fork_worker"]
+                            if isinstance(call, ast.Call) and ast.unparse(call.func) == name]
+    return callers
+
+
+def test_one_function_calls_os_fork():
+    # the tails of fork_tail (experiment's order shares, the second halves
+    # of the trajectory read and the excite curve) and fit's trace worker
+    # share one fork helper
+    assert _callers("os.fork") == ["workers.fork_worker"]
+
+
+def test_one_function_kills_and_reaps_workers():
+    # every worker ends in workers.stop, whether it replied, died or was
+    # no longer wanted
+    assert _callers("os.kill") == _callers("os.waitpid") == ["workers.stop"]
